@@ -34,9 +34,37 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _parse_window(spec: str) -> tuple[int, int]:
-    lo, _, hi = spec.partition(":")
-    return int(lo), int(hi)
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than `lo`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{value} is below {lo}")
+        return value
+    return parse
+
+
+_natural = _at_least(0)
+
+
+def _window(spec: str) -> tuple[int, int]:
+    """argparse type for LO:HI with LO <= HI."""
+    try:
+        lo, hi = (int(x) for x in spec.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not LO:HI") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"{spec}: LO must be <= HI")
+    return lo, hi
+
+
+def _step_list(spec: str) -> list[int]:
+    """argparse type for N,N,... step counts, returned sorted."""
+    return sorted(_natural(x) for x in spec.split(","))
 
 
 def cmd_run(args) -> int:
@@ -45,8 +73,7 @@ def cmd_run(args) -> int:
     lines = []
     payload = {"command": "run", "machine": m.name, "budget": args.budget}
     if args.checkpoints:
-        targets = sorted(int(x) for x in args.checkpoints.split(","))
-        snaps = tm.run_trace(m, targets)
+        snaps = tm.run_trace(m, args.checkpoints)
         payload["checkpoints"] = []
         for snap in snaps:
             window = tm.window_str(m, snap, snap.tape.lo, snap.tape.hi)
@@ -71,7 +98,7 @@ def cmd_run(args) -> int:
     payload["state"] = m.states[final.state]
     payload["head"] = final.head
     if args.show_window:
-        lo, hi = _parse_window(args.show_window)
+        lo, hi = args.show_window
         window = " ".join(m.symbols[s] for s in tm.tape_window(final, lo, hi))
         payload["window"] = {"lo": lo, "hi": hi, "symbols": window}
         lines.append(window)
@@ -156,29 +183,32 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_run.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=machines.BUILTIN_NAMES)
     group.add_argument("--file", help="machine file in the canonical format")
-    p_run.add_argument("--budget", type=int, required=True)
-    p_run.add_argument("--show-window", metavar="LO:HI",
+    p_run.add_argument("--budget", type=_natural, required=True)
+    p_run.add_argument("--show-window", metavar="LO:HI", type=_window,
                        help="print tape cells LO..HI after the run")
-    p_run.add_argument("--checkpoints", metavar="N,N,...",
-                       help="snapshot the configuration at these steps")
+    p_run.add_argument("--checkpoints", metavar="N,N,...", type=_step_list,
+                       help="snapshot the configuration at these steps "
+                            "(each at most --budget)")
     p_run.set_defaults(func=cmd_run)
 
     p_scan = sub.add_parser("scan", help="scan powers of two for missing "
                                          "ternary digit 2")
-    p_scan.add_argument("--max-n", type=int, required=True)
+    p_scan.add_argument("--max-n", type=_natural, required=True)
     p_scan.set_defaults(func=cmd_scan)
 
     p_sim = sub.add_parser("check-sim", help="verify the 2-symbol machine "
                                              "tracks the 4-symbol machine")
-    p_sim.add_argument("--steps", type=int, required=True,
+    p_sim.add_argument("--steps", type=_natural, required=True,
                        help="simulated (4-symbol) steps to verify")
     p_sim.set_defaults(func=cmd_check_sim)
 
     p_enum = sub.add_parser("enumerate", help="classify a whole machine "
                                               "space and report the max")
-    p_enum.add_argument("-n", type=int, required=True, help="state count")
-    p_enum.add_argument("-k", type=int, required=True, help="symbol count")
-    p_enum.add_argument("--budget", type=int, required=True)
+    p_enum.add_argument("-n", type=_at_least(1), required=True,
+                        help="state count")
+    p_enum.add_argument("-k", type=_at_least(2), required=True,
+                        help="symbol count")
+    p_enum.add_argument("--budget", type=_natural, required=True)
     p_enum.add_argument("--raw", action="store_true",
                         help="enumerate the full raw space instead of the "
                              "canonical subset")
@@ -191,6 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "run" and args.checkpoints
+            and args.checkpoints[-1] > args.budget):
+        parser.error(f"checkpoint {args.checkpoints[-1]} exceeds "
+                     f"--budget {args.budget}")
     try:
         return args.func(args)
     except (BBLabError, OSError) as exc:

@@ -1,15 +1,17 @@
 """Brute-force enumeration of tiny machine spaces with non-halt deciders,
 plus the checkpoint schedule of the power-of-two machine.
 
-Deciders run cheapest first: the escape decider (no halting transition
-is reachable in the state graph), the cycler (exact configuration
-repeat), the translated cycler (recurring record-breaking configuration
-shifted by a rigid offset), and finally the regular-closure decider (a
-searched-for regular set of configurations that contains the initial
-one, is closed under stepping, and excludes every halting one — the
-escape idea generalized from the state graph to tape contents; both are
-tagged "escape" since both prove halting unreachable).  Enumeration
-runs either over the raw space of all (2nk+1)^(nk) tables or over a
+One decider pipeline serves `classify` and both enumerators, cheapest
+first: the escape decider (no halting transition is reachable in the
+state graph); then a single bounded run that checks the cycler (exact
+configuration repeat) and the translated cycler (recurring
+record-breaking configuration shifted by a rigid offset) after every
+step; and finally, for machines that outlast the budget, the
+regular-closure decider (a searched-for regular set of configurations
+that contains the initial one, is closed under stepping, and excludes
+every halting one — the escape idea generalized from the state graph to
+tape contents; both are tagged "escape" since both prove halting
+unreachable).  Enumeration runs either over the raw space of all (2nk+1)^(nk) tables or over a
 canonical subset built in tree normal form: cells are filled lazily in
 the order the blank-tape run first needs them, new states/symbols are
 introduced lowest-index-first, and the very first transition moves
@@ -184,13 +186,12 @@ class TranslatedCyclerCertificate:
 
 
 class _DictSim:
-    """Lightweight stepper over a possibly partial table (None = undefined
-    cell), with signature helpers for the deciders."""
+    """Tape, head and state of a run stepped by compiled transitions (see
+    _compile), with signature helpers for the deciders."""
 
-    __slots__ = ("table", "blank", "tape", "head", "state", "steps")
+    __slots__ = ("blank", "tape", "head", "state", "steps")
 
-    def __init__(self, table, blank, init):
-        self.table = table
+    def __init__(self, blank, init):
         self.blank = blank
         self.tape = {}
         self.head = 0
@@ -269,13 +270,15 @@ class _TranslatedDetector:
 
 
 def _compile(m: MachineTable):
-    """Table rows as tuples (write, delta, next) with None for Halt."""
+    """Table rows as tuples (write, delta, next) with "halt" for Halt.
+    The enumerators use the same encoding, with None for a cell not
+    chosen yet."""
     rows = []
     for row in m.table:
         cells = []
         for tr in row:
             if tr is HALT:
-                cells.append(None)
+                cells.append("halt")
             else:
                 cells.append((tr.write, 1 if tr.move == R else -1,
                               tr.next_state))
@@ -283,9 +286,10 @@ def _compile(m: MachineTable):
     return tuple(rows)
 
 
-def _escape_reachable(table, init):
-    """States reachable from init over transition edges, or None if any
-    reachable state has a halting (or still-undefined) cell."""
+def _escape(table, init):
+    """EscapeCertificate of the states reachable from init over transition
+    edges, or None if any reachable state has a halting (or not yet
+    chosen) cell."""
     seen = {init}
     stack = [init]
     while stack:
@@ -296,7 +300,7 @@ def _escape_reachable(table, init):
             if tr[2] not in seen:
                 seen.add(tr[2])
                 stack.append(tr[2])
-    return seen
+    return EscapeCertificate(tuple(sorted(seen)))
 
 
 def decide_escape(m: MachineTable):
@@ -304,44 +308,67 @@ def decide_escape(m: MachineTable):
     graph from the initial state, or None.  Reachability ignores the tape
     (it over-approximates the states the run can enter), so a certificate
     soundly implies the machine never halts."""
-    reachable = _escape_reachable(_compile(m), m.init)
-    if reachable is None:
-        return None
-    return EscapeCertificate(tuple(sorted(reachable)))
+    return _escape(_compile(m), m.init)
+
+
+@dataclass
+class Classification:
+    status: str  # "halts" | "nonhalt" | "undecided"
+    steps: int | None = None
+    decider: str | None = None
+    certificate: object = None
+
+
+def _run_deciders(cells, init, blank, budget):
+    """One bounded run from the blank tape with the cycler and the
+    translated cycler checked after every step.  Returns a Classification
+    (halts, cycler or translated-cycler), ("undef", q, sym, steps) on
+    reaching a cell not chosen yet, or None when the budget runs out.
+
+    An exact repeat keeps the head bounded while a translated repeat
+    proves unbounded drift, so the two never both fire on one machine."""
+    sim = _DictSim(blank, init)
+    seen = {sim.exact_signature(): 0}
+    detector = _TranslatedDetector(blank)
+    while sim.steps < budget:
+        sym = sim.read()
+        tr = cells[sim.state][sym]
+        if tr is None:
+            return ("undef", sim.state, sym, sim.steps)
+        if tr == "halt":
+            return Classification("halts", steps=sim.steps + 1)
+        sim.advance(tr)
+        sig = sim.exact_signature()
+        if sig in seen:
+            return Classification(
+                "nonhalt", decider="cycler",
+                certificate=CyclerCertificate(seen[sig], sim.steps))
+        seen[sig] = sim.steps
+        cert = detector.on_step(sim)
+        if cert is not None:
+            return Classification("nonhalt", decider="translated-cycler",
+                                  certificate=cert)
+    return None
+
+
+def _pass_certificate(m: MachineTable, budget: int, decider: str):
+    out = _run_deciders(_compile(m), m.init, m.blank, budget)
+    if isinstance(out, Classification) and out.decider == decider:
+        return out.certificate
+    return None
 
 
 def decide_cycler(m: MachineTable, budget: int):
     """Certificate (t1, t2) of an exact configuration repeat within budget,
     or None if the machine halts first or no repeat shows up."""
-    sim = _DictSim(_compile(m), m.blank, m.init)
-    seen = {sim.exact_signature(): 0}
-    while sim.steps < budget:
-        tr = sim.table[sim.state][sim.read()]
-        if tr is None:
-            return None  # halts
-        sim.advance(tr)
-        sig = sim.exact_signature()
-        if sig in seen:
-            return CyclerCertificate(seen[sig], sim.steps)
-        seen[sig] = sim.steps
-    return None
+    return _pass_certificate(m, budget, "cycler")
 
 
 def decide_translated_cycler(m: MachineTable, budget: int):
     """Certificate of a recurring record-breaking configuration with a
     nonzero shift (see _TranslatedDetector for the matching rule), or
     None if the machine halts first or no repeat shows up in budget."""
-    sim = _DictSim(_compile(m), m.blank, m.init)
-    detector = _TranslatedDetector(m.blank)
-    while sim.steps < budget:
-        tr = sim.table[sim.state][sim.read()]
-        if tr is None:
-            return None
-        sim.advance(tr)
-        cert = detector.on_step(sim)
-        if cert is not None:
-            return cert
-    return None
+    return _pass_certificate(m, budget, "translated-cycler")
 
 
 def _canonical_dfas(n_max: int, k: int, blank: int):
@@ -417,7 +444,8 @@ def _dfa_count(n_max: int, k: int) -> int:
     return f(1, 1)
 
 
-def _ctl_closure(rows, k, left, left_pre, right, right_pre):
+def _ctl_closure(table, init, blank, k, left, left_pre, right,
+                 right_pre):
     """Smallest quadruple set containing the initial configuration and
     closed under machine steps, or None as soon as it touches a halting
     cell.  Per step, moving right extends the left word by the written
@@ -425,8 +453,7 @@ def _ctl_closure(rows, k, left, left_pre, right, right_pre):
     could have produced the current state is covered via the preimage
     (and symmetrically for moving left)."""
     accepted = set()
-    stack = [(0, rows.init, rows.blank, 0)]
-    table = rows.table
+    stack = [(0, init, blank, 0)]
     while stack:
         quad = stack.pop()
         if quad in accepted:
@@ -434,7 +461,7 @@ def _ctl_closure(rows, k, left, left_pre, right, right_pre):
         accepted.add(quad)
         l, q, s, r = quad
         tr = table[q][s]
-        if tr is None:
+        if tr == "halt":
             return None
         w, mv, q2 = tr
         if mv > 0:
@@ -448,14 +475,6 @@ def _ctl_closure(rows, k, left, left_pre, right, right_pre):
                 for l2 in left_pre[s2][l]:
                     stack.append((l2, q2, s2, r2))
     return accepted
-
-
-@dataclass(frozen=True)
-class _Rows:
-    """Compiled table bundled with the indices the closure needs."""
-    table: tuple
-    init: int
-    blank: int
 
 
 def decide_regular_closure(m: MachineTable, max_dfa_states: int = 5,
@@ -472,13 +491,12 @@ def decide_regular_closure(m: MachineTable, max_dfa_states: int = 5,
     table = _compile(m)
     # a machine observed to halt has no closure certificate; a short
     # concrete run is far cheaper than discovering that pair by pair
-    probe = _DictSim(table, m.blank, m.init)
+    probe = _DictSim(m.blank, m.init)
     for _ in range(4096):
-        tr = probe.table[probe.state][probe.read()]
-        if tr is None:
+        tr = table[probe.state][probe.read()]
+        if tr == "halt":
             return None
         probe.advance(tr)
-    rows = _Rows(table, m.init, m.blank)
     k = m.n_symbols
     top = 1
     while (top < max_dfa_states
@@ -498,8 +516,8 @@ def decide_regular_closure(m: MachineTable, max_dfa_states: int = 5,
                 budget -= 1
                 if budget < 0:
                     return None
-                accepted = _ctl_closure(rows, k, left, left_pre,
-                                        right, right_pre)
+                accepted = _ctl_closure(table, m.init, m.blank, k,
+                                        left, left_pre, right, right_pre)
                 if accepted is not None:
                     return RegularClosureCertificate(
                         left_dfa=left, right_dfa=right,
@@ -529,7 +547,7 @@ def _closure_axioms_hold(m: MachineTable,
                 and 0 <= q < m.n_states and 0 <= s < k):
             return False
         tr = table[q][s]
-        if tr is None:
+        if tr == "halt":
             return False  # a halting configuration is accepted
         w, mv, q2 = tr
         if mv > 0:
@@ -606,44 +624,32 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
 # classification and enumeration
 
 
-@dataclass
-class Classification:
-    status: str  # "halts" | "nonhalt" | "undecided"
-    steps: int | None = None
-    decider: str | None = None
-    certificate: object = None
-
-
-def classify(m: MachineTable, budget: int) -> Classification:
-    """Cheapest decider first: the static escape check, a bounded run with
-    the cycler inline, the translated cycler, then the regular-closure
-    search on survivors; anything left is Undecided at this budget."""
-    escape = decide_escape(m)
+def _decide(cells, init, blank, budget, machine):
+    """The decider pipeline: the static escape check, then the single
+    bounded run of _run_deciders, then the regular-closure search on
+    `machine` (the table `cells` describes) if the run outlasts the
+    budget; anything left is Undecided at this budget.  A run that
+    reaches a cell not chosen yet returns _run_deciders' "undef" tuple."""
+    escape = _escape(cells, init)
     if escape is not None:
         return Classification("nonhalt", decider="escape",
                               certificate=escape)
-    sim = _DictSim(_compile(m), m.blank, m.init)
-    seen = {sim.exact_signature(): 0}
-    while sim.steps < budget:
-        tr = sim.table[sim.state][sim.read()]
-        if tr is None:
-            return Classification("halts", steps=sim.steps + 1)
-        sim.advance(tr)
-        sig = sim.exact_signature()
-        if sig in seen:
-            return Classification(
-                "nonhalt", decider="cycler",
-                certificate=CyclerCertificate(seen[sig], sim.steps))
-        seen[sig] = sim.steps
-    cert = decide_translated_cycler(m, budget)
-    if cert is not None:
-        return Classification("nonhalt", decider="translated-cycler",
-                              certificate=cert)
-    closure = decide_regular_closure(m)
+    out = _run_deciders(cells, init, blank, budget)
+    if out is not None:
+        return out
+    closure = decide_regular_closure(machine)
     if closure is not None:
         return Classification("nonhalt", decider="escape",
                               certificate=closure)
     return Classification("undecided")
+
+
+def classify(m: MachineTable, budget: int) -> Classification:
+    """Cheapest decider first: the static escape check, one bounded run
+    checking the cycler and the translated cycler after every step, then
+    the regular-closure search on survivors; anything left is Undecided
+    at this budget."""
+    return _decide(_compile(m), m.init, m.blank, budget, m)
 
 
 @dataclass
@@ -718,35 +724,6 @@ def _materialize(n, k, cells) -> MachineTable:
                         states=states, init=0, table=tuple(table))
 
 
-def _classify_partial(cells, n, k, budget):
-    """Run the partial table from blank.  Returns one of
-    ("undef", q, sym), ("halt", steps), ("cycle", decider, cert),
-    ("undecided",)."""
-    reachable = _escape_reachable(cells, 0)
-    if reachable is not None:
-        return ("cycle", "escape", EscapeCertificate(tuple(sorted(reachable))))
-    sim = _DictSim(cells, 0, 0)
-    seen = {sim.exact_signature(): 0}
-    detector = _TranslatedDetector(0)
-    while sim.steps < budget:
-        sym = sim.read()
-        tr = sim.table[sim.state][sym]
-        if tr is None:
-            return ("undef", sim.state, sym, sim.steps)
-        if tr == "halt":
-            return ("halt", sim.steps + 1)
-        sim.advance(tr)
-        sig = sim.exact_signature()
-        if sig in seen:
-            return ("cycle", "cycler",
-                    CyclerCertificate(seen[sig], sim.steps))
-        seen[sig] = sim.steps
-        cert = detector.on_step(sim)
-        if cert is not None:
-            return ("cycle", "translated-cycler", cert)
-    return ("undecided",)
-
-
 def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
     cells = [[None] * k for _ in range(n)]
 
@@ -756,7 +733,7 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
         for q in range(n):
             for s in range(k):
                 tr = cells[q][s]
-                if tr is not None and tr != "halt":
+                if tr is not None:
                     used_states.add(q)
                     used_states.add(tr[2])
                     used_symbols.add(s)
@@ -770,35 +747,20 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
                 for q2 in range(max_state + 1)]
 
     def recurse():
-        outcome = _classify_partial(cells, n, k, budget)
-        if outcome[0] == "undef":
-            _, q, sym, steps = outcome
-            # halting branch: reaching an undefined cell means every
-            # completion with Halt there stops after one more step
-            cells[q][sym] = "halt"
-            summary.record(Classification("halts", steps=steps + 1),
-                           _materialize(n, k, cells))
-            for option in branch_options(first=(steps == 0)):
-                cells[q][sym] = option
-                recurse()
-            cells[q][sym] = None
-        elif outcome[0] == "halt":
-            summary.record(Classification("halts", steps=outcome[1]),
-                           _materialize(n, k, cells))
-        elif outcome[0] == "cycle":
-            summary.record(
-                Classification("nonhalt", decider=outcome[1],
-                               certificate=outcome[2]),
-                _materialize(n, k, cells))
-        else:
-            m = _materialize(n, k, cells)
-            cert = decide_regular_closure(m)
-            if cert is not None:
-                summary.record(
-                    Classification("nonhalt", decider="escape",
-                                   certificate=cert), m)
-            else:
-                summary.record(Classification("undecided"), m)
+        m = _materialize(n, k, cells)
+        outcome = _decide(cells, 0, 0, budget, m)
+        if isinstance(outcome, Classification):
+            summary.record(outcome, m)
+            return
+        _, q, sym, steps = outcome
+        # halting branch: reaching an undefined cell means every
+        # completion with Halt there stops after one more step, and that
+        # completion materializes to `m`
+        summary.record(Classification("halts", steps=steps + 1), m)
+        for option in branch_options(first=(steps == 0)):
+            cells[q][sym] = option
+            recurse()
+        cells[q][sym] = None
 
     recurse()
 
@@ -807,25 +769,9 @@ def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
     options = ["halt"] + [(w, d, q2) for w in range(k) for d in (-1, 1)
                           for q2 in range(n)]
     for combo in itertools.product(options, repeat=n * k):
-        cells = [list(combo[q * k:(q + 1) * k]) for q in range(n)]
-        outcome = _classify_partial(cells, n, k, budget)
-        if outcome[0] == "halt":
-            summary.record(Classification("halts", steps=outcome[1]),
-                           _materialize(n, k, cells))
-        elif outcome[0] == "cycle":
-            summary.record(
-                Classification("nonhalt", decider=outcome[1],
-                               certificate=outcome[2]),
-                _materialize(n, k, cells))
-        else:
-            m = _materialize(n, k, cells)
-            cert = decide_regular_closure(m)
-            if cert is not None:
-                summary.record(
-                    Classification("nonhalt", decider="escape",
-                                   certificate=cert), m)
-            else:
-                summary.record(Classification("undecided"), m)
+        cells = [combo[q * k:(q + 1) * k] for q in range(n)]
+        m = _materialize(n, k, cells)
+        summary.record(_decide(cells, 0, 0, budget, m), m)
 
 
 def enumerate_and_classify(n: int, k: int, budget: int,

@@ -140,3 +140,30 @@ def test_enumerate_raw_flag(capsys):
     payload = json.loads(out)
     assert payload["reduced"] is False
     assert payload["total"] == 5 ** 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--builtin", "m54", "--budget", "5", "--show-window", "abc"),
+    ("run", "--builtin", "m54", "--budget", "5", "--show-window", "5:3"),
+    ("run", "--builtin", "m54", "--budget", "5", "--checkpoints", "a,b"),
+    ("run", "--builtin", "m54", "--budget", "-5"),
+    ("scan", "--max-n", "-3"),
+    ("enumerate", "-n", "0", "-k", "2", "--budget", "10"),
+    ("enumerate", "-n", "1", "-k", "1", "--budget", "10"),
+], ids=["window-not-a-range", "window-reversed", "checkpoints-not-numbers",
+        "negative-budget", "negative-max-n", "zero-states", "one-symbol"])
+def test_bad_argument_is_an_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_checkpoint_past_budget_is_an_input_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--builtin", "m54", "--budget", "10",
+                  "--checkpoints", "5,20"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "exceeds --budget 10" in err
+    assert "running after" not in out

@@ -1,10 +1,11 @@
 """Checkpoint schedule, non-halt deciders, certificates, enumeration."""
 
+import itertools
 import random
 
 import pytest
 
-from bblab import machines, search
+from bblab import machines, search, tm
 from bblab.errors import CheckpointMismatch, SpaceTooLarge
 from bblab.search import (CyclerCertificate, EscapeCertificate,
                           RegularClosureCertificate,
@@ -239,20 +240,52 @@ def test_classify_halting_machine():
     assert out.steps is not None
 
 
+def _options(n: int, k: int):
+    return [HALT] + [Transition(w, m, q) for w in range(k)
+                     for m in ("L", "R") for q in range(n)]
+
+
+def _table(n: int, k: int, cells) -> search.MachineTable:
+    return search.MachineTable(name="rnd",
+                               symbols=tuple(str(s) for s in range(k)),
+                               blank=0, states=tuple("ABCD"[:n]), init=0,
+                               table=tuple(tuple(cells[q * k:(q + 1) * k])
+                                           for q in range(n)))
+
+
+def _assert_halts_like_tm_run(m, out, budget):
+    if out.status == "halts":
+        run = tm.run(m, budget)
+        assert (run.halted, run.step_count) == (True, out.steps), \
+            machines.serialize_machine(m)
+
+
 def test_random_sample_certificates_all_revalidate():
     rng = random.Random(99)
-    options = [HALT] + [Transition(w, m, q) for w in range(2)
-                        for m in ("L", "R") for q in range(3)]
-    names = tuple("ABC")
-    for _ in range(150):
-        table = tuple(tuple(rng.choice(options) for _ in range(2))
-                      for _ in range(3))
-        m = search.MachineTable(name="rnd", symbols=("0", "1"), blank=0,
-                                states=names, init=0, table=table)
-        out = classify(m, 500)
-        if out.certificate is not None:
-            assert revalidate_certificate(m, out.certificate), \
-                machines.serialize_machine(m)
+    for n, k in ((3, 2), (2, 3), (4, 2)):
+        options = _options(n, k)
+        for _ in range(150):
+            m = _table(n, k, [rng.choice(options) for _ in range(n * k)])
+            out = classify(m, 500)
+            _assert_halts_like_tm_run(m, out, 500)
+            if out.certificate is not None:
+                assert revalidate_certificate(m, out.certificate), \
+                    machines.serialize_machine(m)
+
+
+def test_raw_enumeration_agrees_with_classify():
+    """Both entry points run the same decider pipeline, so tallying
+    classify over the raw (2,2) space reproduces the enumerator's counts."""
+    tally = dict.fromkeys(("halts", "escape", "cycler", "translated-cycler",
+                           "undecided"), 0)
+    for cells in itertools.product(_options(2, 2), repeat=4):
+        m = _table(2, 2, cells)
+        out = classify(m, 100)
+        _assert_halts_like_tm_run(m, out, 100)
+        tally[out.decider or out.status] += 1
+    assert tally == {"halts": 1165, "escape": 4368, "cycler": 44,
+                     "translated-cycler": 984, "undecided": 0}
+    assert enumerate_and_classify(2, 2, 100, reduced=False).counts == tally
 
 
 # -- enumeration --------------------------------------------------------------
