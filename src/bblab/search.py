@@ -16,7 +16,8 @@ canonical subset built in tree normal form: cells are filled lazily in
 the order the blank-tape run first needs them, new states/symbols are
 introduced lowest-index-first, and the very first transition moves
 right.  The reduction preserves every halting step count, so maxima are
-exact; raw mode remains available as ground truth.
+exact; raw mode remains available as ground truth.  Deciders and
+enumerators read tables in the `tm.compile_cells` form.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import CheckpointMismatch, SpaceTooLarge
-from .tm import (HALT, L, R, MachineTable, Transition, initial_configuration,
-                 step)
+from .tm import (HALT, L, R, FlatRun, MachineTable, Transition,
+                 compile_cells, initial_configuration, step)
 from . import ternary
 
 _CANDIDATE_GUARD = 10 ** 9
@@ -56,13 +57,13 @@ class _CheckpointCache:
 
     def __init__(self):
         self._sums = [0]  # cumulative over k = 1..n
-        self._powers = ternary.powers_of_two(10 ** 9)
-        next(self._powers)  # discard k = 0
+        self._lengths = ternary.power_of_two_lengths()
+        next(self._lengths)  # discard k = 0
 
     def prefix(self, n: int) -> int:
         while len(self._sums) <= n:
-            _, p = next(self._powers)
-            self._sums.append(self._sums[-1] + 2 * (len(p) + 1))
+            _, length = next(self._lengths)
+            self._sums.append(self._sums[-1] + 2 * (length + 1))
         return self._sums[n]
 
 
@@ -93,40 +94,66 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     right decoding to exactly 2^n, and everything beyond blank.  With the
     head starting at cell 0, the separator settles at cell -1 (counter at
     -2, digits from 0).  Raises CheckpointMismatch otherwise.
+
+    The checks read the live tape of one tm.FlatRun at each s_n.  The
+    len(2^n) cells right of the separator, read as a base-3 numeral with
+    the least-significant digit first, must equal 2^n, which Python
+    integers give exactly.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be a natural number")
     rest = REST_CELL
     rewind = m54.state_index("rewind")
-    c = initial_configuration(m54)
-    powers = ternary.powers_of_two(n_max)
+    blank = m54.blank
+    run = FlatRun(m54)
+    tape, unvisited = run.tape, run.sentinel
+    # symbol index -> its digit character, "x" (no base-3 digit) otherwise
+    numeral = bytes.maketrans(
+        bytes(range(m54.n_symbols + 1)),
+        bytes(ord(label) if label in ("0", "1", "2") else ord("x")
+              for label in (*m54.symbols, "")))
+    powers = ternary.power_of_two_lengths()
     for n in range(n_max + 1):
+        power, length = next(powers)
         target = checkpoint_steps(n)
-        while c.step_count < target:
-            if c.halted:
-                raise CheckpointMismatch(n, "machine halted before s_n")
-            step(m54, c)
-        if c.state != rewind:
+        run.advance(target)
+        if run.steps < target:
+            raise CheckpointMismatch(n, "machine halted before s_n")
+        if run.state != rewind:
             raise CheckpointMismatch(
-                n, f"state {m54.states[c.state]}, expected rewind")
-        if c.head != rest:
-            raise CheckpointMismatch(n, f"head at {c.head}, expected {rest}")
-        if c.tape.read(rest) != m54.blank:
+                n, f"state {m54.states[run.state]}, expected rewind")
+        p = run.pos
+        if p - run.origin != rest:
+            raise CheckpointMismatch(
+                n, f"head at {p - run.origin}, expected {rest}")
+        if tape[p] not in (blank, unvisited):
             raise CheckpointMismatch(n, "separator cell is not blank")
-        _, expected = next(powers)
-        digits = expected.digits
-        for i, d in enumerate(digits, start=rest + 1):
-            if c.tape.read(i) != int(d):
+        start, end = p + 1, p + 1 + length
+        text = bytes(tape[start:end]).translate(numeral)[::-1]
+        if b"x" in text or int(text, 3) != power:
+            expected = ternary.TernaryNumber.from_int(power).digits
+            for i, d in enumerate(expected, start=rest + 1):
+                sym = tape[i + run.origin]
+                if sym != m54.symbol_index(str(d)):
+                    label = m54.symbols[blank if sym == unvisited else sym]
+                    raise CheckpointMismatch(
+                        n, f"cell {i} holds {label}, expected digit {d} "
+                        f"of 2^{n}")
+        # the visited cells end at the first unvisited one (the list
+        # always ends with one, see tm.FlatRun)
+        for i in range(end, tape.index(unvisited, end)):
+            if tape[i] != blank:
                 raise CheckpointMismatch(
-                    n, f"cell {i} holds {m54.symbols[c.tape.read(i)]}, "
-                    f"expected digit {int(d)} of 2^{n}")
-        for i in range(rest + 1 + len(digits), c.tape.hi + 1):
-            if c.tape.read(i) != m54.blank:
-                raise CheckpointMismatch(n, f"cell {i} not blank past 2^{n}")
+                    n, f"cell {i - run.origin} not blank past 2^{n}")
         counter = counter_bumps(n) // 2
-        if c.tape.read(rest - 1) != m54.symbol_index(str(counter)):
+        sym = tape[p - 1]
+        if sym == unvisited:
+            sym = blank
+        if sym != m54.symbol_index(str(counter)):
             raise CheckpointMismatch(
-                n, f"counter cell holds {m54.symbols[c.tape.read(rest - 1)]}, "
+                n, f"counter cell holds {m54.symbols[sym]}, "
                 f"expected {counter}")
-    return CheckpointReport(n_max=n_max, final_step=c.step_count,
+    return CheckpointReport(n_max=n_max, final_step=run.steps,
                             checked=n_max + 1)
 
 
@@ -187,7 +214,7 @@ class TranslatedCyclerCertificate:
 
 class _DictSim:
     """Tape, head and state of a run stepped by compiled transitions (see
-    _compile), with signature helpers for the deciders."""
+    tm.compile_cells), with signature helpers for the deciders."""
 
     __slots__ = ("blank", "tape", "head", "state", "steps")
 
@@ -269,21 +296,9 @@ class _TranslatedDetector:
         return None
 
 
-def _compile(m: MachineTable):
-    """Table rows as tuples (write, delta, next) with "halt" for Halt.
-    The enumerators use the same encoding, with None for a cell not
-    chosen yet."""
-    rows = []
-    for row in m.table:
-        cells = []
-        for tr in row:
-            if tr is HALT:
-                cells.append("halt")
-            else:
-                cells.append((tr.write, 1 if tr.move == R else -1,
-                              tr.next_state))
-        rows.append(tuple(cells))
-    return tuple(rows)
+# A cell the tree-normal-form enumerator has not chosen yet.  Every other
+# cell is in tm.compile_cells form: (write, delta, next) or None for Halt.
+_UNSET = "unset"
 
 
 def _escape(table, init):
@@ -295,7 +310,7 @@ def _escape(table, init):
     while stack:
         q = stack.pop()
         for tr in table[q]:
-            if tr is None or tr == "halt":
+            if tr is None or tr is _UNSET:
                 return None
             if tr[2] not in seen:
                 seen.add(tr[2])
@@ -308,7 +323,7 @@ def decide_escape(m: MachineTable):
     graph from the initial state, or None.  Reachability ignores the tape
     (it over-approximates the states the run can enter), so a certificate
     soundly implies the machine never halts."""
-    return _escape(_compile(m), m.init)
+    return _escape(compile_cells(m), m.init)
 
 
 @dataclass
@@ -323,7 +338,8 @@ def _run_deciders(cells, init, blank, budget):
     """One bounded run from the blank tape with the cycler and the
     translated cycler checked after every step.  Returns a Classification
     (halts, cycler or translated-cycler), ("undef", q, sym, steps) on
-    reaching a cell not chosen yet, or None when the budget runs out.
+    reaching a cell not chosen yet, or the stopped _DictSim when the
+    budget runs out.
 
     An exact repeat keeps the head bounded while a translated repeat
     proves unbounded drift, so the two never both fire on one machine."""
@@ -333,9 +349,9 @@ def _run_deciders(cells, init, blank, budget):
     while sim.steps < budget:
         sym = sim.read()
         tr = cells[sim.state][sym]
-        if tr is None:
+        if tr is _UNSET:
             return ("undef", sim.state, sym, sim.steps)
-        if tr == "halt":
+        if tr is None:
             return Classification("halts", steps=sim.steps + 1)
         sim.advance(tr)
         sig = sim.exact_signature()
@@ -348,11 +364,11 @@ def _run_deciders(cells, init, blank, budget):
         if cert is not None:
             return Classification("nonhalt", decider="translated-cycler",
                                   certificate=cert)
-    return None
+    return sim
 
 
 def _pass_certificate(m: MachineTable, budget: int, decider: str):
-    out = _run_deciders(_compile(m), m.init, m.blank, budget)
+    out = _run_deciders(compile_cells(m), m.init, m.blank, budget)
     if isinstance(out, Classification) and out.decider == decider:
         return out.certificate
     return None
@@ -410,6 +426,10 @@ def _canonical_dfas(n_max: int, k: int, blank: int):
 
 _dfa_cache: dict = {}
 
+# Steps of the concrete run that must pass without halting before the
+# closure search starts.
+_PROBE_STEPS = 4096
+
 # Never materialize more canonical DFAs per alphabet than this; it holds
 # the decider's memory flat even for alphabets whose next size class is
 # hundreds of thousands of automata.
@@ -461,7 +481,7 @@ def _ctl_closure(table, init, blank, k, left, left_pre, right,
         accepted.add(quad)
         l, q, s, r = quad
         tr = table[q][s]
-        if tr == "halt":
+        if tr is None:
             return None
         w, mv, q2 = tr
         if mv > 0:
@@ -478,7 +498,7 @@ def _ctl_closure(table, init, blank, k, left, left_pre, right,
 
 
 def decide_regular_closure(m: MachineTable, max_dfa_states: int = 5,
-                           pair_budget: int = 3_000_000):
+                           pair_budget: int = 3_000_000, *, probe=None):
     """Search for a RegularClosureCertificate over canonical DFA pairs
     with up to `max_dfa_states` states per side, or None when no tried
     pair closes without reaching a halting cell.
@@ -487,14 +507,21 @@ def decide_regular_closure(m: MachineTable, max_dfa_states: int = 5,
     they contain), sides may be asymmetric, and at most `pair_budget`
     pairs are tried in total, so the per-machine cost is bounded no
     matter the alphabet.  Size classes past _DFA_LIMIT automata are
-    never materialized at all."""
-    table = _compile(m)
+    never materialized at all.
+
+    Before the search, a concrete run from the blank tape must last
+    _PROBE_STEPS steps without halting.  `probe` is a run of m that has
+    already gone some steps without halting (the _DictSim that _decide
+    stopped at its budget); the check continues it instead of starting
+    over."""
+    if probe is None:
+        probe = _DictSim(m.blank, m.init)
+    table = compile_cells(m)
     # a machine observed to halt has no closure certificate; a short
     # concrete run is far cheaper than discovering that pair by pair
-    probe = _DictSim(m.blank, m.init)
-    for _ in range(4096):
+    while probe.steps < _PROBE_STEPS:
         tr = table[probe.state][probe.read()]
-        if tr == "halt":
+        if tr is None:
             return None
         probe.advance(tr)
     k = m.n_symbols
@@ -541,13 +568,13 @@ def _closure_axioms_hold(m: MachineTable,
     accepted = set(cert.accepted)
     if (0, m.init, m.blank, 0) not in accepted:
         return False
-    table = _compile(m)
+    table = compile_cells(m)
     for l, q, s, r in accepted:
         if not (0 <= l < len(left) and 0 <= r < len(right)
                 and 0 <= q < m.n_states and 0 <= s < k):
             return False
         tr = table[q][s]
-        if tr == "halt":
+        if tr is None:
             return False  # a halting configuration is accepted
         w, mv, q2 = tr
         if mv > 0:
@@ -635,9 +662,9 @@ def _decide(cells, init, blank, budget, machine):
         return Classification("nonhalt", decider="escape",
                               certificate=escape)
     out = _run_deciders(cells, init, blank, budget)
-    if out is not None:
+    if not isinstance(out, _DictSim):
         return out
-    closure = decide_regular_closure(machine)
+    closure = decide_regular_closure(machine, probe=out)
     if closure is not None:
         return Classification("nonhalt", decider="escape",
                               certificate=closure)
@@ -649,7 +676,7 @@ def classify(m: MachineTable, budget: int) -> Classification:
     checking the cycler and the translated cycler after every step, then
     the regular-closure search on survivors; anything left is Undecided
     at this budget."""
-    return _decide(_compile(m), m.init, m.blank, budget, m)
+    return _decide(compile_cells(m), m.init, m.blank, budget, m)
 
 
 @dataclass
@@ -714,7 +741,7 @@ def _materialize(n, k, cells) -> MachineTable:
         row = []
         for s in range(k):
             tr = cells[q][s]
-            if tr is None or tr == "halt":
+            if tr is None or tr is _UNSET:
                 row.append(HALT)
             else:
                 w, delta, q2 = tr
@@ -725,7 +752,7 @@ def _materialize(n, k, cells) -> MachineTable:
 
 
 def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
-    cells = [[None] * k for _ in range(n)]
+    cells = [[_UNSET] * k for _ in range(n)]
 
     def branch_options(first: bool):
         used_states = {0}
@@ -733,7 +760,7 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
         for q in range(n):
             for s in range(k):
                 tr = cells[q][s]
-                if tr is not None:
+                if tr is not _UNSET:
                     used_states.add(q)
                     used_states.add(tr[2])
                     used_symbols.add(s)
@@ -760,14 +787,14 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
         for option in branch_options(first=(steps == 0)):
             cells[q][sym] = option
             recurse()
-        cells[q][sym] = None
+        cells[q][sym] = _UNSET
 
     recurse()
 
 
 def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
-    options = ["halt"] + [(w, d, q2) for w in range(k) for d in (-1, 1)
-                          for q2 in range(n)]
+    options = [None] + [(w, d, q2) for w in range(k) for d in (-1, 1)
+                        for q2 in range(n)]
     for combo in itertools.product(options, repeat=n * k):
         cells = [combo[q * k:(q + 1) * k] for q in range(n)]
         m = _materialize(n, k, cells)

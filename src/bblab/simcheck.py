@@ -10,16 +10,22 @@ big cells the big head visited spells the encoding of the corresponding
 small cell, and the machines halt in sync.  It executes big itself
 rather than trusting the accumulated time-scale, so any off-by-one drift
 is caught immediately with a precise location.
+
+Both machines step on `tm.compile_cells` tables over plain lists, and
+each small step is planned ahead by its key and read symbol (cost,
+write, move, next key).  The transcript goes into preallocated
+`array.array` buffers that become its numpy arrays without a copy.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfRange, UndefinedCost, UnknownKey, ValidationError
-from .tm import HALT, L, R, MachineTable, initial_configuration
+from .tm import L, R, MachineTable, compile_cells
 
 BLOCK = 2
 
@@ -148,6 +154,8 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     Stops at the first mismatch with a diagnostic carrying the small step
     n, big step f(n), the failed check, and expected/actual values.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be a natural number")
     if small.n_symbols != len(enc.words):
         raise ValidationError("encoding must be total on small's alphabet")
     if big.n_symbols != 2:
@@ -159,110 +167,134 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     for label in small.symbols:
         word = enc.words[label]
         enc_pairs.append((big_sym[word[0]], big_sym[word[1]]))
-    blank_pair = enc_pairs[small.blank]
-    if blank_pair != (big.blank, big.blank):
+    if enc_pairs[small.blank] != (big.blank, big.blank):
         raise ValidationError("small blank must encode to big blanks")
+    # a block of big cells (a, b) as one number 2a + b
+    enc_code = [2 * a + b for a, b in enc_pairs]
 
     key_code = {}
-    h_state = {}
-    cost_idx = {}
+    h_state = []
+    head_offset = []
+    for code, (state_name, d) in enumerate(K):
+        key_code[(small.state_index(state_name), d)] = code
+        h_state.append(big.state_index(_H[(state_name, d)]))
+        head_offset.append(1 if d == L else 0)
+    # plans[key][sigma]: (cost, write, delta, next key, next state) of
+    # small's step, write None when small halts; None without a cost
+    s_cells = compile_cells(small)
+    plans = []
     for code, (state_name, d) in enumerate(K):
         q = small.state_index(state_name)
-        key_code[(q, d)] = code
-        h_state[code] = big.state_index(_H[(state_name, d)])
-        cost_idx[code] = {
-            small.symbol_index(sym): c
-            for sym, c in STEP_COSTS[(state_name, d)].items()
-        }
+        costs = {small.symbol_index(sym): c
+                 for sym, c in STEP_COSTS[(state_name, d)].items()}
+        row = []
+        for sigma, cell in enumerate(s_cells[q]):
+            if sigma not in costs:
+                row.append(None)
+            elif cell is None:
+                row.append((costs[sigma], None, 0, code, q))
+            else:
+                w, delta, q2 = cell
+                row.append((costs[sigma], w, delta,
+                            key_code.get((q2, R if delta > 0 else L)), q2))
+        plans.append(row)
+    b_cells = compile_cells(big)
 
+    # transcript buffers, shared with the returned arrays without a copy
     n_cap = n_max + 1
-    f_arr = np.zeros(n_cap, dtype=np.int64)
-    keys_arr = np.zeros(n_cap, dtype=np.int8)
-    sig_arr = np.zeros(n_cap, dtype=np.int8)
-    head_arr = np.zeros(n_cap, dtype=np.int64)
+    f_buf = array("q", [0]) * n_cap
+    keys_buf = array("b", [0]) * n_cap
+    sig_buf = array("b", [0]) * n_cap
+    head_buf = array("q", [0]) * n_cap
 
-    sc = initial_configuration(small)
-    bc = initial_configuration(big)
-    s_table = small.table
-    b_table = big.table
-    s_tape = sc.tape
-    b_tape = bc.tape
-    d = R
+    # Plain tapes: small cell j is s[j + origin] and big cell c is
+    # b[c + 2 * origin], so block j of big is b[2 * i], b[2 * i + 1] for
+    # i = j + origin.  Every small step keeps `margin` cells on either
+    # side of the small head, more than the blocks big reaches in a step.
+    margin = 2 + max(c for costs in STEP_COSTS.values()
+                     for c in costs.values())
+    origin = 4 * margin
+    s = [small.blank] * (2 * origin)
+    b = [big.blank] * (4 * origin)
+    sp, bp, bq = origin, 2 * origin, big.init
+    s_end = len(s) - margin
+    s_lo = s_hi = sp  # small's touched extent
     f = 0
+    key = key_code.get((small.init, R))
+    if key is None:
+        raise UnknownKey(f"({small.states[small.init]}, {R}) at step 0")
 
     def fail(n, kind, expected, actual):
         return SimulationTranscript(
             status="mismatch", n_verified=max(n - 1, 0),
-            f=f_arr[:n + 1].copy(), keys=keys_arr[:n + 1].copy(),
-            sigmas=sig_arr[:n + 1].copy(), heads=head_arr[:n + 1].copy(),
+            f=_array(f_buf, n + 1), keys=_array(keys_buf, n + 1),
+            sigmas=_array(sig_buf, n + 1), heads=_array(head_buf, n + 1),
             mismatch={"n": n, "f": f, "kind": kind,
                       "expected": expected, "actual": actual})
 
-    for n in range(n_max + 1):
-        key = key_code.get((sc.state, d))
-        if key is None:
-            raise UnknownKey(f"({small.states[sc.state]}, {d}) at step {n}")
-        sigma = s_tape.read(sc.head)
-        f_arr[n] = f
-        keys_arr[n] = key
-        sig_arr[n] = sigma
-        head_arr[n] = sc.head
+    def block_fail(n, i, kind):
+        return fail(n, kind, enc.words[small.symbols[s[i]]],
+                    big.symbols[b[2 * i]] + big.symbols[b[2 * i + 1]])
+
+    for n in range(n_cap):
+        sigma = s[sp]
+        f_buf[n] = f
+        keys_buf[n] = key
+        sig_buf[n] = sigma
+        head_buf[n] = sp - origin
 
         # coupling checks at (n, f(n))
-        if bc.state != h_state[key]:
-            return fail(n, "state", big.states[h_state[key]],
-                        big.states[bc.state])
-        expected_head = 2 * sc.head + (1 if d == L else 0)
-        if bc.head != expected_head:
-            return fail(n, "head", expected_head, bc.head)
+        if bq != h_state[key]:
+            return fail(n, "state", big.states[h_state[key]], big.states[bq])
+        if bp != 2 * sp + head_offset[key]:
+            return fail(n, "head", 2 * (sp - origin) + head_offset[key],
+                        bp - 2 * origin)
 
         if n == n_max:
             break
 
-        cost = cost_idx[key].get(sigma)
-        if cost is None:
+        plan = plans[key][sigma]
+        if plan is None:
             raise UndefinedCost(
-                f"key ({small.states[sc.state]}, {d}) reading "
+                f"key ({K[key][0]}, {K[key][1]}) reading "
                 f"{small.symbols[sigma]!r} at step {n}")
+        cost, w, delta, key, q2 = plan
 
         # advance small one step
-        tr = s_table[sc.state][sigma]
-        small_halts = tr is HALT
-        if not small_halts:
-            s_tape.write(sc.head, tr.write)
-            sc.head += 1 if tr.move == R else -1
-            s_tape.touch(sc.head)
-            sc.state = tr.next_state
-            d = tr.move
-        sc.step_count += 1
+        if w is not None:
+            s[sp] = w
+            sp += delta
+            if sp < s_lo:
+                s_lo = sp
+            elif sp > s_hi:
+                s_hi = sp
 
         # advance big exactly `cost` micro-steps, tracking head excursion
         big_halted_at = None
-        lo = hi = bc.head
+        lo = hi = bp
         for micro in range(cost):
-            btr = b_table[bc.state][b_tape.read(bc.head)]
+            cell = b_cells[bq][b[bp]]
             f += 1
-            if btr is HALT:
+            if cell is None:
                 big_halted_at = micro + 1
                 break
-            b_tape.write(bc.head, btr.write)
-            bc.head += 1 if btr.move == R else -1
-            b_tape.touch(bc.head)
-            bc.state = btr.next_state
-            if bc.head < lo:
-                lo = bc.head
-            elif bc.head > hi:
-                hi = bc.head
+            b[bp], d, bq = cell
+            bp += d
+            if bp < lo:
+                lo = bp
+            elif bp > hi:
+                hi = bp
 
-        if small_halts:
+        if w is None:
             if big_halted_at != cost:
                 return fail(n + 1, "halting-synchrony",
                             f"big halts at micro-step {cost}",
                             f"big halted at {big_halted_at}")
             return SimulationTranscript(
                 status="both-halted", n_verified=n,
-                f=f_arr[:n + 1].copy(), keys=keys_arr[:n + 1].copy(),
-                sigmas=sig_arr[:n + 1].copy(), heads=head_arr[:n + 1].copy())
+                f=_array(f_buf, n + 1), keys=_array(keys_buf, n + 1),
+                sigmas=_array(sig_buf, n + 1),
+                heads=_array(head_buf, n + 1))
         if big_halted_at is not None:
             return fail(n + 1, "halting-synchrony", "big still running",
                         f"big halted at micro-step {big_halted_at}")
@@ -270,23 +302,41 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         # every small cell whose block the big head visited must still
         # encode correctly; unvisited blocks are unchanged, so this is a
         # complete per-step check of the tape law
-        for j in range(lo // 2, hi // 2 + 1):
-            want = enc_pairs[s_tape.read(j)]
-            got = (b_tape.read(2 * j), b_tape.read(2 * j + 1))
-            if got != want:
-                return fail(n + 1, f"tape cell {j}",
-                            enc.words[small.symbols[s_tape.read(j)]],
-                            big.symbols[got[0]] + big.symbols[got[1]])
+        for i in range(lo >> 1, (hi >> 1) + 1):
+            if 2 * b[2 * i] + b[2 * i + 1] != enc_code[s[i]]:
+                return block_fail(n + 1, i, f"tape cell {i - origin}")
+
+        if key is None:
+            raise UnknownKey(f"({small.states[q2]}, {R if delta > 0 else L})"
+                             f" at step {n + 1}")
+        if not margin <= sp < s_end:
+            grow = len(s)
+            if sp < margin:
+                s[:0] = [small.blank] * grow
+                b[:0] = [big.blank] * (2 * grow)
+                origin += grow
+                sp += grow
+                bp += 2 * grow
+                s_lo += grow
+                s_hi += grow
+            else:
+                s.extend([small.blank] * grow)
+                b.extend([big.blank] * (2 * grow))
+            s_end = len(s) - margin
 
     # closing sweep over the whole touched extent plus one blank cell
-    for j in range(s_tape.lo - 1, s_tape.hi + 2):
-        want = enc_pairs[s_tape.read(j)]
-        got = (b_tape.read(2 * j), b_tape.read(2 * j + 1))
-        if got != want:
-            return fail(n_max, f"tape cell {j} (final sweep)",
-                        enc.words[small.symbols[s_tape.read(j)]],
-                        big.symbols[got[0]] + big.symbols[got[1]])
+    for i in range(s_lo - 1, s_hi + 2):
+        if 2 * b[2 * i] + b[2 * i + 1] != enc_code[s[i]]:
+            return block_fail(n_max, i, f"tape cell {i - origin} (final sweep)")
 
     return SimulationTranscript(
-        status="verified", n_verified=n_max, f=f_arr, keys=keys_arr,
-        sigmas=sig_arr, heads=head_arr)
+        status="verified", n_verified=n_max, f=_array(f_buf),
+        keys=_array(keys_buf), sigmas=_array(sig_buf),
+        heads=_array(head_buf))
+
+
+def _array(buf: array, n: int | None = None) -> np.ndarray:
+    """`buf` as a numpy array without a copy, or a copy of its first n.
+    numpy reads the array typecodes "q" and "b" as int64 and int8."""
+    out = np.frombuffer(buf, dtype=buf.typecode)
+    return out if n is None else out[:n].copy()

@@ -6,10 +6,14 @@ that either halt or write a symbol, move the head one cell, and change
 state.  The step count of a halting run includes the final Halt
 instruction as one executed transition.
 
-`step` executes one transition.  `run` executes a whole bounded run with
-a run-length "chain" stepper in pure Python: a self-loop over a run of
-equal symbols is one macro step, so the bb5 champion halts in a fraction
-of a second.  Both give exactly the same configurations.
+`step` executes one transition on a `Configuration`.  The loops that run
+many steps share one flat compiled table (`compile_cells`) and keep the
+tape in plain lists.  `run` uses a run-length "chain" stepper: a
+self-loop over a run of equal symbols is one macro step, so the bb5
+champion halts in a fraction of a second.  `FlatRun` steps one cell at a
+time on a single list and can stop at any step count, which `run_trace`
+and the checkpoint verifier use.  All of them give exactly the
+configurations `step` gives.
 """
 
 from __future__ import annotations
@@ -263,6 +267,32 @@ def step(m: MachineTable, c: Configuration) -> Configuration:
     return c
 
 
+def compile_cells(m: MachineTable) -> tuple:
+    """The flat compiled table every stepping loop runs on: per state, per
+    symbol, (write, delta, next state) with delta -1 or +1, or None for
+    Halt."""
+    rows = []
+    for row in m.table:
+        cells = []
+        for tr in row:
+            cells.append(None if tr is HALT else
+                         (tr.write, 1 if tr.move == R else -1,
+                          tr.next_state))
+        rows.append(tuple(cells))
+    return tuple(rows)
+
+
+def _materialize(state: int, head: int, blank: int, extent: list[int],
+                 lo: int, steps: int, halted: bool) -> Configuration:
+    """Configuration whose tape holds `extent` from cell `lo` on; the
+    extent covers exactly the visited cells, cell 0 among them."""
+    tape = Tape(blank)
+    tape._neg = extent[-lo - 1::-1] if lo else []
+    tape._pos = extent[-lo:]
+    tape.lo, tape.hi = lo, lo + len(extent) - 1
+    return Configuration(state, head, tape, steps, halted)
+
+
 def _run_chains(m: MachineTable, budget: int) -> Configuration:
     """Run from the initial configuration on a run-length tape.
 
@@ -280,10 +310,9 @@ def _run_chains(m: MachineTable, budget: int) -> Configuration:
     left: list[list[int]] = []
     right: list[list[int]] = []
     # per cell: (write, behind, ahead, delta, next state), None for Halt
-    cells = [[None if tr is HALT else
-              (tr.write, *((left, right, 1) if tr.move == R
-                           else (right, left, -1)), tr.next_state)
-              for tr in row] for row in m.table]
+    cells = [[None if c is None else
+              (c[0], *((left, right) if c[1] > 0 else (right, left)), *c[1:])
+              for c in row] for row in compile_cells(m)]
     state, sym, head, done, halted = m.init, blank, 0, 0, False
     while done < budget:
         cell = cells[state][sym]
@@ -333,11 +362,7 @@ def _run_chains(m: MachineTable, budget: int) -> Configuration:
     extent.append(sym)
     for s, count in reversed(right):
         extent += [s] * count
-    tape = Tape(blank)
-    tape._neg = extent[-lo - 1::-1] if lo else []
-    tape._pos = extent[-lo:]
-    tape.lo, tape.hi = lo, lo + len(extent) - 1
-    return Configuration(state, head, tape, done, halted)
+    return _materialize(state, head, blank, extent, lo, done, halted)
 
 
 def run(m: MachineTable, budget: int,
@@ -355,6 +380,80 @@ def run(m: MachineTable, budget: int,
     return RunOutcome("running", c.step_count, c)
 
 
+class FlatRun:
+    """A run from the blank tape on one flat list of cells, for callers
+    that stop at many step counts and read the tape in between.
+
+    `tape[i]` holds cell i - `origin`, and the head is at `tape[pos]`.
+    Cells never visited hold `sentinel`, one past the last symbol index,
+    which steps like the blank.  Every visited cell but the head's has
+    been written, so the visited cells are the head's and the
+    sentinel-free span around it.  Between batches of steps the list
+    keeps `_MARGIN` cells on either side of the head; the head reads an
+    end cell only in the last step of a batch, after which the list
+    grows on that side, so both ends always hold the sentinel.
+    """
+
+    __slots__ = ("cells", "blank", "sentinel", "tape", "origin", "pos",
+                 "state", "steps", "halted")
+
+    # cells kept on either side of the head before a batch of steps
+    _MARGIN = 16
+
+    def __init__(self, m: MachineTable):
+        self.cells = tuple(row + (row[m.blank],) for row in compile_cells(m))
+        self.blank = m.blank
+        self.sentinel = m.n_symbols
+        self.tape = [self.sentinel] * (4 * self._MARGIN)
+        self.origin = self.pos = 2 * self._MARGIN
+        self.state = m.init
+        self.steps = 0
+        self.halted = False
+
+    def _fit(self, p: int) -> int:
+        """Double the list on a side where index p is within the margin
+        of its end; returns p's index afterwards."""
+        tape = self.tape
+        if p < self._MARGIN:
+            grow = len(tape)
+            tape[:0] = [self.sentinel] * grow
+            self.origin += grow
+            p += grow
+        if len(tape) - p <= self._MARGIN:
+            tape.extend([self.sentinel] * len(tape))
+        return p
+
+    def advance(self, target: int) -> None:
+        """Step until `target` steps have run or the machine halts."""
+        cells, tape = self.cells, self.tape
+        q, p, done = self.state, self.pos, self.steps
+        while done < target and not self.halted:
+            p = self._fit(p)
+            # a batch that cannot read past either end of the list
+            n = min(target - done, p + 1, len(tape) - p)
+            try:
+                for i in range(n):
+                    tape[p], d, q = cells[q][tape[p]]
+                    p += d
+            except TypeError:  # unpacking None: the Halt cell, one step
+                done += i + 1
+                self.halted = True
+            else:
+                done += n
+        self.state, self.pos, self.steps = q, self._fit(p), done
+
+    def configuration(self) -> Configuration:
+        """A Configuration copy of the run as it stands."""
+        tape, p, sentinel = self.tape, self.pos, self.sentinel
+        lo = p - tape[p - 1::-1].index(sentinel)
+        hi = tape.index(sentinel, p + 1) - 1
+        extent = tape[lo:hi + 1]
+        if extent[p - lo] == sentinel:
+            extent[p - lo] = self.blank
+        return _materialize(self.state, p - self.origin, self.blank, extent,
+                            lo - self.origin, self.steps, self.halted)
+
+
 def run_trace(m: MachineTable, checkpoints: list[int]) -> list[Configuration]:
     """Snapshots of the configuration at each requested step count.
 
@@ -363,13 +462,12 @@ def run_trace(m: MachineTable, checkpoints: list[int]) -> list[Configuration]:
     """
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be sorted ascending")
-    c = initial_configuration(m)
+    r = FlatRun(m)
     out = []
     for target in checkpoints:
-        while c.step_count < target and not c.halted:
-            step(m, c)
-        out.append(c.clone())
-        if c.halted:
+        r.advance(target)
+        out.append(r.configuration())
+        if r.halted:
             break
     return out
 

@@ -1,0 +1,29 @@
+"""The walkthroughs in demos/ run to completion and print what they
+promise.  Demo 05 (a minute-scale search) is left out."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo, line", [
+    ("01_running_machines.py", "halted: True after 47,176,870 steps"),
+    ("02_doubling_transducer.py",
+     "all 9840 padded words of up to 9 digits double correctly"),
+    ("03_erdos_scan.py", "digit-2-free exponents: [0, 2, 8]"),
+    ("04_simulation_check.py", "time scale: f(5)=10, f(16)=35, f(333)=741"),
+])
+def test_demo_runs(demo, line):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                         capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert line in out.stdout

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
-from bblab import machines, search, tm
+from bblab import machines, search, simcheck, ternary, tm
 from bblab.errors import CheckpointMismatch, SpaceTooLarge
 from bblab.search import (CyclerCertificate, EscapeCertificate,
                           RegularClosureCertificate,
@@ -14,7 +15,7 @@ from bblab.search import (CyclerCertificate, EscapeCertificate,
                           decide_regular_closure, decide_translated_cycler,
                           enumerate_and_classify, revalidate_certificate,
                           verify_checkpoints)
-from bblab.tm import HALT, R, Transition
+from bblab.tm import HALT, L, R, Transition
 
 DRIFTER = """\
 symbols: 0 1
@@ -101,6 +102,21 @@ def test_checkpoint_steps_rejects_negative():
         checkpoint_steps(-1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: checkpoint_steps(-1),
+    lambda: verify_checkpoints(machines.builtin_m54(), -5),
+    lambda: ternary.scan_erdos(-3),
+    lambda: ternary.power_of_two_ternary(-1),
+    lambda: simcheck.verify_simulation(machines.builtin_m152(),
+                                       machines.builtin_m54(),
+                                       simcheck.DEFAULT_ENCODING, -2),
+], ids=["checkpoint_steps", "verify_checkpoints", "scan_erdos",
+        "power_of_two_ternary", "verify_simulation"])
+def test_negative_bounds_are_rejected(call):
+    with pytest.raises(ValueError, match="natural number"):
+        call()
+
+
 def test_checkpoint_steps_grow_superlinearly():
     previous = checkpoint_steps(0)
     for n in range(1, 200):
@@ -122,6 +138,25 @@ def test_verify_checkpoints_catches_corruption(m54):
     bad = m54.with_cell(q, s, Transition(s, R, q))
     with pytest.raises(CheckpointMismatch):
         verify_checkpoints(bad, 5)
+
+
+@pytest.mark.parametrize("state, symbol, cell, message", [
+    ("mul2_F", "0", Transition(1, R, 0),
+     "n=7: cell 1 holds 1, expected digit 0 of 2^7"),
+    ("mul2_F", "#", Transition(1, L, 2), "n=0: cell 1 not blank past 2^0"),
+    ("check_halt", "0", Transition(0, R, 3),
+     "n=2: counter cell holds 0, expected 1"),
+    ("rewind", "#", Transition(2, R, 0), "n=1: separator cell is not blank"),
+    ("mul2_F", "0", Transition(0, L, 0), "n=7: head at 1, expected -1"),
+    ("mul2_F", "0", Transition(0, R, 2), "n=7: state mul2_F, expected rewind"),
+    ("mul2_F", "0", HALT, "n=7: machine halted before s_n"),
+])
+def test_verify_checkpoints_reports_the_failed_check(m54, state, symbol,
+                                                     cell, message):
+    bad = m54.with_cell(m54.state_index(state), m54.symbol_index(symbol),
+                        cell)
+    with pytest.raises(CheckpointMismatch, match=re.escape(message)):
+        verify_checkpoints(bad, 25)
 
 
 # -- deciders and certificates ----------------------------------------------
@@ -189,6 +224,44 @@ def test_regular_closure_decider():
     cert = decide_regular_closure(m)
     assert isinstance(cert, RegularClosureCertificate)
     assert revalidate_certificate(m, cert)
+
+
+# Brady's 4-state champion: halts at step 107.
+BB4 = """\
+symbols: 0 1
+blank: 0
+states: A B C D
+init: A
+A 0 -> 1 R B
+A 1 -> 1 L B
+B 0 -> 1 L A
+B 1 -> 0 L C
+C 0 -> halt
+C 1 -> 1 L D
+D 0 -> 1 R D
+D 1 -> 0 R A
+"""
+
+
+def test_closure_probe_continues_the_bounded_run():
+    """classify hands its stopped run to the closure search, whose halting
+    probe goes on from there: a run past the probe length goes straight
+    to the search, and a halt after the budget but within the probe
+    still blocks a certificate."""
+    bouncer = machines.parse_machine(BOUNCER, name="bouncer")
+    probe = search._run_deciders(tm.compile_cells(bouncer), bouncer.init,
+                                 bouncer.blank, 10)
+    assert probe.steps == 10
+    cert = decide_regular_closure(bouncer, probe=probe)
+    assert probe.steps == search._PROBE_STEPS
+    assert cert == decide_regular_closure(bouncer)
+    for budget in (10, 5000):
+        out = classify(bouncer, budget)
+        assert out.decider == "escape" and out.certificate == cert
+    bb4 = machines.parse_machine(BB4, name="bb4")
+    assert tm.run(bb4, 1000).step_count == 107
+    assert decide_regular_closure(bb4) is None
+    assert classify(bb4, 50).status == "undecided"
 
 
 def test_regular_closure_tampering_rejected():

@@ -1,10 +1,15 @@
 """Lockstep verification of the 2-symbol machine against the 4-symbol one."""
 
+import hashlib
+import json
+import random
+
+import numpy as np
 import pytest
 
-from bblab import machines, simcheck
+from bblab import machines, simcheck, tm
 from bblab.errors import OutOfRange, UndefinedCost, UnknownKey, ValidationError
-from bblab.simcheck import (DEFAULT_ENCODING, Encoding, head_map,
+from bblab.simcheck import (DEFAULT_ENCODING, K, Encoding, head_map,
                             state_map_h, step_cost, verify_simulation)
 from bblab.tm import HALT, L, R, Transition
 
@@ -101,6 +106,9 @@ def test_corrupted_big_cell_is_detected(big, small):
     assert out.status == "mismatch"
     assert out.mismatch["n"] <= 1000
     assert "expected" in out.summary()
+    assert out.mismatch == {"n": 23, "f": 51, "kind": "tape cell 0",
+                            "expected": "aa", "actual": "ab"}
+    assert out.n_verified == 22
 
 
 def test_corrupted_next_state_is_detected(big, small):
@@ -110,6 +118,8 @@ def test_corrupted_next_state_is_detected(big, small):
                                          big.state_index("rewind_b")))
     out = verify_simulation(bad, small, DEFAULT_ENCODING, 1000)
     assert not out.ok
+    assert out.mismatch == {"n": 7, "f": 14, "kind": "tape cell 0",
+                            "expected": "aa", "actual": "ab"}
 
 
 def test_premature_big_halt_breaks_halting_synchrony(big, small):
@@ -118,6 +128,9 @@ def test_premature_big_halt_breaks_halting_synchrony(big, small):
     out = verify_simulation(bad, small, DEFAULT_ENCODING, 1000)
     assert not out.ok
     assert out.mismatch["kind"] == "halting-synchrony"
+    assert out.mismatch == {"n": 26, "f": 57, "kind": "halting-synchrony",
+                            "expected": "big still running",
+                            "actual": "big halted at micro-step 1"}
 
 
 def test_small_halting_without_big_is_detected(big, small):
@@ -128,9 +141,83 @@ def test_small_halting_without_big_is_detected(big, small):
     out = verify_simulation(big, bad_small, DEFAULT_ENCODING, 1000)
     assert not out.ok
     assert out.mismatch["kind"] == "halting-synchrony"
+    assert out.mismatch == {"n": 17, "f": 38, "kind": "halting-synchrony",
+                            "expected": "big halts at micro-step 3",
+                            "actual": "big halted at None"}
+    # the arrays stop at the mismatch step, which was never recorded
+    assert len(out.f) == 18 and out.f[17] == 0
 
 
 def test_transcript_records_per_step_data(transcript):
     assert len(transcript.f) == 1001
     assert len(transcript.keys) == len(transcript.sigmas) == 1001
     assert transcript.heads[0] == 0
+
+
+def _digest(t):
+    h = hashlib.sha256()
+    for a in (t.f, t.keys, t.sigmas, t.heads):
+        h.update(str(a.dtype).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def long_transcript(big, small):
+    return verify_simulation(big, small, DEFAULT_ENCODING, 100_000)
+
+
+def test_transcript_arrays_are_pinned(long_transcript):
+    """Digest of f, keys, sigmas and heads (dtypes included) to n = 10^5,
+    recorded from the earlier numpy-scalar implementation."""
+    t = long_transcript
+    assert t.status == "verified" and t.n_verified == 100_000
+    assert [a.dtype for a in (t.f, t.keys, t.sigmas, t.heads)] == [
+        np.int64, np.int8, np.int8, np.int64]
+    assert _digest(t) == ("fb0adef623e821d5a359b766c22fce69"
+                          "f2bdc5e8390da9609d0e0d6c56bf9c2d")
+
+
+def test_transcript_agrees_with_independent_runs(big, small,
+                                                 long_transcript):
+    """At sampled n, running each machine on its own with tm.run puts
+    big at the mapped state and head after f(n) steps, small at heads[n]
+    after n steps, and big's tape blocks spell small's tape."""
+    t = long_transcript
+    rng = random.Random(54)
+    samples = [0, 1, 5, 16, 333] + rng.sample(range(20_000), 45)
+    for n in samples:
+        key = K[t.keys[n]]
+        b = tm.run(big, int(t.f[n])).config
+        s = tm.run(small, n).config
+        assert s.head == t.heads[n]
+        assert s.tape.read(s.head) == t.sigmas[n]
+        assert big.states[b.state] == state_map_h(key)
+        assert b.head == head_map(int(t.heads[n]), key[1])
+        for j in range(s.tape.lo - 1, s.tape.hi + 2):
+            word = DEFAULT_ENCODING.words[small.symbols[s.tape.read(j)]]
+            got = big.symbols[b.tape.read(2 * j)] + big.symbols[
+                b.tape.read(2 * j + 1)]
+            assert got == word, (n, j)
+
+
+def test_every_big_corruption_gives_the_pinned_verdict(big, small):
+    """Status, mismatch and transcript digest for each of the 1800 one-cell
+    corruptions of big at n_max = 300, pinned to the values the earlier
+    numpy-scalar implementation gave."""
+    options = [HALT] + [Transition(w, d, q) for w in range(2) for d in (L, R)
+                        for q in range(big.n_states)]
+    verdicts = []
+    for q in range(big.n_states):
+        for s in range(2):
+            for alt in options:
+                if alt == big.transition(q, s):
+                    continue
+                t = verify_simulation(big.with_cell(q, s, alt), small,
+                                      DEFAULT_ENCODING, 300)
+                verdicts.append([t.status, t.n_verified, repr(t.mismatch),
+                                 _digest(t)])
+    assert len(verdicts) == 1800
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == ("b7e09105fb095a5500a151740624479d"
+                      "529ca25ba2e20fac7e7189dc99295a1a")

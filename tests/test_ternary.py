@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from bblab import fst, ternary
 from bblab.errors import MalformedTape
-from bblab.ternary import (ScanReport, TernaryNumber, decode_tape_number,
-                           has_digit_two, power_of_two_ternary,
+from bblab.ternary import (FILTER_DIGITS, FILTER_MODULUS, ScanReport,
+                           TernaryNumber, decode_tape_number, has_digit_two,
+                           low_digits_to_two, power_of_two_ternary,
                            powers_of_two, scan_erdos)
 
 
@@ -78,6 +79,12 @@ def test_powers_of_two_generator():
         power_of_two_ternary(-1)
 
 
+def test_power_of_two_digits_match_doubling():
+    for (n, power), x in zip(powers_of_two(300),
+                             map(power_of_two_ternary, range(301))):
+        assert x == power
+
+
 def test_has_digit_two():
     assert not has_digit_two(TernaryNumber.from_int(4))      # 11
     assert has_digit_two(TernaryNumber.from_int(2))
@@ -122,3 +129,71 @@ def test_property_int_round_trip(v):
 @settings(max_examples=200, deadline=None)
 def test_property_doubling(v):
     assert int(TernaryNumber.from_int(v).doubled()) == 2 * v
+
+
+def _filter_agrees(n):
+    """The scan filter on 2^n mod 3^FILTER_DIGITS against the exact digits
+    of 2^n: a 2 among the low digits proves a 2 in 2^n, and below
+    3^FILTER_DIGITS (n < 64) the residue is 2^n, so the two agree."""
+    digits = power_of_two_ternary(n).digits
+    exact = has_digit_two(TernaryNumber(digits))
+    read = low_digits_to_two(pow(2, n, FILTER_MODULUS))
+    if read:
+        assert exact, n
+        low = digits[:FILTER_DIGITS]
+        assert 2 in low[:read] and 2 not in low[:read - 10], n
+    if 2 ** n < FILTER_MODULUS:
+        assert bool(read) == exact, n
+
+
+def test_filter_reads_whole_chunks_of_the_low_digits():
+    # one digit 2 at position i is found in chunk i // 10 of four
+    for i in range(FILTER_DIGITS):
+        assert low_digits_to_two(2 * 3 ** i) == (i // 10 + 1) * 10
+    assert low_digits_to_two(2 * 3 ** FILTER_DIGITS) == 0
+    assert low_digits_to_two(FILTER_MODULUS - 1) == 10   # all digits 2
+    assert low_digits_to_two((FILTER_MODULUS - 1) // 2) == 0   # all 1
+
+
+def test_scan_filter_agrees_with_exact_digits_to_2000():
+    assert 2 ** 63 < FILTER_MODULUS < 2 ** 64
+    for n in range(2001):
+        _filter_agrees(n)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 5))
+@settings(max_examples=100, deadline=None)
+def test_property_scan_filter_agrees_with_exact_digits(n):
+    _filter_agrees(n)
+
+
+def test_scan_matches_plain_integer_reference():
+    """Free exponents and their digit lengths from plain Python integers."""
+    free, lengths = [], {}
+    for n in range(3001):
+        value, length = 2 ** n, 0
+        while value:
+            value, digit = divmod(value, 3)
+            length += 1
+            if digit == 2:
+                break
+        else:
+            free.append(n)
+            lengths[n] = length
+    report = scan_erdos(3000)
+    assert report.free_exponents == free == [0, 2, 8]
+    assert report.digit_lengths == lengths == {0: 1, 2: 2, 8: 6}
+
+
+def test_scan_digit_ops_counts_digits_examined():
+    # 2^0 = 1 passes the filter (all FILTER_DIGITS low digits read) and
+    # the exact check (one digit); 2^1 = 2 shows a 2 in the first chunk
+    assert scan_erdos(0).digit_ops == FILTER_DIGITS + 1
+    assert scan_erdos(1).digit_ops == FILTER_DIGITS + 1 + 10
+    # every exponent's count from its residue taken by pow(), so the
+    # scan's incremental residue is right at each n
+    expected = 0
+    for n in range(3001):
+        read = low_digits_to_two(pow(2, n, FILTER_MODULUS))
+        expected += read or FILTER_DIGITS + len(power_of_two_ternary(n))
+    assert scan_erdos(3000).digit_ops == expected

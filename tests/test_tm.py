@@ -119,9 +119,13 @@ def _step_to(m, c, budget):
 
 
 def _assert_same_run(outcome, c):
-    got = outcome.config
     assert outcome.kind == ("halted" if c.halted else "running")
-    assert outcome.step_count == got.step_count == c.step_count
+    assert outcome.step_count == c.step_count
+    _assert_same_config(outcome.config, c)
+
+
+def _assert_same_config(got, c):
+    assert got.step_count == c.step_count
     assert (got.state, got.head, got.halted) == (c.state, c.head, c.halted)
     assert (got.tape.lo, got.tape.hi) == (c.tape.lo, c.tape.hi)
     assert got.tape.window(c.tape.lo, c.tape.hi) == c.tape.window(c.tape.lo,
@@ -170,17 +174,27 @@ _BOUNCER = machines.parse_machine(
     name="bouncer")
 
 
-@given(_tables(), st.integers(min_value=0, max_value=3000))
-@example(_SWEEP_RIGHT, 0)
-@example(_SWEEP_RIGHT, 2500)
-@example(_SWEEP_LEFT, 2500)
-@example(_BOUNCER, 180)
-@example(_BOUNCER, 189)
-@example(_BOUNCER, 190)
+@given(_tables(), st.integers(min_value=0, max_value=3000),
+       st.lists(st.integers(min_value=0, max_value=3000), max_size=6))
+@example(_SWEEP_RIGHT, 0, [0])
+@example(_SWEEP_RIGHT, 2500, [1, 2, 2, 2500])
+@example(_SWEEP_LEFT, 2500, [17, 40, 1000, 2500])
+@example(_BOUNCER, 180, [3, 6, 10, 180])
+@example(_BOUNCER, 189, [189])
+@example(_BOUNCER, 190, [190, 3000])
 @settings(max_examples=300, deadline=None)
-def test_run_matches_single_steps(m, budget):
+def test_run_matches_single_steps(m, budget, checkpoints):
+    """run (the chain stepper) at `budget`, and run_trace (the flat-list
+    stepper) at sorted `checkpoints`, against single steps."""
     _assert_same_run(tm.run(m, budget),
                      _step_to(m, tm.initial_configuration(m), budget))
+    checkpoints.sort()
+    snaps = tm.run_trace(m, checkpoints)
+    c = tm.initial_configuration(m)
+    for target, snap in zip(checkpoints, snaps):
+        _assert_same_config(snap, _step_to(m, c, target))
+    halted = [i for i, snap in enumerate(snaps) if snap.halted]
+    assert len(snaps) == (halted[0] + 1 if halted else len(checkpoints))
 
 
 def test_machine_table_validation_rejects_bad_indices():
