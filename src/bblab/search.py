@@ -11,13 +11,19 @@ regular-closure decider (a searched-for regular set of configurations
 that contains the initial one, is closed under stepping, and excludes
 every halting one — the escape idea generalized from the state graph to
 tape contents; both are tagged "escape" since both prove halting
-unreachable).  Enumeration runs either over the raw space of all (2nk+1)^(nk) tables or over a
-canonical subset built in tree normal form: cells are filled lazily in
-the order the blank-tape run first needs them, new states/symbols are
-introduced lowest-index-first, and the very first transition moves
-right.  The reduction preserves every halting step count, so maxima are
-exact; raw mode remains available as ground truth.  Deciders and
-enumerators read tables in the `tm.compile_cells` form.
+unreachable).  The bounded run is a `tm.FlatRun`, which the closure
+search's halting probe continues; `revalidate_certificate` re-checks
+every certificate independently, on `tm.step` for the cyclers.
+
+Enumeration runs either over the raw space of all (2nk+1)^(nk) tables
+or over a canonical subset built in tree normal form: cells are filled
+lazily in the order the blank-tape run first needs them, new
+states/symbols are introduced lowest-index-first, and the very first
+transition moves right.  A node's cells not chosen yet are Halt, so
+every node is a complete table and the pipeline runs it as is; a run
+that halts on such a cell branches on it.  The reduction preserves
+every halting step count, so maxima are exact; raw mode remains
+available as ground truth.
 """
 
 from __future__ import annotations
@@ -212,44 +218,6 @@ class TranslatedCyclerCertificate:
     offset: int
 
 
-class _DictSim:
-    """Tape, head and state of a run stepped by compiled transitions (see
-    tm.compile_cells), with signature helpers for the deciders."""
-
-    __slots__ = ("blank", "tape", "head", "state", "steps")
-
-    def __init__(self, blank, init):
-        self.blank = blank
-        self.tape = {}
-        self.head = 0
-        self.state = init
-        self.steps = 0
-
-    def read(self):
-        return self.tape.get(self.head, self.blank)
-
-    def advance(self, tr):
-        """Execute a concrete non-halt transition."""
-        self.tape[self.head] = tr[0]
-        self.head += tr[1]
-        self.state = tr[2]
-        self.steps += 1
-
-    def stripped(self):
-        """(content bytes, start index) of the non-blank span; (b"", head)
-        when the tape is all blank."""
-        cells = [i for i, s in self.tape.items() if s != self.blank]
-        if not cells:
-            return b"", self.head
-        lo, hi = min(cells), max(cells)
-        return bytes(self.tape.get(i, self.blank)
-                     for i in range(lo, hi + 1)), lo
-
-    def exact_signature(self):
-        content, lo = self.stripped()
-        return (self.state, self.head, lo, content)
-
-
 class _TranslatedDetector:
     """Record-breaking translated-cycle detection, shared by the deciders.
 
@@ -265,57 +233,44 @@ class _TranslatedDetector:
 
     __slots__ = ("blank", "lo", "hi", "heads", "records")
 
-    def __init__(self, blank):
+    def __init__(self, blank: bytes):
         self.blank = blank
         self.lo = 0
         self.hi = 0
         self.heads = [0]
-        self.records = {}  # (direction, state) -> [(t, head, snapshot)]
+        # (direction, state) -> [(t, head, tape bytes, origin)]
+        self.records = {}
 
-    def on_step(self, sim) -> TranslatedCyclerCertificate | None:
-        """Feed the configuration after each step; certificate on match."""
-        self.heads.append(sim.head)
-        if self.lo <= sim.head <= self.hi:
+    def on_step(self, run: FlatRun,
+                tape: bytes) -> TranslatedCyclerCertificate | None:
+        """Feed the run after each step, with `tape` its list as bytes and
+        unvisited cells read as blank; certificate on match."""
+        p2 = run.pos - run.origin
+        self.heads.append(p2)
+        if self.lo <= p2 <= self.hi:
             return None
-        d = 1 if sim.head > self.hi else -1
-        self.lo = min(self.lo, sim.head)
-        self.hi = max(self.hi, sim.head)
-        t2, p2, blank = sim.steps, sim.head, self.blank
-        bucket = self.records.setdefault((d, sim.state), [])
-        for t1, p1, snap in bucket:
+        d = 1 if p2 > self.hi else -1
+        self.lo = min(self.lo, p2)
+        self.hi = max(self.hi, p2)
+        t2, o2 = run.steps, run.origin
+        bucket = self.records.setdefault((d, run.state), [])
+        for t1, p1, snap, o1 in bucket:
             between = self.heads[t1 + 1:t2 + 1]
+            # the cells from the reach to the record head, as list indices
+            # (i1 of snap, i2 of tape); cells outside snap were blank at t1
             if d > 0:
                 width = max(0, p1 - min(between))
+                i1, i2 = p1 - width + o1, p2 - width + o2
+                earlier = snap[max(i1, 0):p1 + o1 + 1].rjust(width + 1,
+                                                             self.blank)
             else:
                 width = max(0, max(between) - p1)
-            if all(snap.get(p1 - d * j, blank)
-                   == sim.tape.get(p2 - d * j, blank)
-                   for j in range(width + 1)):
+                i1, i2 = p1 + o1, p2 + o2
+                earlier = snap[i1:i1 + width + 1].ljust(width + 1, self.blank)
+            if earlier == tape[i2:i2 + width + 1]:
                 return TranslatedCyclerCertificate(t1, t2, p2 - p1)
-        bucket.append((t2, p2, dict(sim.tape)))
+        bucket.append((t2, p2, tape, o2))
         return None
-
-
-# A cell the tree-normal-form enumerator has not chosen yet.  Every other
-# cell is in tm.compile_cells form: (write, delta, next) or None for Halt.
-_UNSET = "unset"
-
-
-def _escape(table, init):
-    """EscapeCertificate of the states reachable from init over transition
-    edges, or None if any reachable state has a halting (or not yet
-    chosen) cell."""
-    seen = {init}
-    stack = [init]
-    while stack:
-        q = stack.pop()
-        for tr in table[q]:
-            if tr is None or tr is _UNSET:
-                return None
-            if tr[2] not in seen:
-                seen.add(tr[2])
-                stack.append(tr[2])
-    return EscapeCertificate(tuple(sorted(seen)))
 
 
 def decide_escape(m: MachineTable):
@@ -323,7 +278,16 @@ def decide_escape(m: MachineTable):
     graph from the initial state, or None.  Reachability ignores the tape
     (it over-approximates the states the run can enter), so a certificate
     soundly implies the machine never halts."""
-    return _escape(compile_cells(m), m.init)
+    seen = {m.init}
+    stack = [m.init]
+    while stack:
+        for tr in m.table[stack.pop()]:
+            if tr is HALT:
+                return None
+            if tr.next_state not in seen:
+                seen.add(tr.next_state)
+                stack.append(tr.next_state)
+    return EscapeCertificate(tuple(sorted(seen)))
 
 
 @dataclass
@@ -334,41 +298,45 @@ class Classification:
     certificate: object = None
 
 
-def _run_deciders(cells, init, blank, budget):
-    """One bounded run from the blank tape with the cycler and the
+def _run_deciders(m: MachineTable, budget: int):
+    """One bounded tm.FlatRun from the blank tape with the cycler and the
     translated cycler checked after every step.  Returns a Classification
-    (halts, cycler or translated-cycler), ("undef", q, sym, steps) on
-    reaching a cell not chosen yet, or the stopped _DictSim when the
-    budget runs out.
+    (cycler or translated-cycler), or else the stopped run: halted, or
+    at the budget.
 
-    An exact repeat keeps the head bounded while a translated repeat
-    proves unbounded drift, so the two never both fire on one machine."""
-    sim = _DictSim(blank, init)
-    seen = {sim.exact_signature(): 0}
+    The cycler's signature is the state, the head and the tape with
+    unvisited cells read as blank and blanks stripped from both ends.  An
+    exact repeat keeps the head bounded while a translated repeat proves
+    unbounded drift, so the two never both fire on one machine."""
+    run = FlatRun(m)
+    blank = bytes([m.blank])
+    as_blank = bytes.maketrans(bytes([run.sentinel]), blank)
+    seen = {(m.init, 0, 0, b""): 0}
     detector = _TranslatedDetector(blank)
-    while sim.steps < budget:
-        sym = sim.read()
-        tr = cells[sim.state][sym]
-        if tr is _UNSET:
-            return ("undef", sim.state, sym, sim.steps)
-        if tr is None:
-            return Classification("halts", steps=sim.steps + 1)
-        sim.advance(tr)
-        sig = sim.exact_signature()
+    while run.steps < budget:
+        run.advance(run.steps + 1)
+        if run.halted:
+            break
+        tape = bytes(run.tape).translate(as_blank)
+        head = run.pos - run.origin
+        rest = tape.lstrip(blank)
+        content = rest.rstrip(blank)
+        lo = len(tape) - len(rest) - run.origin if content else head
+        sig = (run.state, head, lo, content)
         if sig in seen:
             return Classification(
                 "nonhalt", decider="cycler",
-                certificate=CyclerCertificate(seen[sig], sim.steps))
-        seen[sig] = sim.steps
-        cert = detector.on_step(sim)
+                certificate=CyclerCertificate(seen[sig], run.steps))
+        seen[sig] = run.steps
+        cert = detector.on_step(run, tape)
         if cert is not None:
             return Classification("nonhalt", decider="translated-cycler",
                                   certificate=cert)
-    return sim
+    return run
 
 
 def _pass_certificate(m: MachineTable, budget: int, decider: str):
-    out = _run_deciders(compile_cells(m), m.init, m.blank, budget)
+    out = _run_deciders(m, budget)
     if isinstance(out, Classification) and out.decider == decider:
         return out.certificate
     return None
@@ -510,20 +478,18 @@ def decide_regular_closure(m: MachineTable, max_dfa_states: int = 5,
     never materialized at all.
 
     Before the search, a concrete run from the blank tape must last
-    _PROBE_STEPS steps without halting.  `probe` is a run of m that has
-    already gone some steps without halting (the _DictSim that _decide
+    _PROBE_STEPS steps without halting.  `probe` is a tm.FlatRun of m
+    that has already gone some steps without halting (the run _decide
     stopped at its budget); the check continues it instead of starting
     over."""
     if probe is None:
-        probe = _DictSim(m.blank, m.init)
-    table = compile_cells(m)
+        probe = FlatRun(m)
     # a machine observed to halt has no closure certificate; a short
     # concrete run is far cheaper than discovering that pair by pair
-    while probe.steps < _PROBE_STEPS:
-        tr = table[probe.state][probe.read()]
-        if tr is None:
-            return None
-        probe.advance(tr)
+    probe.advance(_PROBE_STEPS)
+    if probe.halted:
+        return None
+    table = compile_cells(m)
     k = m.n_symbols
     top = 1
     while (top < max_dfa_states
@@ -651,24 +617,26 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
 # classification and enumeration
 
 
-def _decide(cells, init, blank, budget, machine):
+def _decide(m: MachineTable, budget: int):
     """The decider pipeline: the static escape check, then the single
-    bounded run of _run_deciders, then the regular-closure search on
-    `machine` (the table `cells` describes) if the run outlasts the
-    budget; anything left is Undecided at this budget.  A run that
-    reaches a cell not chosen yet returns _run_deciders' "undef" tuple."""
-    escape = _escape(cells, init)
+    bounded run of _run_deciders, then the regular-closure search if the
+    run outlasts the budget; anything left is Undecided at this budget.
+    Returns the Classification and, for a halt, the halted tm.FlatRun
+    (None otherwise)."""
+    escape = decide_escape(m)
     if escape is not None:
         return Classification("nonhalt", decider="escape",
-                              certificate=escape)
-    out = _run_deciders(cells, init, blank, budget)
-    if not isinstance(out, _DictSim):
-        return out
-    closure = decide_regular_closure(machine, probe=out)
+                              certificate=escape), None
+    out = _run_deciders(m, budget)
+    if isinstance(out, Classification):
+        return out, None
+    if out.halted:
+        return Classification("halts", steps=out.steps), out
+    closure = decide_regular_closure(m, probe=out)
     if closure is not None:
         return Classification("nonhalt", decider="escape",
-                              certificate=closure)
-    return Classification("undecided")
+                              certificate=closure), None
+    return Classification("undecided"), None
 
 
 def classify(m: MachineTable, budget: int) -> Classification:
@@ -676,7 +644,7 @@ def classify(m: MachineTable, budget: int) -> Classification:
     checking the cycler and the translated cycler after every step, then
     the regular-closure search on survivors; anything left is Undecided
     at this budget."""
-    return _decide(compile_cells(m), m.init, m.blank, budget, m)
+    return _decide(m, budget)[0]
 
 
 @dataclass
@@ -726,33 +694,19 @@ class EnumerationSummary:
         }
 
 
-def _generic_names(n: int, k: int):
-    states = tuple(chr(ord("A") + i) for i in range(n))
-    symbols = tuple(str(i) for i in range(k))
-    return states, symbols
-
-
-def _materialize(n, k, cells) -> MachineTable:
-    """Concrete MachineTable from enumeration cells; unreached undefined
-    cells become Halt (any completion behaves identically from blank)."""
-    states, symbols = _generic_names(n, k)
-    table = []
-    for q in range(n):
-        row = []
-        for s in range(k):
-            tr = cells[q][s]
-            if tr is None or tr is _UNSET:
-                row.append(HALT)
-            else:
-                w, delta, q2 = tr
-                row.append(Transition(w, R if delta > 0 else L, q2))
-        table.append(tuple(row))
-    return MachineTable(name=f"tm{n}x{k}", symbols=symbols, blank=0,
-                        states=states, init=0, table=tuple(table))
+def _machine(n: int, k: int, rows) -> MachineTable:
+    """The n-state, k-symbol enumeration table with the given rows of
+    Transitions and HALT, starting in state 0 on blank symbol 0."""
+    return MachineTable(name=f"tm{n}x{k}",
+                        symbols=tuple(str(i) for i in range(k)), blank=0,
+                        states=tuple(chr(ord("A") + i) for i in range(n)),
+                        init=0, table=tuple(tuple(row) for row in rows))
 
 
 def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
-    cells = [[_UNSET] * k for _ in range(n)]
+    # Branching never chooses Halt, so the HALT cells are exactly the
+    # cells not chosen yet, and every node runs as a complete table.
+    cells = [[HALT] * k for _ in range(n)]
 
     def branch_options(first: bool):
         used_states = {0}
@@ -760,45 +714,45 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
         for q in range(n):
             for s in range(k):
                 tr = cells[q][s]
-                if tr is not _UNSET:
+                if tr is not HALT:
                     used_states.add(q)
-                    used_states.add(tr[2])
+                    used_states.add(tr.next_state)
                     used_symbols.add(s)
-                    used_symbols.add(tr[0])
+                    used_symbols.add(tr.write)
         max_state = min(max(used_states) + 1, n - 1)
         max_symbol = min(max(used_symbols) + 1, k - 1)
-        moves = (1,) if first else (-1, 1)
-        return [(w, d, q2)
+        moves = (R,) if first else (L, R)
+        return [Transition(w, move, q2)
                 for w in range(max_symbol + 1)
-                for d in moves
+                for move in moves
                 for q2 in range(max_state + 1)]
 
     def recurse():
-        m = _materialize(n, k, cells)
-        outcome = _decide(cells, 0, 0, budget, m)
-        if isinstance(outcome, Classification):
-            summary.record(outcome, m)
+        m = _machine(n, k, cells)
+        verdict, run = _decide(m, budget)
+        summary.record(verdict, m)
+        if run is None:
             return
-        _, q, sym, steps = outcome
-        # halting branch: reaching an undefined cell means every
-        # completion with Halt there stops after one more step, and that
-        # completion materializes to `m`
-        summary.record(Classification("halts", steps=steps + 1), m)
-        for option in branch_options(first=(steps == 0)):
+        # the run halted on a cell not chosen yet: every completion with
+        # Halt there (that is `m`) stops at the same step, and the others
+        # are the branches
+        q, sym = run.state, run.tape[run.pos]
+        if sym == run.sentinel:
+            sym = m.blank
+        for option in branch_options(first=(run.steps == 1)):
             cells[q][sym] = option
             recurse()
-        cells[q][sym] = _UNSET
+        cells[q][sym] = HALT
 
     recurse()
 
 
 def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
-    options = [None] + [(w, d, q2) for w in range(k) for d in (-1, 1)
-                        for q2 in range(n)]
+    options = [HALT] + [Transition(w, move, q2) for w in range(k)
+                        for move in (L, R) for q2 in range(n)]
     for combo in itertools.product(options, repeat=n * k):
-        cells = [combo[q * k:(q + 1) * k] for q in range(n)]
-        m = _materialize(n, k, cells)
-        summary.record(_decide(cells, 0, 0, budget, m), m)
+        m = _machine(n, k, (combo[q * k:(q + 1) * k] for q in range(n)))
+        summary.record(_decide(m, budget)[0], m)
 
 
 def enumerate_and_classify(n: int, k: int, budget: int,

@@ -47,16 +47,6 @@ class Encoding:
 
 DEFAULT_ENCODING = Encoding({"#": "bb", "0": "ba", "1": "ab", "2": "aa"})
 
-# Reachable (small state, previous head direction) pairs.
-K = (
-    ("mul2_F", R),
-    ("mul2_G", R),
-    ("find_2", L),
-    ("check_halt", L),
-    ("rewind", L),
-    ("rewind", R),
-)
-
 _H = {
     ("mul2_F", R): "mul2_F_sim",
     ("mul2_G", R): "mul2_G_sim",
@@ -65,6 +55,9 @@ _H = {
     ("rewind", L): "rewind_sim",
     ("rewind", R): "rewind_b",
 }
+
+# Reachable (small state, previous head direction) pairs.
+K = tuple(_H)
 
 # Micro-steps big needs per small step, by key and read symbol.  The
 # (rewind, R) column is defined only for the blank: rewind can only be

@@ -1,9 +1,10 @@
-"""Arbitrary-precision base-3 arithmetic on digit vectors, and the scanner
-that looks for powers of two with no ternary digit 2.
+"""Base-3 digit vectors of natural numbers, and the scanner that looks
+for powers of two with no ternary digit 2.
 
-Digit vectors are least-significant first ("reverse-ternary"), one digit
-per byte.  TernaryNumber values are canonical (no most-significant
-zeros, except the single 0 representing zero) and immutable.
+Digit vectors are least-significant first ("reverse-ternary").
+TernaryNumber values are canonical (no most-significant zeros, except
+the single 0 representing zero) and immutable.  Arithmetic on them,
+doubling included, goes through Python integers and `from_int`.
 
 The scanner never builds the digits of most powers.  The low k ternary
 digits of 2^n are the digits of 2^n mod 3^k, so it keeps that residue
@@ -23,28 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedTape
-
-
-def _settle_carries(d: np.ndarray) -> np.ndarray:
-    """Reduce every digit of `d` into {0,1,2} by propagating carries.
-    `d` must have enough headroom at the top (digits < 3 there)."""
-    while True:
-        carry = d // 3
-        if not carry.any():
-            return d
-        d %= 3
-        d[1:] += carry[:-1]
-
-
-def _double_digits(d: np.ndarray) -> np.ndarray:
-    """Double a canonical digit vector; returns a canonical vector."""
-    out = np.zeros(len(d) + 1, dtype=np.int16)
-    out[:len(d)] = d
-    out[:len(d)] *= 2
-    out = _settle_carries(out)
-    if out[-1] == 0 and len(out) > 1:
-        out = out[:-1]
-    return out
 
 
 # 3^18 < 2^30, one digit of CPython's integer representation
@@ -129,16 +108,14 @@ class TernaryNumber:
         return self.lsf_str()[::-1]
 
     def doubled(self) -> "TernaryNumber":
-        return TernaryNumber(_double_digits(self._digits))
+        return TernaryNumber.from_int(2 * int(self))
 
 
 def powers_of_two(n_max: int):
-    """Yield (n, TernaryNumber of 2**n) for n = 0..n_max, maintaining the
-    digit vector incrementally (one doubling per exponent)."""
-    d = np.array([1], dtype=np.int16)
+    """Yield (n, TernaryNumber of 2**n) for n = 0..n_max, converted from
+    the Python integer."""
     for n in range(n_max + 1):
-        yield n, TernaryNumber(d)
-        d = _double_digits(d)
+        yield n, TernaryNumber.from_int(1 << n)
 
 
 def power_of_two_lengths():

@@ -11,9 +11,10 @@ many steps share one flat compiled table (`compile_cells`) and keep the
 tape in plain lists.  `run` uses a run-length "chain" stepper: a
 self-loop over a run of equal symbols is one macro step, so the bb5
 champion halts in a fraction of a second.  `FlatRun` steps one cell at a
-time on a single list and can stop at any step count, which `run_trace`
-and the checkpoint verifier use.  All of them give exactly the
-configurations `step` gives.
+time on a single list and can stop at any step count, which `run_trace`,
+the checkpoint verifier and the `search` deciders and enumerators use.
+All of them give exactly the configurations `step` gives; `step` stays
+the independent reference that certificate revalidation runs on.
 """
 
 from __future__ import annotations
@@ -365,16 +366,11 @@ def _run_chains(m: MachineTable, budget: int) -> Configuration:
     return _materialize(state, head, blank, extent, lo, done, halted)
 
 
-def run(m: MachineTable, budget: int,
-        config: Configuration | None = None) -> RunOutcome:
-    """Run from the initial configuration (or `config`) for up to `budget`
-    executed transitions.  Deterministic: equal budgets give equal results."""
-    if config is None:
-        c = _run_chains(m, budget)
-    else:
-        c = config
-        while c.step_count < budget and not c.halted:
-            step(m, c)
+def run(m: MachineTable, budget: int) -> RunOutcome:
+    """Run from the initial configuration for up to `budget` executed
+    transitions on the chain stepper (`_run_chains`).  Deterministic:
+    equal budgets give equal results."""
+    c = _run_chains(m, budget)
     if c.halted:
         return RunOutcome("halted", c.step_count, c)
     return RunOutcome("running", c.step_count, c)

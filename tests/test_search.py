@@ -1,8 +1,10 @@
 """Checkpoint schedule, non-halt deciders, certificates, enumeration."""
 
+import hashlib
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -216,6 +218,35 @@ def test_translated_cycler_tampering_rejected():
         m, TranslatedCyclerCertificate(cert.t1, cert.t2, -cert.offset))
 
 
+@pytest.mark.parametrize("d", [1, -1])
+def test_translated_detector_reads_cells_past_a_snapshot_as_blank(d):
+    """The window the detector compares may reach past the earlier
+    record's tape list; those cells were unvisited then, so they read as
+    blank.  Records fed by hand, drifting in direction d: head d*1 at
+    t=1, an excursion to -d*4 at t=2, head d*5 at t=3."""
+    def feed(detector, t, head, state, cells, first):
+        # `cells` lists the tape from cell `first` on
+        return detector.on_step(SimpleNamespace(
+            pos=head - first, origin=-first, steps=t, state=state),
+            bytes(cells))
+
+    def detect(later):
+        detector = search._TranslatedDetector(b"\0")
+        # the list at t=1 holds cells -1..2 (or -2..1) with a 1 at cell 0,
+        # while the window at t=3 reaches cells -4..1 (or -1..4)
+        assert feed(detector, 1, d, 0, [0, 1, 0, 0] if d > 0 else
+                    [0, 0, 1, 0], -1 if d > 0 else -2) is None
+        assert feed(detector, 2, -4 * d, 1, [0] * 10, -5) is None
+        return feed(detector, 3, 5 * d, 0, later, -6)
+
+    # cells -6..5 at t=3; shifted by 4*d, the window holds the 1 at 4*d
+    later = [0] * 12
+    later[4 * d + 6] = 1
+    assert detect(later) == TranslatedCyclerCertificate(1, 3, 4 * d)
+    later[2 * d + 6] = 1
+    assert detect(later) is None
+
+
 def test_regular_closure_decider():
     m = machines.parse_machine(BOUNCER, name="bouncer")
     # the cheap deciders genuinely cannot handle this machine
@@ -249,8 +280,7 @@ def test_closure_probe_continues_the_bounded_run():
     to the search, and a halt after the budget but within the probe
     still blocks a certificate."""
     bouncer = machines.parse_machine(BOUNCER, name="bouncer")
-    probe = search._run_deciders(tm.compile_cells(bouncer), bouncer.init,
-                                 bouncer.blank, 10)
+    probe = search._run_deciders(bouncer, 10)
     assert probe.steps == 10
     cert = decide_regular_closure(bouncer, probe=probe)
     assert probe.steps == search._PROBE_STEPS
@@ -361,6 +391,33 @@ def test_raw_enumeration_agrees_with_classify():
     assert enumerate_and_classify(2, 2, 100, reduced=False).counts == tally
 
 
+def test_classify_lines_are_pinned():
+    """classify's status, steps, decider and certificate over the raw (2,2)
+    space and over random tables in five more spaces, pinned by a digest
+    recorded before the deciders moved to tm.FlatRun."""
+    cases = [(_table(2, 2, cells), 100)
+             for cells in itertools.product(_options(2, 2), repeat=4)]
+    rng = random.Random(7)
+    for n, k in ((3, 2), (4, 2), (2, 3), (3, 3), (2, 4)):
+        options = _options(n, k)
+        for i in range(300):
+            cells = [rng.choice(options) for _ in range(n * k)]
+            cells[rng.randrange(n * k)] = HALT
+            m = _table(n, k, cells)
+            if i % 4 == 0:  # a random blank symbol and initial state
+                m = search.MachineTable(m.name, m.symbols, rng.randrange(k),
+                                        m.states, rng.randrange(n), m.table)
+            cases.append((m, (10, 100, 300)[i % 3]))
+    lines = []
+    for m, budget in cases:
+        out = classify(m, budget)
+        lines.append(f"{out.status} {out.steps} {out.decider} "
+                     f"{out.certificate!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ("f2552b5c37e885a56b4bd249bfe7a977"
+                      "e4289d473234c65d127579c779673c7f")
+
+
 # -- enumeration --------------------------------------------------------------
 
 
@@ -374,6 +431,8 @@ def test_enumerate_2x2_reduced_and_raw_agree():
     reduced = enumerate_and_classify(2, 2, 100)
     raw = enumerate_and_classify(2, 2, 100, reduced=False)
     assert reduced.max_steps == raw.max_steps == 6
+    assert reduced.counts == {"halts": 19, "escape": 88, "cycler": 6,
+                              "translated-cycler": 36, "undecided": 0}
     assert reduced.confirmed and raw.confirmed
     assert raw.total == (2 * 2 * 2 + 1) ** 4
     assert sum(raw.counts.values()) == raw.total

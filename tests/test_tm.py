@@ -182,10 +182,14 @@ _BOUNCER = machines.parse_machine(
 @example(_BOUNCER, 180, [3, 6, 10, 180])
 @example(_BOUNCER, 189, [189])
 @example(_BOUNCER, 190, [190, 3000])
+@example(_SWEEP_LEFT, 100, list(range(1, 101)))
+@example(_BOUNCER, 200, list(range(1, 201)))
 @settings(max_examples=300, deadline=None)
 def test_run_matches_single_steps(m, budget, checkpoints):
     """run (the chain stepper) at `budget`, and run_trace (the flat-list
-    stepper) at sorted `checkpoints`, against single steps."""
+    stepper) at sorted `checkpoints`, against single steps.  Consecutive
+    checkpoints 1, 2, 3, ... advance the flat-list stepper one step at a
+    time, as the search deciders do."""
     _assert_same_run(tm.run(m, budget),
                      _step_to(m, tm.initial_configuration(m), budget))
     checkpoints.sort()
