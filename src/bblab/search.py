@@ -7,13 +7,16 @@ state graph); then a single bounded run that checks the cycler (exact
 configuration repeat) and the translated cycler (recurring
 record-breaking configuration shifted by a rigid offset) after every
 step; and finally, for machines that outlast the budget, the
-regular-closure decider (a searched-for regular set of configurations
-that contains the initial one, is closed under stepping, and excludes
-every halting one — the escape idea generalized from the state graph to
-tape contents; both are tagged "escape" since both prove halting
-unreachable).  The bounded run is a `tm.FlatRun`, which the closure
-search's halting probe continues; `revalidate_certificate` re-checks
-every certificate independently, on `tm.step` for the cyclers.
+regular-closure decider (a regular set of configurations that contains
+the initial one, is closed under stepping, and excludes every halting
+one — the escape idea generalized from the state graph to tape
+contents; both are tagged "escape" since both prove halting
+unreachable).  The closure search enumerates only the DFA that reads
+the tape left of the head and derives the one for the right side as a
+least fixpoint, on the machine and on its mirror image.  The bounded
+run is a `tm.FlatRun`, which the closure search's halting probe
+continues; `revalidate_certificate` re-checks every certificate
+independently, on `tm.step` for the cyclers.
 
 Enumeration runs either over the raw space of all (2nk+1)^(nk) tables
 or over a canonical subset built in tree normal form: cells are filled
@@ -28,6 +31,7 @@ available as ground truth.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -231,13 +235,15 @@ class _TranslatedDetector:
     drifts forever and never halts.
     """
 
-    __slots__ = ("blank", "lo", "hi", "heads", "records")
+    __slots__ = ("blank", "lows", "highs", "records")
 
     def __init__(self, blank: bytes):
         self.blank = blank
-        self.lo = 0
-        self.hi = 0
-        self.heads = [0]
+        # Suffix minima and maxima of the head as (step, head) stacks: the
+        # first entry after step t holds the lowest (highest) head since t,
+        # and the first entry the lowest (highest) head so far.
+        self.lows = [(0, 0)]
+        self.highs = [(0, 0)]
         # (direction, state) -> [(t, head, tape bytes, origin)]
         self.records = {}
 
@@ -246,25 +252,29 @@ class _TranslatedDetector:
         """Feed the run after each step, with `tape` its list as bytes and
         unvisited cells read as blank; certificate on match."""
         p2 = run.pos - run.origin
-        self.heads.append(p2)
-        if self.lo <= p2 <= self.hi:
-            return None
-        d = 1 if p2 > self.hi else -1
-        self.lo = min(self.lo, p2)
-        self.hi = max(self.hi, p2)
         t2, o2 = run.steps, run.origin
+        lo, hi = self.lows[0][1], self.highs[0][1]
+        for stack, sign in ((self.lows, 1), (self.highs, -1)):
+            while stack and sign * stack[-1][1] >= sign * p2:
+                stack.pop()
+            stack.append((t2, p2))
+        if lo <= p2 <= hi:
+            return None
+        d = 1 if p2 > hi else -1
+        stack = self.lows if d > 0 else self.highs
         bucket = self.records.setdefault((d, run.state), [])
         for t1, p1, snap, o1 in bucket:
-            between = self.heads[t1 + 1:t2 + 1]
+            # the farthest opposite excursion of steps t1+1..t2
+            reach = stack[bisect.bisect_left(stack, (t1 + 1,))][1]
             # the cells from the reach to the record head, as list indices
             # (i1 of snap, i2 of tape); cells outside snap were blank at t1
             if d > 0:
-                width = max(0, p1 - min(between))
+                width = max(0, p1 - reach)
                 i1, i2 = p1 - width + o1, p2 - width + o2
                 earlier = snap[max(i1, 0):p1 + o1 + 1].rjust(width + 1,
                                                              self.blank)
             else:
-                width = max(0, max(between) - p1)
+                width = max(0, reach - p1)
                 i1, i2 = p1 + o1, p2 + o2
                 earlier = snap[i1:i1 + width + 1].ljust(width + 1, self.blank)
             if earlier == tape[i2:i2 + width + 1]:
@@ -355,127 +365,129 @@ def decide_translated_cycler(m: MachineTable, budget: int):
     return _pass_certificate(m, budget, "translated-cycler")
 
 
-def _canonical_dfas(n_max: int, k: int, blank: int):
-    """Canonical total DFAs over k symbols with at most n_max states,
-    state 0 initial, and blank fixed on state 0 (so leading blanks are
-    absorbed).  Cells are filled in row-major order with the
-    restricted-growth rule (a cell may reference at most one state never
-    referenced before), which yields one representative per isomorphism
-    class.  Each item is (delta, n_states, preimage) where
-    preimage[symbol][target] lists the source states mapping there."""
-    out = []
-    table = []
-
-    def rec(used):
-        idx = len(table)
-        if idx == used * k:
-            delta = tuple(tuple(table[q * k + s] for s in range(k))
-                          for q in range(used))
-            pre = tuple(tuple(tuple(p for p in range(used)
-                                    if delta[p][s] == t)
-                              for t in range(used))
-                        for s in range(k))
-            out.append((delta, used, pre))
-            return
-        q, s = divmod(idx, k)
-        if q == 0 and s == blank:
-            table.append(0)
-            rec(used)
-            table.pop()
-            return
-        for v in range(min(used, n_max - 1) + 1):
-            table.append(v)
-            rec(max(used, v + 1))
-            table.pop()
-
-    rec(1)
-    return out
+def _canonical_dfas(k: int, blank: int):
+    """Canonical total DFAs over k symbols, fewest states first, without
+    end.  State 0 is initial and blank maps it to itself, so leading
+    blanks are absorbed.  Cells are filled in row-major order by the
+    restricted-growth rule: a cell may name at most the one state never
+    named before, and each state must be named before its row starts
+    (so every state is reachable).  That yields one representative per
+    isomorphism class.  Each DFA is a tuple of k-tuples of successors."""
+    for size in itertools.count(1):
+        yield from _fill_dfas([], 1, size, k, blank)
 
 
-_dfa_cache: dict = {}
+def _fill_dfas(cells: list, used: int, size: int, k: int, blank: int):
+    idx = len(cells)
+    if idx == size * k:
+        yield tuple(tuple(cells[q * k:(q + 1) * k]) for q in range(size))
+        return
+    if idx == used * k:
+        return  # row `used` starts before its state is named
+    for v in (0,) if idx == blank else range(min(used, size - 1) + 1):
+        cells.append(v)
+        yield from _fill_dfas(cells, max(used, v + 1), size, k, blank)
+        cells.pop()
+
 
 # Steps of the concrete run that must pass without halting before the
 # closure search starts.
 _PROBE_STEPS = 4096
 
-# Never materialize more canonical DFAs per alphabet than this; it holds
-# the decider's memory flat even for alphabets whose next size class is
-# hundreds of thousands of automata.
+# Left DFAs the closure search tries per machine before it gives up.  The
+# first 25,000 hold every DFA of up to 5, 3 and 2 states over 2, 3 and 4
+# symbols.
 _DFA_LIMIT = 25_000
 
 
-def _dfas(n_max: int, k: int, blank: int):
-    key = (n_max, k, blank)
-    if key not in _dfa_cache:
-        _dfa_cache[key] = _canonical_dfas(n_max, k, blank)
-    return _dfa_cache[key]
+def _derive_right(table, init: int, blank: int, left: tuple):
+    """The least right side that closes with `left`, as (right DFA,
+    accepted quadruples), or None once the abstract run reaches a halting
+    cell.
 
-
-def _dfa_count(n_max: int, k: int) -> int:
-    """How many DFAs _canonical_dfas would yield, without building them.
-    Counts restricted-growth fillings by (cells filled, states in use);
-    one cell of row 0 is pinned, and a table is complete once every row
-    of a used state is filled."""
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def f(idx: int, used: int) -> int:
-        if idx == used * k:
-            return 1
-        total = (used if used < n_max else n_max) * f(idx + 1, used)
-        if used < n_max:
-            total += f(idx + 1, used + 1)
-        return total
-
-    # cell 0 of row 0 is the pinned blank transition (which symbol is
-    # pinned does not change the count)
-    return f(1, 1)
-
-
-def _ctl_closure(table, init, blank, k, left, left_pre, right,
-                 right_pre):
-    """Smallest quadruple set containing the initial configuration and
-    closed under machine steps, or None as soon as it touches a halting
-    cell.  Per step, moving right extends the left word by the written
-    symbol and peels one symbol off the right; every way the right DFA
-    could have produced the current state is covered via the preimage
-    (and symmetrically for moving left)."""
-    accepted = set()
-    stack = [(0, init, blank, 0)]
-    while stack:
-        quad = stack.pop()
-        if quad in accepted:
+    An NFA reads the tape from the head rightwards, with one entry per
+    left-DFA state l and machine state q; it holds a configuration when
+    the entry reads its word into the blank tail (blanks after it).  A
+    step rewrites the word's prefix: moving right pops the head symbol
+    into the left DFA; moving left pushes a symbol c that some l' maps to
+    l on, then the written one, through one middle state per (l', q', c).
+    Saturating these rules from the initial configuration gives the least
+    fixpoint (the pushdown post* construction).  The right DFA is the NFA
+    reversed and determinized from the blank tail: a state is the set of
+    NFA states that read the cells right of the head, then blanks, into
+    the tail."""
+    n, k = len(table), len(left[0])
+    entries = len(left) * n
+    tail = entries * (k + 1)
+    # per (NFA state, symbol), the bitmask of successor states
+    succ = [0] * ((tail + 1) * k)
+    succ[tail * k + blank] = 1 << tail
+    # per NFA state, its edges as (symbol, successor) and the entries whose
+    # language contains its language
+    edges = {tail: [(blank, tail)]}
+    includers = {}
+    work = [(init, blank, tail)]  # entry (0, init) reads the blank tape
+    while work:
+        x, a, y = work.pop()
+        i = x * k + a
+        if succ[i] >> y & 1:
             continue
-        accepted.add(quad)
-        l, q, s, r = quad
-        tr = table[q][s]
+        succ[i] |= 1 << y
+        edges.setdefault(x, []).append((a, y))
+        for z in includers.get(x, ()):
+            work.append((z, a, y))
+        if x >= entries:
+            continue
+        l, q = divmod(x, n)
+        tr = table[q][a]
         if tr is None:
             return None
         w, mv, q2 = tr
         if mv > 0:
-            l2 = left[l][w]
-            for s2 in range(k):
-                for r2 in right_pre[s2][r]:
-                    stack.append((l2, q2, s2, r2))
+            z = left[l][w] * n + q2
+            into = includers.setdefault(y, [])
+            if z not in into:
+                into.append(z)
+                work.extend((z, b, t) for b, t in edges.get(y, ()))
         else:
-            r2 = right[r][w]
-            for s2 in range(k):
-                for l2 in left_pre[s2][l]:
-                    stack.append((l2, q2, s2, r2))
-    return accepted
+            for l2, row in enumerate(left):
+                for c, target in enumerate(row):
+                    if target == l:
+                        e = l2 * n + q2
+                        mid = entries + e * k + c
+                        work += (e, c, mid), (mid, w, y)
+
+    def back(now: int, a: int) -> int:
+        """The NFA states that read `a` into the set `now`."""
+        return sum(1 << x for x in range(tail + 1) if succ[x * k + a] & now)
+
+    start, grown = 0, 1 << tail
+    while grown != start:  # every state that blanks lead into the tail
+        start, grown = grown, grown | back(grown, blank)
+    sets, index, right = [start], {start: 0}, []
+    for now in sets:
+        row = []
+        for a in range(k):
+            nxt = back(now, a)
+            if nxt not in index:
+                index[nxt] = len(sets)
+                sets.append(nxt)
+            row.append(index[nxt])
+        right.append(tuple(row))
+    accepted = tuple((*divmod(x, n), s, r) for x in range(entries)
+                     for s in range(k) for r, now in enumerate(sets)
+                     if succ[x * k + s] & now)
+    return tuple(right), accepted
 
 
-def decide_regular_closure(m: MachineTable, max_dfa_states: int = 5,
-                           pair_budget: int = 3_000_000, *, probe=None):
-    """Search for a RegularClosureCertificate over canonical DFA pairs
-    with up to `max_dfa_states` states per side, or None when no tried
-    pair closes without reaching a halting cell.
+def decide_regular_closure(m: MachineTable, *, probe=None):
+    """Search for a RegularClosureCertificate, or None.
 
-    Size classes are visited cheapest first (ordered by how many pairs
-    they contain), sides may be asymmetric, and at most `pair_budget`
-    pairs are tried in total, so the per-machine cost is bounded no
-    matter the alphabet.  Size classes past _DFA_LIMIT automata are
-    never materialized at all.
+    Left DFAs come from _canonical_dfas, fewest states first, and for each
+    one _derive_right solves for the right side, on the machine and then
+    on its mirror image (moves swapped, so the enumerated DFA reads the
+    tape from the right and the sides are swapped back).  The search
+    gives up after _DFA_LIMIT left DFAs.
 
     Before the search, a concrete run from the blank tape must last
     _PROBE_STEPS steps without halting.  `probe` is a tm.FlatRun of m
@@ -485,36 +497,23 @@ def decide_regular_closure(m: MachineTable, max_dfa_states: int = 5,
     if probe is None:
         probe = FlatRun(m)
     # a machine observed to halt has no closure certificate; a short
-    # concrete run is far cheaper than discovering that pair by pair
+    # concrete run is far cheaper than failing on every left DFA
     probe.advance(_PROBE_STEPS)
     if probe.halted:
         return None
     table = compile_cells(m)
-    k = m.n_symbols
-    top = 1
-    while (top < max_dfa_states
-           and _dfa_count(top + 1, k) <= _DFA_LIMIT):
-        top += 1
-    by_size: dict = {n: [] for n in range(1, top + 1)}
-    for entry in _dfas(top, k, m.blank):
-        by_size[entry[1]].append(entry)
-    layers = sorted(
-        ((len(by_size[a]) * len(by_size[b]), a + b, a, b)
-         for a in range(1, top + 1) for b in range(1, top + 1)),
-        key=lambda t: t[:3])
-    budget = pair_budget
-    for _, _, a, b in layers:
-        for left, _, left_pre in by_size[a]:
-            for right, _, right_pre in by_size[b]:
-                budget -= 1
-                if budget < 0:
-                    return None
-                accepted = _ctl_closure(table, m.init, m.blank, k,
-                                        left, left_pre, right, right_pre)
-                if accepted is not None:
-                    return RegularClosureCertificate(
-                        left_dfa=left, right_dfa=right,
-                        accepted=tuple(sorted(accepted)))
+    mirror = tuple(tuple(None if tr is None else (tr[0], -tr[1], tr[2])
+                         for tr in row) for row in table)
+    for left in itertools.islice(_canonical_dfas(m.n_symbols, m.blank),
+                                 _DFA_LIMIT):
+        found = _derive_right(table, m.init, m.blank, left)
+        if found is not None:
+            return RegularClosureCertificate(left, *found)
+        found = _derive_right(mirror, m.init, m.blank, left)
+        if found is not None:
+            right, accepted = found
+            swapped = sorted((r, q, s, l) for l, q, s, r in accepted)
+            return RegularClosureCertificate(right, left, tuple(swapped))
     return None
 
 

@@ -177,10 +177,14 @@ def test_criterion_7_enumeration(report):
     three = search.enumerate_and_classify(3, 2, 1000)
     t_three = time.perf_counter() - t0
     ok = (two.max_steps == 6 and two.confirmed and t_two < 60.0
-          and three.max_steps == 21 and three.confirmed and t_three < 60.0)
+          and three.max_steps == 21 and three.confirmed and t_three < 60.0
+          and three.total == 21_257
+          and three.counts == {"halts": 1_772, "escape": 16_014,
+                               "cycler": 515, "translated-cycler": 2_956,
+                               "undecided": 0})
     report(7, ok, f"BB(2)={two.max_steps} ({t_two:.1f}s) and "
                   f"BB(3)={three.max_steps} ({t_three:.1f}s) confirmed with "
-                  "zero undecided machines")
+                  f"zero undecided machines; (3,2) counts {three.counts}")
 
 
 def test_criterion_8_property_suites(report):

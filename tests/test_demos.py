@@ -1,5 +1,5 @@
 """The walkthroughs in demos/ run to completion and print what they
-promise.  Demo 05 (a minute-scale search) is left out."""
+promise.  Demo 05 runs without --stretch, the spaces up to (3,2)."""
 
 import os
 import subprocess
@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
      "all 9840 padded words of up to 9 digits double correctly"),
     ("03_erdos_scan.py", "digit-2-free exponents: [0, 2, 8]"),
     ("04_simulation_check.py", "time scale: f(5)=10, f(16)=35, f(333)=741"),
+    ("05_busy_beaver_search.py", "BB(3,2) candidate = 21  [confirmed]"),
 ])
 def test_demo_runs(demo, line):
     env = dict(os.environ)

@@ -1,9 +1,11 @@
 """Checkpoint schedule, non-halt deciders, certificates, enumeration."""
 
+import collections
 import hashlib
 import itertools
 import random
 import re
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -247,6 +249,46 @@ def test_translated_detector_reads_cells_past_a_snapshot_as_blank(d):
     assert detect(later) is None
 
 
+def _restricted_growth(cells, size: int, k: int, blank: int) -> bool:
+    """Reference for the canonical-DFA rule on a row-major table: blank
+    maps state 0 to itself, each cell names at most the one state not
+    named yet, and each state is named before its row starts."""
+    if cells[blank] != 0:
+        return False
+    used = 1
+    for i, v in enumerate(cells):
+        if i == used * k or v > used:
+            return False
+        used = max(used, v + 1)
+    return used == size
+
+
+@pytest.mark.parametrize("k, blank", [(2, 0), (2, 1), (3, 0), (3, 2)])
+def test_canonical_dfas_match_a_brute_force_filter(k, blank):
+    dfas = search._canonical_dfas(k, blank)
+    for size in (1, 2, 3):
+        expected = [tuple(tuple(cells[q * k:(q + 1) * k])
+                          for q in range(size))
+                    for cells in itertools.product(range(size),
+                                                   repeat=size * k)
+                    if _restricted_growth(cells, size, k, blank)]
+        assert list(itertools.islice(dfas, len(expected))) == expected
+
+
+@pytest.mark.parametrize("k, counts", [(2, [1, 4, 45, 816, 20225]),
+                                       (3, [1, 24, 2268])])
+def test_canonical_dfa_counts_per_size(k, counts):
+    """Fewest states first, with the per-size counts of restricted-growth
+    tables; every DFA of these sizes is within the search's limit."""
+    first = list(itertools.islice(search._canonical_dfas(k, 0),
+                                  sum(counts) + 1))
+    sizes = collections.Counter(len(dfa) for dfa in first[:-1])
+    assert [sizes[size] for size in range(1, len(counts) + 1)] == counts
+    assert [len(dfa) for dfa in first] == sorted(len(dfa) for dfa in first)
+    assert len(first[-1]) == len(counts) + 1
+    assert sum(counts) <= search._DFA_LIMIT
+
+
 def test_regular_closure_decider():
     m = machines.parse_machine(BOUNCER, name="bouncer")
     # the cheap deciders genuinely cannot handle this machine
@@ -255,6 +297,47 @@ def test_regular_closure_decider():
     cert = decide_regular_closure(m)
     assert isinstance(cert, RegularClosureCertificate)
     assert revalidate_certificate(m, cert)
+
+
+def test_translated_detector_keeps_long_runs_linear():
+    """Each record's reach comes from suffix minima and maxima of the
+    head, not from a rescan of the steps since the record.  On a 2-core
+    Xeon this run takes about 0.5 s; a rescan per record takes about 5 s."""
+    m = machines.parse_machine(BOUNCER, name="bouncer")
+    started = time.perf_counter()
+    run = search._run_deciders(m, 32_000)
+    assert run.steps == 32_000 and not run.halted
+    assert time.perf_counter() - started < 2.5
+
+
+# Eleven (2,3) bouncers that outlast budget 100 and on which none of the
+# first 3,000,000 pairs of canonical DFAs of up to 3 states per side
+# closes (smallest classes first), with their verdicts.  The last,
+# A0->1RB A1->0LB A2->halt B0->2LA B1->halt B2->0RA, stays undecided.
+BOUNCERS_2X3 = [
+    ("1RB0LB---_1LA2RA1LA", "nonhalt"),
+    ("1RB1LB0RA_1LA2RB---", "nonhalt"),
+    ("1RB2LA---_1LA1RA0LB", "nonhalt"),
+    ("1RB2LA1RB_1LA---1RA", "nonhalt"),
+    ("1RB2LA0LA_1LA---2RA", "nonhalt"),
+    ("1RB2LB1RB_1LA0RA---", "nonhalt"),
+    ("1RB2LA---_1LB1RA0LB", "nonhalt"),
+    ("1RB0LB---_2LA2LA1RA", "nonhalt"),
+    ("1RB2LB1RB_2LA---0RA", "nonhalt"),
+    ("1RB---0RB_2LB2LA0RA", "nonhalt"),
+    ("1RB0LB---_2LA---0RA", "undecided"),
+]
+
+
+@pytest.mark.parametrize("row, status", BOUNCERS_2X3)
+def test_2x3_bouncers(row, status):
+    m = machines.parse_compact(row)
+    out = classify(m, 100)
+    assert out.status == status
+    if status == "nonhalt":
+        assert out.decider == "escape"
+        assert isinstance(out.certificate, RegularClosureCertificate)
+        assert revalidate_certificate(m, out.certificate)
 
 
 # Brady's 4-state champion: halts at step 107.
@@ -393,8 +476,11 @@ def test_raw_enumeration_agrees_with_classify():
 
 def test_classify_lines_are_pinned():
     """classify's status, steps, decider and certificate over the raw (2,2)
-    space and over random tables in five more spaces, pinned by a digest
-    recorded before the deciders moved to tm.FlatRun."""
+    space and over random tables in five more spaces, pinned by two
+    digests.  The first shortens each closure certificate to its class
+    name, so it pins the verdicts whichever DFAs the closure search
+    picks; the second covers the full lines.  Every closure certificate
+    revalidates."""
     cases = [(_table(2, 2, cells), 100)
              for cells in itertools.product(_options(2, 2), repeat=4)]
     rng = random.Random(7)
@@ -408,14 +494,26 @@ def test_classify_lines_are_pinned():
                 m = search.MachineTable(m.name, m.symbols, rng.randrange(k),
                                         m.states, rng.randrange(n), m.table)
             cases.append((m, (10, 100, 300)[i % 3]))
-    lines = []
+    lines, verdicts = [], []
     for m, budget in cases:
         out = classify(m, budget)
-        lines.append(f"{out.status} {out.steps} {out.decider} "
-                     f"{out.certificate!r}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == ("f2552b5c37e885a56b4bd249bfe7a977"
-                      "e4289d473234c65d127579c779673c7f")
+        cert = out.certificate
+        verdict = f"{out.status} {out.steps} {out.decider}"
+        lines.append(f"{verdict} {cert!r}")
+        if isinstance(cert, RegularClosureCertificate):
+            assert revalidate_certificate(m, cert), \
+                machines.serialize_machine(m)
+            verdicts.append(f"{verdict} {type(cert).__name__}")
+        else:
+            verdicts.append(lines[-1])
+
+    def digest(texts):
+        return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+    assert digest(verdicts) == ("5a5f56e3e05063b45e425ccf1ba8db2a"
+                                "63cb8909d9a3c4e9265ca5ae9bc5b884")
+    assert digest(lines) == ("65d0e1e67f03c30e7af6d59b54598005"
+                             "1a13955fc13470a6a26e4342928ba09d")
 
 
 # -- enumeration --------------------------------------------------------------
@@ -436,6 +534,15 @@ def test_enumerate_2x2_reduced_and_raw_agree():
     assert reduced.confirmed and raw.confirmed
     assert raw.total == (2 * 2 * 2 + 1) ** 4
     assert sum(raw.counts.values()) == raw.total
+
+
+def test_enumerate_2x3_leaves_one_bouncer():
+    summary = enumerate_and_classify(2, 3, 100)
+    assert (summary.total, summary.max_steps) == (10_897, 38)
+    assert summary.counts == {"halts": 909, "escape": 8_049, "cycler": 216,
+                              "translated-cycler": 1_722, "undecided": 1}
+    assert [m.table for m in summary.undecided] == [
+        machines.parse_compact(BOUNCERS_2X3[-1][0]).table]
 
 
 def test_enumerate_records_champions():
