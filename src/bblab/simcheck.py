@@ -149,12 +149,16 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
-    if small.n_symbols != len(enc.words):
+    if set(small.symbols) != enc.words.keys():
         raise ValidationError("encoding must be total on small's alphabet")
     if big.n_symbols != 2:
         raise ValidationError("big machine must have 2 symbols")
-
+    if enc.block != BLOCK:
+        raise ValidationError(f"code words must have length {BLOCK}")
     big_sym = {label: i for i, label in enumerate(big.symbols)}
+    if not set("".join(enc.words.values())) <= big_sym.keys():
+        raise ValidationError("code words must use big's symbol labels")
+
     # small symbol index -> pair of big symbol indices
     enc_pairs = []
     for label in small.symbols:

@@ -6,18 +6,17 @@ TernaryNumber values are canonical (no most-significant zeros, except
 the single 0 representing zero) and immutable.  Arithmetic on them,
 doubling included, goes through Python integers and `from_int`.
 
-The scanner never builds the digits of most powers.  The low k ternary
-digits of 2^n are the digits of 2^n mod 3^k, so it keeps that residue
-(k = FILTER_DIGITS) and reads its digits a chunk at a time from a lookup
-table; nearly every exponent shows a 2 in the first chunk.  Only the rare
-exponents whose low digits hold no 2 get the exact digits of 2^n, from a
-Python integer.  Lagarias, "Ternary expansions of powers of 2" (2009),
-studies these residues.
+The scanner never builds the digits of a power.  The low k ternary
+digits of 2^n are those of 2^n mod 3^k, which has period P_k = 2 * 3^(k-1)
+in n, so the scan walks a tree of residue classes of exponents: a class
+mod P_k whose low k digits hold no 2 splits into three classes mod
+P_(k+1), and only those whose digit k is not 2 go on.  About two of the
+three do, so the tree grows as about n_max^0.63 (Lagarias, "Ternary
+expansions of powers of 2", 2009; Dimitrov & Howe, 2021).
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -141,48 +140,12 @@ def has_digit_two(x: TernaryNumber) -> bool:
     return bool((x.digits == 2).any())
 
 
-# The scan filter reads the low FILTER_DIGITS ternary digits of 2^n from
-# 2^n mod 3^FILTER_DIGITS, _CHUNK digits per table lookup.
-_CHUNK = 10
-FILTER_DIGITS = 4 * _CHUNK
-_CHUNK_BASE = 3 ** _CHUNK
-FILTER_MODULUS = 3 ** FILTER_DIGITS
-
-
-@functools.cache
-def _chunk_has_two() -> bytes:
-    """Byte v is 1 iff v, written with _CHUNK ternary digits, has a 2.
-    Built on first use, so importing the module stays cheap."""
-    v = np.arange(_CHUNK_BASE)
-    hit = np.zeros(_CHUNK_BASE, dtype=bool)
-    for _ in range(_CHUNK):
-        hit |= v % 3 == 2
-        v //= 3
-    return hit.tobytes()
-
-
-def low_digits_to_two(residue: int) -> int:
-    """How many low ternary digits of `residue` the filter reads before a
-    digit 2 shows, in whole chunks, or 0 if none of the low FILTER_DIGITS
-    digits is 2.  With residue = 2^n mod 3^FILTER_DIGITS, a nonzero result
-    proves that 2^n has a digit 2."""
-    table = _chunk_has_two()
-    read = 0
-    while read < FILTER_DIGITS:
-        residue, low = divmod(residue, _CHUNK_BASE)
-        read += _CHUNK
-        if table[low]:
-            return read
-    return 0
-
-
 @dataclass
 class ScanReport:
     """Outcome of scanning exponents 0..bound for digit-2-free powers.
 
-    `digit_ops` counts the ternary digits examined: the low digits the
-    filter reads for every exponent, plus the full digit length of 2^n
-    for each exponent it passes on to the exact check.
+    `digit_ops` counts the ternary digits examined, one per residue class
+    the scan tests.
     """
 
     bound: int
@@ -212,30 +175,42 @@ class ScanReport:
 def scan_erdos(n_max: int) -> ScanReport:
     """Record every n <= n_max whose 2**n has no ternary digit 2.
 
-    The residue r = 2^n mod 3^FILTER_DIGITS is kept by one doubling per
-    exponent.  An exponent whose residue shows a digit 2 among its low
-    digits is done; the others (n = 0, 2 and 8 below 10^4, where 2^n is
-    below 3^FILTER_DIGITS and the residue is 2^n itself) get the exact
-    digits of 2^n, which also give `digit_lengths`.
+    A depth-first walk over residue classes.  The low k ternary digits of
+    2^n depend only on n mod P_k = 2 * 3^(k-1), so a class n = r (mod P_k)
+    whose least member r has no 2 among them splits into the classes
+    r + j * P_k (mod P_(k+1)), j = 0, 1, 2, and each of those that is at
+    most n_max is kept if digit k of its least member is not 2.  The walk
+    starts from the two classes mod 2.  Once 3^k > 2^r every digit of 2^r
+    has been read: r is digit-2-free with k digits, and only the classes
+    j >= 1 go on.
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
     start = time.perf_counter()
     report = ScanReport(bound=n_max)
-    residue = 1
-    for n in range(n_max + 1):
-        read = low_digits_to_two(residue)
-        if read:
-            report.digit_ops += read
-        else:
-            exact = power_of_two_ternary(n)
-            report.digit_ops += FILTER_DIGITS + len(exact)
-            if not has_digit_two(exact):
-                report.free_exponents.append(n)
-                report.digit_lengths[n] = len(exact)
-        residue <<= 1
-        if residue >= FILTER_MODULUS:
-            residue -= FILTER_MODULUS
+    lengths = {}
+    threes = [1, 3]          # threes[k] = 3^k
+    # (k, n): test digit k of 2^n, whose k low digits hold no 2
+    stack = [(0, n) for n in (0, 1) if n <= n_max]
+    while stack:
+        k, n = stack.pop()
+        report.digit_ops += 1
+        if pow(2, n, threes[k + 1]) // threes[k] == 2:
+            continue
+        k += 1
+        if len(threes) == k + 1:
+            threes.append(3 * threes[k])
+        period = 2 * threes[k - 1]
+        first = n
+        if threes[k].bit_length() > n:
+            # 2^n has exactly k digits: 3^(k-1) <= 2^n, as n went on from
+            # level k - 1 or is at least P_(k-1)
+            lengths[n] = k
+            first += period
+        stop = min(n + 3 * period, n_max + 1)
+        stack.extend((k, m) for m in range(first, stop, period))
+    report.digit_lengths = dict(sorted(lengths.items()))
+    report.free_exponents = list(report.digit_lengths)
     report.elapsed_seconds = time.perf_counter() - start
     return report
 

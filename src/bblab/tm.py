@@ -226,17 +226,11 @@ class Configuration:
 
 @dataclass
 class RunOutcome:
-    """Result of a bounded run: halted, still running, or proven non-halting.
+    """Result of a bounded run: halted or still running."""
 
-    The non-halting variant is produced only by the search deciders, never
-    by direct execution.
-    """
-
-    kind: str  # "halted" | "running" | "nonhalt"
+    kind: str  # "halted" | "running"
     step_count: int | None = None
     config: Configuration | None = None
-    decider: str | None = None
-    certificate: object = None
 
     @property
     def halted(self) -> bool:

@@ -95,6 +95,21 @@ def test_argument_validation(big, small):
         verify_simulation(big, big, DEFAULT_ENCODING, 10)  # encoding not total
 
 
+def test_encoding_block_other_than_two_is_rejected(big, small):
+    enc = Encoding({"#": "bbb", "0": "bab", "1": "abb", "2": "aab"}, block=3)
+    with pytest.raises(ValidationError):
+        verify_simulation(big, small, enc, 1000)
+
+
+@pytest.mark.parametrize("words", [
+    {"#": "bb", "0": "bx", "1": "ab", "2": "aa"},   # a label big lacks
+    {"#": "bb", "0": "ba", "1": "ab", "3": "aa"},   # a label small lacks
+])
+def test_encoding_label_a_machine_lacks_is_rejected(big, small, words):
+    with pytest.raises(ValidationError):
+        verify_simulation(big, small, Encoding(words), 10)
+
+
 def test_corrupted_big_cell_is_detected(big, small):
     """Misdirecting an exercised transition derails the coupling quickly."""
     q = big.state_index("rewind_sim")

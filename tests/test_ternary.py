@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from bblab import fst, ternary
 from bblab.errors import MalformedTape
-from bblab.ternary import (FILTER_DIGITS, FILTER_MODULUS, ScanReport,
-                           TernaryNumber, decode_tape_number, has_digit_two,
-                           low_digits_to_two, power_of_two_ternary,
-                           powers_of_two, scan_erdos)
+from bblab.ternary import (ScanReport, TernaryNumber, decode_tape_number,
+                           has_digit_two, power_of_two_ternary, powers_of_two,
+                           scan_erdos)
 
 
 def test_canonical_form_strips_leading_zeros():
@@ -133,69 +132,58 @@ def test_property_doubling(v):
     assert int(TernaryNumber.from_int(v).doubled()) == 2 * v
 
 
-def _filter_agrees(n):
-    """The scan filter on 2^n mod 3^FILTER_DIGITS against the exact digits
-    of 2^n: a 2 among the low digits proves a 2 in 2^n, and below
-    3^FILTER_DIGITS (n < 64) the residue is 2^n, so the two agree."""
-    digits = power_of_two_ternary(n).digits
-    exact = has_digit_two(TernaryNumber(digits))
-    read = low_digits_to_two(pow(2, n, FILTER_MODULUS))
-    if read:
-        assert exact, n
-        low = digits[:FILTER_DIGITS]
-        assert 2 in low[:read] and 2 not in low[:read - 10], n
-    if 2 ** n < FILTER_MODULUS:
-        assert bool(read) == exact, n
+def _plain_free(n):
+    """Digit length of 2**n from plain integer division, or None at the
+    first digit 2."""
+    value, length = 2 ** n, 0
+    while value:
+        value, digit = divmod(value, 3)
+        length += 1
+        if digit == 2:
+            return None
+    return length
 
 
-def test_filter_reads_whole_chunks_of_the_low_digits():
-    # one digit 2 at position i is found in chunk i // 10 of four
-    for i in range(FILTER_DIGITS):
-        assert low_digits_to_two(2 * 3 ** i) == (i // 10 + 1) * 10
-    assert low_digits_to_two(2 * 3 ** FILTER_DIGITS) == 0
-    assert low_digits_to_two(FILTER_MODULUS - 1) == 10   # all digits 2
-    assert low_digits_to_two((FILTER_MODULUS - 1) // 2) == 0   # all 1
-
-
-def test_scan_filter_agrees_with_exact_digits_to_2000():
-    assert 2 ** 63 < FILTER_MODULUS < 2 ** 64
-    for n in range(2001):
-        _filter_agrees(n)
-
-
-@given(st.integers(min_value=0, max_value=10 ** 5))
-@settings(max_examples=100, deadline=None)
-def test_property_scan_filter_agrees_with_exact_digits(n):
-    _filter_agrees(n)
+def _plain_scan(n_max):
+    lengths = {n: _plain_free(n) for n in range(n_max + 1)}
+    return {n: length for n, length in lengths.items() if length is not None}
 
 
 def test_scan_matches_plain_integer_reference():
     """Free exponents and their digit lengths from plain Python integers."""
-    free, lengths = [], {}
-    for n in range(3001):
-        value, length = 2 ** n, 0
-        while value:
-            value, digit = divmod(value, 3)
-            length += 1
-            if digit == 2:
-                break
-        else:
-            free.append(n)
-            lengths[n] = length
+    lengths = _plain_scan(3000)
     report = scan_erdos(3000)
-    assert report.free_exponents == free == [0, 2, 8]
+    assert report.free_exponents == list(lengths) == [0, 2, 8]
     assert report.digit_lengths == lengths == {0: 1, 2: 2, 8: 6}
 
 
+def test_scan_matches_plain_reference_at_every_bound_to_300():
+    # the walk prunes classes on n_max, so every bound is an edge case
+    for n_max in range(301):
+        lengths = _plain_scan(n_max)
+        report = scan_erdos(n_max)
+        assert report.free_exponents == list(lengths), n_max
+        assert report.digit_lengths == lengths, n_max
+
+
+@given(st.integers(min_value=0, max_value=10 ** 5))
+@settings(max_examples=100, deadline=None)
+def test_property_scan_decides_the_bound_itself(n):
+    assert (n in scan_erdos(n).free_exponents) == (_plain_free(n) is not None)
+
+
+def test_scan_to_a_million():
+    report = scan_erdos(10 ** 6)
+    assert report.free_exponents == [0, 2, 8]
+    assert report.digit_lengths == {0: 1, 2: 2, 8: 6}
+
+
 def test_scan_digit_ops_counts_digits_examined():
-    # 2^0 = 1 passes the filter (all FILTER_DIGITS low digits read) and
-    # the exact check (one digit); 2^1 = 2 shows a 2 in the first chunk
-    assert scan_erdos(0).digit_ops == FILTER_DIGITS + 1
-    assert scan_erdos(1).digit_ops == FILTER_DIGITS + 1 + 10
-    # every exponent's count from its residue taken by pow(), so the
-    # scan's incremental residue is right at each n
-    expected = 0
-    for n in range(3001):
-        read = low_digits_to_two(pow(2, n, FILTER_MODULUS))
-        expected += read or FILTER_DIGITS + len(power_of_two_ternary(n))
-    assert scan_erdos(3000).digit_ops == expected
+    # n_max = 0: digit 0 of 2^0 = 1; 2^0 is done and 0 + P_1 = 2 > 0
+    assert scan_erdos(0).digit_ops == 1
+    # n_max = 1: also digit 0 of 2^1 = 2, a 2, so the odd class ends
+    assert scan_erdos(1).digit_ops == 2
+    # n_max = 8 (base 3, most significant first): digit 0 of 2^0 and 2^1;
+    # digit 1 of 2^2 = 11, free with 2 digits, and of 2^4 = 121; from
+    # 2^2's class, 2 + P_2 = 8 and digits 2..5 of 2^8 = 100111, free
+    assert scan_erdos(8).digit_ops == 2 + 2 + 4
