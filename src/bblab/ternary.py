@@ -181,8 +181,10 @@ def scan_erdos(n_max: int) -> ScanReport:
     r + j * P_k (mod P_(k+1)), j = 0, 1, 2, and each of those that is at
     most n_max is kept if digit k of its least member is not 2.  The walk
     starts from the two classes mod 2.  Once 3^k > 2^r every digit of 2^r
-    has been read: r is digit-2-free with k digits, and only the classes
-    j >= 1 go on.
+    has been read: r is digit-2-free with k digits.  Its digits from k up
+    are 0, so its own class splits without a test at every later level,
+    and the walk goes on from the classes r + P_i and r + 2 * P_i,
+    i >= k, that are at most n_max.
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
@@ -200,15 +202,23 @@ def scan_erdos(n_max: int) -> ScanReport:
         k += 1
         if len(threes) == k + 1:
             threes.append(3 * threes[k])
+        if threes[k].bit_length() <= n:
+            period = 2 * threes[k - 1]
+            stop = min(n + 3 * period, n_max + 1)
+            stack.extend((k, m) for m in range(n, stop, period))
+            continue
+        # 2^n has exactly k digits, as 3^(k-1) <= 2^n.  Its digits k and up
+        # are 0, so the class of n survives at every level; only the
+        # classes n + P_i and n + 2 * P_i (mod P_(i+1)), i >= k, need tests.
+        lengths[n] = k
         period = 2 * threes[k - 1]
-        first = n
-        if threes[k].bit_length() > n:
-            # 2^n has exactly k digits: 3^(k-1) <= 2^n, as n went on from
-            # level k - 1 or is at least P_(k-1)
-            lengths[n] = k
-            first += period
-        stop = min(n + 3 * period, n_max + 1)
-        stack.extend((k, m) for m in range(first, stop, period))
+        while n + period <= n_max:
+            stack.extend((k, m) for m in (n + period, n + 2 * period)
+                         if m <= n_max)
+            k += 1
+            if len(threes) == k + 1:
+                threes.append(3 * threes[k])
+            period *= 3
     report.digit_lengths = dict(sorted(lengths.items()))
     report.free_exponents = list(report.digit_lengths)
     report.elapsed_seconds = time.perf_counter() - start

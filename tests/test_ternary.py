@@ -1,5 +1,7 @@
 """Digit-vector arithmetic and the digit-2-free scanner."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +186,29 @@ def test_scan_digit_ops_counts_digits_examined():
     # n_max = 1: also digit 0 of 2^1 = 2, a 2, so the odd class ends
     assert scan_erdos(1).digit_ops == 2
     # n_max = 8 (base 3, most significant first): digit 0 of 2^0 and 2^1;
-    # digit 1 of 2^2 = 11, free with 2 digits, and of 2^4 = 121; from
-    # 2^2's class, 2 + P_2 = 8 and digits 2..5 of 2^8 = 100111, free
-    assert scan_erdos(8).digit_ops == 2 + 2 + 4
+    # from 2^0's class, 0 + P_1 = 2, 0 + 2 P_1 = 4 and 0 + P_2 = 6; digit 1
+    # of 2^2 = 11, free with 2 digits, and of 2^4 = 121; digits 2 and 3 of
+    # 2^6 = 2101; from 2^2's class, 2 + P_2 = 8 and digits 2..5 of
+    # 2^8 = 100111, free
+    assert scan_erdos(8).digit_ops == 2 + 2 + 2 + 4
+
+
+def _low_digits_free(m, k):
+    value = 2 ** m % 3 ** k
+    while value:
+        value, digit = divmod(value, 3)
+        if digit == 2:
+            return False
+    return True
+
+
+def test_scan_digit_ops_counts_every_class_to_test_at_every_bound_to_300():
+    # digit k of 2^m is read once for each m <= n_max that is the least
+    # member of its class mod P_(k+1) = 2 * 3^k and whose k low digits hold
+    # no 2, unless 2^m < 3^k, whose digits were all read at a lower level.
+    # A walk that skips a class reads fewer, whatever the classes hold.
+    tested = sorted(m for k in range(300) for m in range(min(301, 2 * 3 ** k))
+                    if 3 ** k <= 2 ** m and _low_digits_free(m, k))
+    for n_max in range(301):
+        assert scan_erdos(n_max).digit_ops == bisect.bisect_right(
+            tested, n_max), n_max
