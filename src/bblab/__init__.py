@@ -1,7 +1,7 @@
 """Busy-beaver laboratory.
 
 Exact Turing machine execution (tm), built-in machines and a text format
-(machines), the base-3 doubling transducer (fst), base-3 digit vectors
+(machines), the base-3 doubling transducer (fst), base-3 digit strings
 and the powers-of-two scanner (ternary), the lockstep simulation verifier
 (simcheck), and small-space enumeration with non-halt deciders (search).
 """

@@ -73,9 +73,8 @@ def cmd_run(args) -> int:
     lines = []
     payload = {"command": "run", "machine": m.name, "budget": args.budget}
     if args.checkpoints:
-        snaps = tm.run_trace(m, args.checkpoints)
         payload["checkpoints"] = []
-        for snap in snaps:
+        for snap in tm.run_trace(m, args.checkpoints):
             window = tm.window_str(m, snap, snap.tape.lo, snap.tape.hi)
             payload["checkpoints"].append({
                 "step": snap.step_count, "state": m.states[snap.state],
@@ -83,11 +82,7 @@ def cmd_run(args) -> int:
             lines.append(f"step {snap.step_count}: "
                          f"state {m.states[snap.state]}, head {snap.head}, "
                          f"tape [{snap.tape.lo}..{snap.tape.hi}] = {window}")
-        final = snaps[-1]
-        outcome = tm.RunOutcome("halted" if final.halted else "running",
-                                final.step_count, final)
-    else:
-        outcome = tm.run(m, args.budget)
+    outcome = tm.run(m, args.budget)
     payload["outcome"] = outcome.kind
     payload["steps"] = outcome.step_count
     if outcome.halted:

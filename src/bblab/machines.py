@@ -33,7 +33,6 @@ def parse_machine(src: str, name: str = "machine") -> MachineTable:
     states = None
     init_label = None
     cells: dict[tuple[str, str], object] = {}
-    cell_lines: dict[tuple[str, str], int] = {}
 
     for line_no, raw in enumerate(src.splitlines(), start=1):
         line = raw.split(";", 1)[0].strip()
@@ -77,7 +76,6 @@ def parse_machine(src: str, name: str = "machine") -> MachineTable:
         if (state_l, sym_l) in cells:
             raise ValidationError(f"duplicate cell ({state_l}, {sym_l})")
         cells[(state_l, sym_l)] = tr
-        cell_lines[(state_l, sym_l)] = line_no
 
     if symbols is None:
         raise ValidationError("missing symbols: declaration")

@@ -106,9 +106,9 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     -2, digits from 0).  Raises CheckpointMismatch otherwise.
 
     The checks read the live tape of one tm.FlatRun at each s_n.  The
-    len(2^n) cells right of the separator, read as a base-3 numeral with
-    the least-significant digit first, must equal 2^n, which Python
-    integers give exactly.
+    len(2^n) cells right of the separator, read by `ternary.lsf_to_int`
+    as a least-significant-first digit string, must equal 2^n, which
+    Python integers give exactly.
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
@@ -139,8 +139,8 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
         if tape[p] not in (blank, unvisited):
             raise CheckpointMismatch(n, "separator cell is not blank")
         start, end = p + 1, p + 1 + length
-        text = bytes(tape[start:end]).translate(numeral)[::-1]
-        if b"x" in text or int(text, 3) != power:
+        text = bytes(tape[start:end]).translate(numeral).decode()
+        if "x" in text or ternary.lsf_to_int(text) != power:
             expected = ternary.TernaryNumber.from_int(power).digits
             for i, d in enumerate(expected, start=rest + 1):
                 sym = tape[i + run.origin]

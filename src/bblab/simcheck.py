@@ -35,14 +35,13 @@ class Encoding:
     """Injective block encoding from 4-symbol labels to 2-symbol words."""
 
     words: dict  # symbol label -> word over big's symbol labels
-    block: int = BLOCK
 
     def __post_init__(self):
         if len(set(self.words.values())) != len(self.words):
             raise ValidationError("encoding must be injective")
         for word in self.words.values():
-            if len(word) != self.block:
-                raise ValidationError("all code words must have block length")
+            if len(word) != BLOCK:
+                raise ValidationError(f"code words must have length {BLOCK}")
 
 
 DEFAULT_ENCODING = Encoding({"#": "bb", "0": "ba", "1": "ab", "2": "aa"})
@@ -153,8 +152,11 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         raise ValidationError("encoding must be total on small's alphabet")
     if big.n_symbols != 2:
         raise ValidationError("big machine must have 2 symbols")
-    if enc.block != BLOCK:
-        raise ValidationError(f"code words must have length {BLOCK}")
+    for role, machine, names in (("small", small, [q for q, _ in K]),
+                                 ("big", big, _H.values())):
+        for name in names:
+            if name not in machine.states:
+                raise ValidationError(f"{role} machine has no state {name!r}")
     big_sym = {label: i for i, label in enumerate(big.symbols)}
     if not set("".join(enc.words.values())) <= big_sym.keys():
         raise ValidationError("code words must use big's symbol labels")
@@ -286,7 +288,8 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             if big_halted_at != cost:
                 return fail(n + 1, "halting-synchrony",
                             f"big halts at micro-step {cost}",
-                            f"big halted at {big_halted_at}")
+                            "big still running" if big_halted_at is None
+                            else f"big halted at micro-step {big_halted_at}")
             return SimulationTranscript(
                 status="both-halted", n_verified=n,
                 f=_array(f_buf, n + 1), keys=_array(keys_buf, n + 1),

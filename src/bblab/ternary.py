@@ -1,10 +1,11 @@
-"""Base-3 digit vectors of natural numbers, and the scanner that looks
+"""Base-3 digit strings of natural numbers, and the scanner that looks
 for powers of two with no ternary digit 2.
 
-Digit vectors are least-significant first ("reverse-ternary").
+Digit strings of '0'/'1'/'2' are least-significant first
+("reverse-ternary"), as on the power-of-two machine's tape and in `fst`.
 TernaryNumber values are canonical (no most-significant zeros, except
 the single 0 representing zero) and immutable.  Arithmetic on them,
-doubling included, goes through Python integers and `from_int`.
+doubling included, goes through Python integers (`from_int`, `lsf_to_int`).
 
 The scanner never builds the digits of a power.  The low k ternary
 digits of 2^n are those of 2^n mod 3^k, which has period P_k = 2 * 3^(k-1)
@@ -20,91 +21,96 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import MalformedTape
 
 
-# 3^18 < 2^30, one digit of CPython's integer representation
-_PEEL_DIGITS = 18
-_PEEL_BASE = 3 ** _PEEL_DIGITS
+# 3^18 < 2^30, one digit of CPython's integer representation; from_int
+# peels 18 digits per division and splits them into three _SIX blocks
+_PEEL_BASE = 3 ** 18
+_SIX = ["".join(str(v // 3 ** i % 3) for i in range(6)) for v in range(729)]
+# digits per int(text, 3) call: the lowest limit that
+# sys.set_int_max_str_digits accepts, so parsing works under any limit
+_PARSE_DIGITS = 640
+_PARSE_BASE = 3 ** _PARSE_DIGITS
+_DIGIT_CHARS = {0: "0", 1: "1", 2: "2"}
+_NON_DIGITS = str.maketrans("", "", "012")  # text.translate keeps the rest
+
+
+def lsf_to_int(text: str) -> int:
+    """Value of a non-empty string of the digits '0', '1' and '2',
+    least-significant first.  Raises ValueError on any other string."""
+    if not text or text.translate(_NON_DIGITS):
+        raise ValueError(f"not a base-3 digit string: {text[:20]!r}")
+    value = 0
+    for lo in reversed(range(0, len(text), _PARSE_DIGITS)):
+        value = value * _PARSE_BASE + int(text[lo:lo + _PARSE_DIGITS][::-1], 3)
+    return value
 
 
 class TernaryNumber:
-    """Immutable natural number stored as a base-3 digit vector."""
+    """Immutable natural number stored as its canonical digit string.
+
+    Built from a digit string such as an `fst` word, or from a sequence
+    of the ints 0, 1 and 2 (numpy integers included).
+    """
 
     __slots__ = ("_digits",)
 
     def __init__(self, digits):
-        arr = np.asarray(list(digits) if not isinstance(digits, np.ndarray)
-                         else digits, dtype=np.int16)
-        if arr.ndim != 1 or len(arr) == 0:
-            raise ValueError("digits must be a non-empty 1-d sequence")
-        if ((arr < 0) | (arr > 2)).any():
-            raise ValueError("digits must lie in {0, 1, 2}")
+        if not isinstance(digits, str):
+            try:
+                digits = "".join([_DIGIT_CHARS[d] for d in digits])
+            except (KeyError, TypeError):
+                raise ValueError("digits must lie in {0, 1, 2}") from None
+        if not digits or digits.translate(_NON_DIGITS):
+            raise ValueError("digits must be a non-empty run of 0, 1, 2")
         # canonical form: strip most-significant zeros
-        n = len(arr)
-        while n > 1 and arr[n - 1] == 0:
-            n -= 1
-        arr = arr[:n].copy()
-        arr.setflags(write=False)
-        self._digits = arr
+        self._digits = digits.rstrip("0") or "0"
 
     @classmethod
     def from_int(cls, value: int) -> "TernaryNumber":
         if value < 0:
             raise ValueError("only naturals are representable")
-        # peel _PEEL_DIGITS digits per division by a one-limb divisor,
-        # then split every peeled chunk into digits at once
-        chunks = []
+        out = []
         while True:
             value, low = divmod(value, _PEEL_BASE)
-            chunks.append(low)
+            out += _SIX[low % 729], _SIX[low // 729 % 729], _SIX[low // 531441]
             if value == 0:
                 break
-        rest = np.array(chunks, dtype=np.int64)
-        digits = np.empty((len(chunks), _PEEL_DIGITS), dtype=np.int16)
-        for i in range(_PEEL_DIGITS):
-            digits[:, i] = rest % 3
-            rest //= 3
-        return cls(digits.ravel())
+        return cls("".join(out))
 
     @property
-    def digits(self) -> np.ndarray:
-        """Read-only digit vector, least-significant first."""
-        return self._digits
+    def digits(self) -> tuple[int, ...]:
+        """Digits as ints, least-significant first."""
+        return tuple(map(int, self._digits))
 
     def __len__(self):
         return len(self._digits)
 
     def __iter__(self):
-        return iter(int(d) for d in self._digits)
+        return map(int, self._digits)
 
     def __int__(self):
-        value = 0
-        for d in self._digits[::-1]:
-            value = value * 3 + int(d)
-        return value
+        return lsf_to_int(self._digits)
 
     def __eq__(self, other):
         if not isinstance(other, TernaryNumber):
             return NotImplemented
-        return (len(self._digits) == len(other._digits)
-                and bool((self._digits == other._digits).all()))
+        return self._digits == other._digits
 
     def __hash__(self):
-        return hash(self._digits.tobytes())
+        return hash(self._digits)
 
     def __repr__(self):
         return f"TernaryNumber({self.msf_str()!r} base 3)"
 
     def lsf_str(self) -> str:
         """Digits as a string, least-significant first (tape order)."""
-        return "".join(str(int(d)) for d in self._digits)
+        return self._digits
 
     def msf_str(self) -> str:
         """Conventional most-significant-first rendering."""
-        return self.lsf_str()[::-1]
+        return self._digits[::-1]
 
     def doubled(self) -> "TernaryNumber":
         return TernaryNumber.from_int(2 * int(self))
@@ -137,7 +143,7 @@ def power_of_two_ternary(n: int) -> TernaryNumber:
 
 
 def has_digit_two(x: TernaryNumber) -> bool:
-    return bool((x.digits == 2).any())
+    return "2" in x.lsf_str()
 
 
 @dataclass
@@ -232,18 +238,12 @@ def decode_tape_number(labels: str, blank: str = "#") -> TernaryNumber:
     Raises MalformedTape if a non-blank symbol follows the first blank.
     An empty digit run decodes to zero.
     """
-    digits = []
-    seen_blank = False
-    for ch in labels:
-        if ch == blank:
-            seen_blank = True
-            continue
-        if seen_blank:
-            raise MalformedTape(
-                f"digit {ch!r} found after the terminating blank")
-        if ch not in "012":
-            raise MalformedTape(f"unexpected tape symbol {ch!r}")
-        digits.append(int(ch))
-    if not digits:
-        return TernaryNumber([0])
-    return TernaryNumber(digits)
+    digits, _, rest = labels.partition(blank)
+    stray = digits.translate(_NON_DIGITS)
+    if stray:
+        raise MalformedTape(f"unexpected tape symbol {stray[0]!r}")
+    stray = rest.lstrip(blank)
+    if stray:
+        raise MalformedTape(
+            f"digit {stray[0]!r} found after the terminating blank")
+    return TernaryNumber(digits or "0")

@@ -19,7 +19,7 @@ the independent reference that certificate revalidation runs on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import StepAfterHalt, ValidationError
 

@@ -35,6 +35,16 @@ def test_run_with_checkpoints(capsys):
     assert "state rewind" in out
 
 
+def test_run_with_checkpoints_runs_to_the_budget(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "run", "--builtin",
+                           "m54", "--budget", "400", "--checkpoints", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["steps"] == 400
+    assert payload["outcome"] == "running"
+    assert [c["step"] for c in payload["checkpoints"]] == [5]
+
+
 def test_run_json_is_well_formed(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "run", "--builtin",
                            "m54", "--budget", "333", "--checkpoints", "333")

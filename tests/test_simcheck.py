@@ -95,10 +95,26 @@ def test_argument_validation(big, small):
         verify_simulation(big, big, DEFAULT_ENCODING, 10)  # encoding not total
 
 
-def test_encoding_block_other_than_two_is_rejected(big, small):
-    enc = Encoding({"#": "bbb", "0": "bab", "1": "abb", "2": "aab"}, block=3)
+def test_encoding_block_other_than_two_is_rejected():
     with pytest.raises(ValidationError):
-        verify_simulation(big, small, enc, 1000)
+        Encoding({"#": "bbb", "0": "bab", "1": "abb", "2": "aab"})
+
+
+def test_small_without_a_keyed_state_is_rejected(big):
+    one_state = tm.MachineTable("one", ("#", "0", "1", "2"), 0, ("A",), 0,
+                                ((HALT,) * 4,))
+    with pytest.raises(ValidationError, match="small machine has no state "
+                                              "'mul2_F'"):
+        verify_simulation(big, one_state, DEFAULT_ENCODING, 10)
+
+
+def test_big_without_a_mapped_state_is_rejected(big, small):
+    states = tuple("renamed" if q == "rewind_b" else q for q in big.states)
+    renamed = tm.MachineTable(big.name, big.symbols, big.blank, states,
+                              big.init, big.table)
+    with pytest.raises(ValidationError, match="big machine has no state "
+                                              "'rewind_b'"):
+        verify_simulation(renamed, small, DEFAULT_ENCODING, 10)
 
 
 @pytest.mark.parametrize("words", [
@@ -158,9 +174,21 @@ def test_small_halting_without_big_is_detected(big, small):
     assert out.mismatch["kind"] == "halting-synchrony"
     assert out.mismatch == {"n": 17, "f": 38, "kind": "halting-synchrony",
                             "expected": "big halts at micro-step 3",
-                            "actual": "big halted at None"}
+                            "actual": "big still running"}
     # the arrays stop at the mismatch step, which was never recorded
     assert len(out.f) == 18 and out.f[17] == 0
+
+
+def test_halting_at_different_micro_steps_is_detected(big, small):
+    """Small halts at step 17 and big halts at the first of the three
+    micro-steps that step costs (big step 36)."""
+    q = small.state_index("check_halt")
+    bad_small = small.with_cell(q, small.symbol_index("0"), HALT)
+    bad_big = big.with_cell(big.state_index("check_halt_sim"), 0, HALT)
+    out = verify_simulation(bad_big, bad_small, DEFAULT_ENCODING, 1000)
+    assert out.mismatch == {"n": 17, "f": 36, "kind": "halting-synchrony",
+                            "expected": "big halts at micro-step 3",
+                            "actual": "big halted at micro-step 1"}
 
 
 def test_transcript_records_per_step_data(transcript):

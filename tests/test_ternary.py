@@ -1,12 +1,17 @@
-"""Digit-vector arithmetic and the digit-2-free scanner."""
+"""Digit-string arithmetic and the digit-2-free scanner."""
 
+import ast
 import bisect
+import pathlib
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bblab import fst, ternary
+import bblab
+from bblab import fst, machines, search, ternary
 from bblab.errors import MalformedTape
 from bblab.ternary import (ScanReport, TernaryNumber, decode_tape_number,
                            has_digit_two, power_of_two_ternary, powers_of_two,
@@ -92,6 +97,73 @@ def test_has_digit_two():
     assert not has_digit_two(TernaryNumber.from_int(4))      # 11
     assert has_digit_two(TernaryNumber.from_int(2))
     assert not has_digit_two(TernaryNumber.from_int(256))    # 100111
+
+
+@pytest.mark.parametrize("bad", [[10], [3], [-1], [], "", "12x"])
+def test_rejects_non_digits(bad):
+    with pytest.raises(ValueError):
+        TernaryNumber(bad)
+
+
+def test_digit_string_constructor():
+    x = TernaryNumber("201")
+    assert x == TernaryNumber.from_int(11)
+    assert TernaryNumber("2010") == x and TernaryNumber("000").lsf_str() == "0"
+    assert x.digits == (2, 0, 1) and isinstance(x.digits, tuple)
+    assert TernaryNumber(np.array([2, 0, 1], dtype=np.int16)) == x
+
+
+@pytest.mark.parametrize("bad", ["", "3", "1_2", " 12", "-1", "+1", "12x"])
+def test_lsf_to_int_rejects_what_int_would_accept_or_misread(bad):
+    with pytest.raises(ValueError):
+        ternary.lsf_to_int(bad)
+
+
+def test_lsf_to_int_across_chunk_boundaries():
+    for v in (0, 1, 3 ** 639, 3 ** 640 - 1, 3 ** 640, 3 ** 1280 + 7,
+              2 ** 5000 - 1):
+        assert ternary.lsf_to_int(TernaryNumber.from_int(v).lsf_str()) == v
+    assert ternary.lsf_to_int("1" + "0" * 700) == 1
+    assert ternary.lsf_to_int("0" * 700 + "1") == 3 ** 700
+
+
+@pytest.fixture
+def int_digit_limit_640():
+    """The lowest limit CPython lets a program set on int <-> str
+    conversion, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int <-> str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_int_of_long_numbers_under_the_lowest_digit_limit(int_digit_limit_640):
+    assert int(TernaryNumber.from_int(3 ** 5000)) == 3 ** 5000
+
+
+def test_verify_checkpoints_under_the_lowest_digit_limit(int_digit_limit_640):
+    """2^1015 is the first power with more than 640 ternary digits."""
+    report = search.verify_checkpoints(machines.builtin_m54(), 1100)
+    assert report.checked == 1101
+
+
+def test_only_simcheck_imports_numpy():
+    importers = set()
+    for path in pathlib.Path(bblab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"simcheck.py"}
 
 
 def test_scan_finds_exactly_0_2_8_up_to_1000():
