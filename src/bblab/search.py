@@ -141,10 +141,10 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
         start, end = p + 1, p + 1 + length
         text = bytes(tape[start:end]).translate(numeral).decode()
         if "x" in text or ternary.lsf_to_int(text) != power:
-            expected = ternary.TernaryNumber.from_int(power).digits
+            expected = ternary.TernaryNumber.from_int(power).lsf_str()
             for i, d in enumerate(expected, start=rest + 1):
                 sym = tape[i + run.origin]
-                if sym != m54.symbol_index(str(d)):
+                if sym != m54.symbol_index(d):
                     label = m54.symbols[blank if sym == unvisited else sym]
                     raise CheckpointMismatch(
                         n, f"cell {i} holds {label}, expected digit {d} "

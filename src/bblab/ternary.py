@@ -25,11 +25,11 @@ from .errors import MalformedTape
 
 
 # 3^18 < 2^30, one digit of CPython's integer representation; from_int
-# peels 18 digits per division and splits them into three _SIX blocks
+# peels 18 digits per division and looks them up six at a time in _SIX
 _PEEL_BASE = 3 ** 18
-_SIX = ["".join(str(v // 3 ** i % 3) for i in range(6)) for v in range(729)]
-# digits per int(text, 3) call: the lowest limit that
-# sys.set_int_max_str_digits accepts, so parsing works under any limit
+_THREE = [a + b + c for c in "012" for b in "012" for a in "012"]
+_SIX = [low + high for high in _THREE for low in _THREE]  # _SIX[v]: v's digits
+# digits per int(text, 3) call, the lowest limit set_int_max_str_digits takes
 _PARSE_DIGITS = 640
 _PARSE_BASE = 3 ** _PARSE_DIGITS
 _DIGIT_CHARS = {0: "0", 1: "1", 2: "2"}
@@ -64,8 +64,7 @@ class TernaryNumber:
                 raise ValueError("digits must lie in {0, 1, 2}") from None
         if not digits or digits.translate(_NON_DIGITS):
             raise ValueError("digits must be a non-empty run of 0, 1, 2")
-        # canonical form: strip most-significant zeros
-        self._digits = digits.rstrip("0") or "0"
+        self._digits = digits.rstrip("0") or "0"  # no most-significant zeros
 
     @classmethod
     def from_int(cls, value: int) -> "TernaryNumber":
@@ -76,8 +75,7 @@ class TernaryNumber:
             value, low = divmod(value, _PEEL_BASE)
             out += _SIX[low % 729], _SIX[low // 729 % 729], _SIX[low // 531441]
             if value == 0:
-                break
-        return cls("".join(out))
+                return cls("".join(out))
 
     @property
     def digits(self) -> tuple[int, ...]:
