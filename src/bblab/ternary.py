@@ -51,7 +51,7 @@ class TernaryNumber:
     """Immutable natural number stored as its canonical digit string.
 
     Built from a digit string such as an `fst` word, or from a sequence
-    of the ints 0, 1 and 2 (numpy integers included).
+    of the integers 0, 1 and 2, of any integer type.
     """
 
     __slots__ = ("_digits",)
