@@ -15,11 +15,11 @@ print("champion table:")
 print(machines.serialize_machine(champion))
 
 started = time.perf_counter()
-outcome = tm.run(champion, 100_000_000)
+final = tm.run(champion, 100_000_000)
 elapsed = time.perf_counter() - started
-print(f"halted: {outcome.halted} after {outcome.step_count:,} steps "
+print(f"halted: {final.halted} after {final.step_count:,} steps "
       f"({elapsed:.2f}s)")
-print(f"tape extent: cells {outcome.config.tape.lo}..{outcome.config.tape.hi}")
+print(f"tape extent: cells {final.tape.lo}..{final.tape.hi}")
 
 # -- the power-of-two machine: snapshots along the way ----------------------
 

@@ -6,9 +6,9 @@ and the powers-of-two scanner (ternary), the lockstep simulation verifier
 (simcheck), and small-space enumeration with non-halt deciders (search).
 """
 
-from .tm import (HALT, L, R, Configuration, MachineTable, RunOutcome, Tape,
-                 Transition, initial_configuration, run, run_trace, step,
-                 tape_window, window_str)
+from .tm import (HALT, L, R, Configuration, MachineTable, Tape, Transition,
+                 initial_configuration, run, run_trace, step, tape_window,
+                 window_str)
 from .machines import (builtin, builtin_bb5_champion, builtin_m152,
                        builtin_m54, parse_compact, parse_machine,
                        serialize_machine)

@@ -15,14 +15,21 @@ import sys
 import time
 
 from . import machines, search, simcheck, ternary, tm
-from .errors import BBLabError
+from .errors import BBLabError, ParseError
 
 
 def _load_machine(args) -> tm.MachineTable:
     if args.builtin:
         return machines.builtin(args.builtin)
-    with open(args.file) as fh:
-        return machines.parse_machine(fh.read(), name=args.file)
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"byte 0x{data[exc.start]:02x} is not "
+                                  "UTF-8") from None
+    return machines.parse_machine(text, name=args.file)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -82,14 +89,13 @@ def cmd_run(args) -> int:
             lines.append(f"step {snap.step_count}: "
                          f"state {m.states[snap.state]}, head {snap.head}, "
                          f"tape [{snap.tape.lo}..{snap.tape.hi}] = {window}")
-    outcome = tm.run(m, args.budget)
-    payload["outcome"] = outcome.kind
-    payload["steps"] = outcome.step_count
-    if outcome.halted:
-        lines.append(f"halted at {outcome.step_count}")
+    final = tm.run(m, args.budget)
+    payload["outcome"] = "halted" if final.halted else "running"
+    payload["steps"] = final.step_count
+    if final.halted:
+        lines.append(f"halted at {final.step_count}")
     else:
-        lines.append(f"running after {outcome.step_count} steps")
-    final = outcome.config
+        lines.append(f"running after {final.step_count} steps")
     payload["state"] = m.states[final.state]
     payload["head"] = final.head
     if args.show_window:

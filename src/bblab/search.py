@@ -35,7 +35,7 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import CheckpointMismatch, SpaceTooLarge
+from .errors import CheckpointMismatch, SpaceTooLarge, ValidationError
 from .tm import (HALT, L, R, FlatRun, MachineTable, Transition,
                  compile_cells, initial_configuration, step)
 from . import ternary
@@ -103,7 +103,9 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     with the digit-2-free counter one cell to its left, the cells to its
     right decoding to exactly 2^n, and everything beyond blank.  With the
     head starting at cell 0, the separator settles at cell -1 (counter at
-    -2, digits from 0).  Raises CheckpointMismatch otherwise.
+    -2, digits from 0).  Raises CheckpointMismatch otherwise, and
+    ValidationError before running a machine that lacks the state
+    `rewind` or one of the digit symbols 0, 1, 2.
 
     The checks read the live tape of one tm.FlatRun at each s_n.  The
     len(2^n) cells right of the separator, read by `ternary.lsf_to_int`
@@ -112,6 +114,11 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
+    if "rewind" not in m54.states:
+        raise ValidationError(f"{m54.name} has no state 'rewind'")
+    for digit in "012":
+        if digit not in m54.symbols:
+            raise ValidationError(f"{m54.name} has no symbol {digit!r}")
     rest = REST_CELL
     rewind = m54.state_index("rewind")
     blank = m54.blank

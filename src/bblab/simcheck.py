@@ -152,11 +152,14 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         raise ValidationError("encoding must be total on small's alphabet")
     if big.n_symbols != 2:
         raise ValidationError("big machine must have 2 symbols")
-    for role, machine, names in (("small", small, [q for q, _ in K]),
-                                 ("big", big, _H.values())):
+    for role, what, labels, names in (
+            ("small", "state", small.states, [q for q, _ in K]),
+            ("big", "state", big.states, _H.values()),
+            ("small", "symbol", small.symbols,
+             {sym: 0 for costs in STEP_COSTS.values() for sym in costs})):
         for name in names:
-            if name not in machine.states:
-                raise ValidationError(f"{role} machine has no state {name!r}")
+            if name not in labels:
+                raise ValidationError(f"{role} machine has no {what} {name!r}")
     big_sym = {label: i for i, label in enumerate(big.symbols)}
     if not set("".join(enc.words.values())) <= big_sym.keys():
         raise ValidationError("code words must use big's symbol labels")

@@ -4,17 +4,20 @@ Machines have a bi-infinite tape indexed by integers, a finite symbol
 alphabet with one designated blank, and per-(state, symbol) transitions
 that either halt or write a symbol, move the head one cell, and change
 state.  The step count of a halting run includes the final Halt
-instruction as one executed transition.
+instruction as one executed transition.  A table marks that instruction
+with `HALT`, which is None, as the compiled tables do.
 
-`step` executes one transition on a `Configuration`.  The loops that run
-many steps share one flat compiled table (`compile_cells`) and keep the
-tape in plain lists.  `run` uses a run-length "chain" stepper: a
-self-loop over a run of equal symbols is one macro step, so the bb5
-champion halts in a fraction of a second.  `FlatRun` steps one cell at a
-time on a single list and can stop at any step count, which `run_trace`,
-the checkpoint verifier and the `search` deciders and enumerators use.
-All of them give exactly the configurations `step` gives; `step` stays
-the independent reference that certificate revalidation runs on.
+`step` executes one transition on a `Configuration`, whose `Tape` maps
+written cells to symbols.  The loops that run many steps share one flat
+compiled table (`compile_cells`) and keep the tape in plain lists.  `run`
+is a run-length "chain" stepper: a self-loop over a run of equal symbols
+is one macro step, so the bb5 champion halts in a fraction of a second.
+It returns the final configuration, whose `halted` and `step_count` say
+how the run ended.  `FlatRun` steps one cell at a time on a single list
+and can stop at any step count, which `run_trace`, the checkpoint
+verifier and the `search` deciders and enumerators use.  All of them
+give exactly the configurations `step` gives; `step` stays the
+independent reference that certificate revalidation runs on.
 """
 
 from __future__ import annotations
@@ -29,21 +32,8 @@ R = "R"
 _MOVE_DELTA = {L: -1, R: 1}
 
 
-class _Halt:
-    """Singleton marker for the halting instruction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Halt"
-
-
-HALT = _Halt()
+# the halting instruction, in source tables and compiled ones alike
+HALT = None
 
 
 @dataclass(frozen=True)
@@ -63,7 +53,7 @@ class Transition:
 class MachineTable:
     """Immutable n-state, k-symbol transition table.
 
-    `table[state][symbol]` is either a Transition or the HALT marker.
+    `table[state][symbol]` is either a Transition or HALT (None).
     `symbols` and `states` carry display labels in declaration order;
     `blank` and `init` are indices.
     """
@@ -151,39 +141,24 @@ class MachineTable:
 class Tape:
     """Sparse bi-infinite tape over symbol indices.
 
-    Backed by two growable one-sided lists (negative and non-negative
-    cells).  Cells outside the stored arrays read as blank.  The touched
-    extent [lo, hi] covers every cell the head has visited; it never
-    shrinks.
+    One dict maps each written cell to its symbol; every other cell reads
+    as blank.  The touched extent [lo, hi] covers every cell the head has
+    visited; it never shrinks.
     """
 
-    __slots__ = ("blank", "_neg", "_pos", "lo", "hi")
+    __slots__ = ("blank", "cells", "lo", "hi")
 
     def __init__(self, blank: int):
         self.blank = blank
-        self._neg: list[int] = []
-        self._pos: list[int] = [blank]
+        self.cells: dict[int, int] = {}
         self.lo = 0
         self.hi = 0
 
     def read(self, i: int) -> int:
-        if i >= 0:
-            return self._pos[i] if i < len(self._pos) else self.blank
-        j = -i - 1
-        return self._neg[j] if j < len(self._neg) else self.blank
+        return self.cells.get(i, self.blank)
 
     def write(self, i: int, symbol: int) -> None:
-        if i >= 0:
-            pos = self._pos
-            while i >= len(pos):
-                pos.append(self.blank)
-            pos[i] = symbol
-        else:
-            j = -i - 1
-            neg = self._neg
-            while j >= len(neg):
-                neg.append(self.blank)
-            neg[j] = symbol
+        self.cells[i] = symbol
 
     def touch(self, i: int) -> None:
         if i < self.lo:
@@ -196,10 +171,7 @@ class Tape:
 
     def clone(self) -> "Tape":
         t = Tape(self.blank)
-        t._neg = self._neg.copy()
-        t._pos = self._pos.copy()
-        t.lo = self.lo
-        t.hi = self.hi
+        t.cells, t.lo, t.hi = self.cells.copy(), self.lo, self.hi
         return t
 
 
@@ -222,19 +194,6 @@ class Configuration:
     def clone(self) -> "Configuration":
         return Configuration(self.state, self.head, self.tape.clone(),
                              self.step_count, self.halted)
-
-
-@dataclass
-class RunOutcome:
-    """Result of a bounded run: halted or still running."""
-
-    kind: str  # "halted" | "running"
-    step_count: int | None = None
-    config: Configuration | None = None
-
-    @property
-    def halted(self) -> bool:
-        return self.kind == "halted"
 
 
 def initial_configuration(m: MachineTable) -> Configuration:
@@ -282,14 +241,15 @@ def _materialize(state: int, head: int, blank: int, extent: list[int],
     """Configuration whose tape holds `extent` from cell `lo` on; the
     extent covers exactly the visited cells, cell 0 among them."""
     tape = Tape(blank)
-    tape._neg = extent[-lo - 1::-1] if lo else []
-    tape._pos = extent[-lo:]
+    tape.cells = dict(enumerate(extent, lo))
     tape.lo, tape.hi = lo, lo + len(extent) - 1
     return Configuration(state, head, tape, steps, halted)
 
 
-def _run_chains(m: MachineTable, budget: int) -> Configuration:
-    """Run from the initial configuration on a run-length tape.
+def run(m: MachineTable, budget: int) -> Configuration:
+    """Run from the initial configuration for up to `budget` executed
+    transitions and return the final configuration.  Deterministic: equal
+    budgets give equal results.
 
     The cells left and right of the head are two stacks of [symbol, count]
     runs, nearest run last, with equal neighbours merged.  A self-loop
@@ -358,16 +318,6 @@ def _run_chains(m: MachineTable, budget: int) -> Configuration:
     for s, count in reversed(right):
         extent += [s] * count
     return _materialize(state, head, blank, extent, lo, done, halted)
-
-
-def run(m: MachineTable, budget: int) -> RunOutcome:
-    """Run from the initial configuration for up to `budget` executed
-    transitions on the chain stepper (`_run_chains`).  Deterministic:
-    equal budgets give equal results."""
-    c = _run_chains(m, budget)
-    if c.halted:
-        return RunOutcome("halted", c.step_count, c)
-    return RunOutcome("running", c.step_count, c)
 
 
 class FlatRun:

@@ -20,6 +20,17 @@ def test_run_builtin_reports_running(capsys):
     assert "running after 100 steps" in out
 
 
+def test_run_builtin_to_its_halt(capsys):
+    argv = ("run", "--builtin", "bb5-champion", "--budget", "100000000")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "halted at 47176870\n"
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["outcome"], payload["steps"]) == ("halted", 47176870)
+
+
 def test_run_with_window(capsys):
     code, out, _ = run_cli(capsys, "run", "--builtin", "m54",
                            "--budget", "9", "--show-window=-2:2")
@@ -79,6 +90,16 @@ def test_malformed_file_is_an_input_error(capsys, tmp_path):
                            "--budget", "5")
     assert code == 2
     assert "error:" in err
+
+
+def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "binary.tm"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run_cli(capsys, "run", "--file", str(path),
+                             "--budget", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1:")
 
 
 def test_scan_clean_exit(capsys):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from bblab import machines, search, simcheck, ternary, tm
-from bblab.errors import CheckpointMismatch, SpaceTooLarge
+from bblab.errors import CheckpointMismatch, SpaceTooLarge, ValidationError
 from bblab.search import (CyclerCertificate, EscapeCertificate,
                           RegularClosureCertificate,
                           TranslatedCyclerCertificate, checkpoint_steps,
@@ -161,6 +161,20 @@ def test_verify_checkpoints_reports_the_failed_check(m54, state, symbol,
                         cell)
     with pytest.raises(CheckpointMismatch, match=re.escape(message)):
         verify_checkpoints(bad, 25)
+
+
+def test_verify_checkpoints_rejects_a_machine_without_rewind():
+    with pytest.raises(ValidationError, match="has no state 'rewind'"):
+        verify_checkpoints(machines.builtin_bb5_champion(), 1)
+
+
+@pytest.mark.parametrize("digit", ["0", "1", "2"])
+def test_verify_checkpoints_rejects_a_machine_without_a_digit(m54, digit):
+    symbols = tuple("3" if s == digit else s for s in m54.symbols)
+    relabelled = tm.MachineTable(m54.name, symbols, m54.blank, m54.states,
+                                 m54.init, m54.table)
+    with pytest.raises(ValidationError, match=f"has no symbol '{digit}'"):
+        verify_checkpoints(relabelled, 1)
 
 
 # -- deciders and certificates ----------------------------------------------

@@ -117,6 +117,16 @@ def test_big_without_a_mapped_state_is_rejected(big, small):
         verify_simulation(renamed, small, DEFAULT_ENCODING, 10)
 
 
+def test_small_without_a_costed_symbol_is_rejected(big, small):
+    symbols = tuple("3" if s == "2" else s for s in small.symbols)
+    relabelled = tm.MachineTable(small.name, symbols, small.blank,
+                                 small.states, small.init, small.table)
+    enc = Encoding({"#": "bb", "0": "ba", "1": "ab", "3": "aa"})
+    with pytest.raises(ValidationError, match="small machine has no symbol "
+                                              "'2'"):
+        verify_simulation(big, relabelled, enc, 10)
+
+
 @pytest.mark.parametrize("words", [
     {"#": "bb", "0": "bx", "1": "ab", "2": "aa"},   # a label big lacks
     {"#": "bb", "0": "ba", "1": "ab", "3": "aa"},   # a label small lacks
@@ -231,8 +241,8 @@ def test_transcript_agrees_with_independent_runs(big, small,
     samples = [0, 1, 5, 16, 333] + rng.sample(range(20_000), 45)
     for n in samples:
         key = K[t.keys[n]]
-        b = tm.run(big, int(t.f[n])).config
-        s = tm.run(small, n).config
+        b = tm.run(big, int(t.f[n]))
+        s = tm.run(small, n)
         assert s.head == t.heads[n]
         assert s.tape.read(s.head) == t.sigmas[n]
         assert big.states[b.state] == state_map_h(key)

@@ -1,5 +1,8 @@
 """Execution semantics: stepping, halting, tapes, bounded runs."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -59,15 +62,15 @@ def test_halt_counts_as_a_step_and_freezes(two_stepper):
 
 def test_run_halts_with_exact_step_count(two_stepper):
     outcome = tm.run(two_stepper, 100)
-    assert outcome.kind == "halted"
+    assert outcome.halted is True
     assert outcome.halted
     assert outcome.step_count == 3
-    assert outcome.config.halted
+    assert isinstance(outcome, tm.Configuration)
 
 
 def test_run_budget_exhausted_reports_running(two_stepper):
     outcome = tm.run(two_stepper, 2)
-    assert outcome.kind == "running"
+    assert outcome.halted is False
     assert not outcome.halted
     assert outcome.step_count == 2
 
@@ -76,8 +79,8 @@ def test_run_is_deterministic(two_stepper):
     a = tm.run(two_stepper, 2)
     b = tm.run(two_stepper, 2)
     assert a.step_count == b.step_count
-    assert a.config.head == b.config.head
-    assert a.config.tape.window(-2, 2) == b.config.tape.window(-2, 2)
+    assert a.head == b.head
+    assert a.tape.window(-2, 2) == b.tape.window(-2, 2)
 
 
 def test_tape_extent_and_blank_reads():
@@ -119,9 +122,9 @@ def _step_to(m, c, budget):
 
 
 def _assert_same_run(outcome, c):
-    assert outcome.kind == ("halted" if c.halted else "running")
+    assert isinstance(outcome, tm.Configuration)
     assert outcome.step_count == c.step_count
-    _assert_same_config(outcome.config, c)
+    _assert_same_config(outcome, c)
 
 
 def _assert_same_config(got, c):
@@ -233,3 +236,24 @@ def test_moves_are_left_and_right_only():
         MachineTable(name="bad", symbols=("0", "1"), blank=0,
                      states=("A",), init=0,
                      table=((Transition(0, "U", 0), HALT),))
+
+
+def test_halt_cells_survive_copying(two_stepper):
+    """HALT is None, so a Halt cell stays `is HALT` through pickle and
+    deepcopy, and the copies run as the original does."""
+    assert HALT is None
+    for copied in (pickle.loads(pickle.dumps(two_stepper)),
+                   copy.deepcopy(two_stepper)):
+        assert copied == two_stepper
+        assert copied.transition(0, 1) is HALT
+        assert tm.run(copied, 100).step_count == 3
+
+
+def test_tape_keeps_written_cells_in_one_dict():
+    t = Tape(blank=0)
+    t.write(-3, 1)
+    t.write(2, 1)
+    assert t.cells == {-3: 1, 2: 1}
+    u = t.clone()
+    u.write(-3, 0)
+    assert (t.read(-3), u.read(-3), u.read(2)) == (1, 0, 1)
