@@ -153,7 +153,8 @@ def test_verify_checkpoints_catches_corruption(m54):
     ("rewind", "#", Transition(2, R, 0), "n=1: separator cell is not blank"),
     ("mul2_F", "0", Transition(0, L, 0), "n=7: head at 1, expected -1"),
     ("mul2_F", "0", Transition(0, R, 2), "n=7: state mul2_F, expected rewind"),
-    ("mul2_F", "0", HALT, "n=7: machine halted before s_n"),
+    pytest.param("mul2_F", "0", HALT, "n=7: machine halted before s_n",
+                 id="mul2_F-0-cell6-n=7: machine halted before s_n"),
 ])
 def test_verify_checkpoints_reports_the_failed_check(m54, state, symbol,
                                                      cell, message):
