@@ -141,6 +141,9 @@ def cmd_check_sim(args) -> int:
         payload["mismatch"] = {k: str(v) for k, v in
                                transcript.mismatch.items()}
         lines = [transcript.summary()]
+    payload["stats"] = {"window_runs": transcript.window_runs,
+                        "replays": transcript.replays,
+                        "small_steps_per_s": transcript.small_steps_per_s}
     _emit(args, payload, lines)
     return 0 if transcript.ok else 1
 

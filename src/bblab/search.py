@@ -650,6 +650,8 @@ def classify(m: MachineTable, budget: int) -> Classification:
     checking the cycler and the translated cycler after every step, then
     the regular-closure search on survivors; anything left is Undecided
     at this budget."""
+    if budget < 0:
+        raise ValueError("budget must be a natural number")
     return _decide(m, budget)[0]
 
 
@@ -767,6 +769,8 @@ def enumerate_and_classify(n: int, k: int, budget: int,
     when `reduced`, the full raw space otherwise)."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 states and k >= 2 symbols")
+    if budget < 0:
+        raise ValueError("budget must be a natural number")
     raw_count = (2 * n * k + 1) ** (n * k)
     if not reduced and raw_count > _CANDIDATE_GUARD:
         raise SpaceTooLarge(

@@ -261,6 +261,8 @@ def run(m: MachineTable, budget: int) -> Configuration:
     exactly the visited cells other than the head's, so they fix the
     touched extent.
     """
+    if budget < 0:
+        raise ValueError("budget must be a natural number")
     blank = m.blank
     left: list[list[int]] = []
     right: list[list[int]] = []
@@ -402,6 +404,8 @@ def run_trace(m: MachineTable, checkpoints: list[int]) -> list[Configuration]:
     """
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be sorted ascending")
+    if min(checkpoints, default=0) < 0:
+        raise ValueError("each checkpoint must be a natural number")
     r = FlatRun(m)
     out = []
     for target in checkpoints:

@@ -130,6 +130,10 @@ def test_check_sim_json(capsys):
     payload = json.loads(out)
     assert payload["status"] == "verified"
     assert payload["verified_to"] == 100
+    stats = payload["stats"]
+    assert stats["window_runs"] > 0
+    assert stats["replays"] > 0
+    assert stats["small_steps_per_s"] > 0
 
 
 def test_enumerate_confirmed(capsys):

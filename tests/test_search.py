@@ -114,8 +114,13 @@ def test_checkpoint_steps_rejects_negative():
     lambda: simcheck.verify_simulation(machines.builtin_m152(),
                                        machines.builtin_m54(),
                                        simcheck.DEFAULT_ENCODING, -2),
+    lambda: tm.run(machines.builtin_m54(), -5),
+    lambda: tm.run_trace(machines.builtin_m54(), [-3, 2]),
+    lambda: search.classify(machines.builtin_m54(), -1),
+    lambda: search.enumerate_and_classify(2, 2, -1),
 ], ids=["checkpoint_steps", "verify_checkpoints", "scan_erdos",
-        "power_of_two_ternary", "verify_simulation"])
+        "power_of_two_ternary", "verify_simulation", "run", "run_trace",
+        "classify", "enumerate_and_classify"])
 def test_negative_bounds_are_rejected(call):
     with pytest.raises(ValueError, match="natural number"):
         call()

@@ -201,6 +201,16 @@ def test_halting_at_different_micro_steps_is_detected(big, small):
                             "actual": "big halted at micro-step 1"}
 
 
+def test_small_leaving_the_key_set_raises(big, small):
+    """A small machine that enters mul2_F leftward has no big state to
+    map to."""
+    bad_small = small.with_cell(
+        small.state_index("mul2_G"), small.symbol_index("#"),
+        Transition(small.symbol_index("1"), L, small.state_index("mul2_F")))
+    with pytest.raises(UnknownKey, match=r"^\(mul2_F, L\) at step 1$"):
+        verify_simulation(big, bad_small, DEFAULT_ENCODING, 100)
+
+
 def test_transcript_records_per_step_data(transcript):
     assert len(transcript.f) == 1001
     assert len(transcript.keys) == len(transcript.sigmas) == 1001
@@ -274,3 +284,147 @@ def test_every_big_corruption_gives_the_pinned_verdict(big, small):
     digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
     assert digest == ("b7e09105fb095a5500a151740624479d"
                       "529ca25ba2e20fac7e7189dc99295a1a")
+
+
+def _reference_lockstep(big, small, n_max):
+    """The lockstep check spelled out on `tm.step` and dict tapes, one
+    micro-step at a time: (status, n_verified, mismatch, f, keys, sigmas,
+    heads), with a mismatch step that was never recorded left at 0."""
+    words = DEFAULT_ENCODING.words
+    b, s = tm.initial_configuration(big), tm.initial_configuration(small)
+    f, keys, sigmas, heads = [], [], [], []
+    entered = R
+
+    def word(i):
+        return big.symbols[b.tape.read(2 * i)] + big.symbols[
+            b.tape.read(2 * i + 1)]
+
+    def mismatch(n, kind, expected, actual):
+        for a in (f, keys, sigmas, heads):
+            a.extend([0] * (n + 1 - len(a)))
+        return ("mismatch", max(n - 1, 0),
+                {"n": n, "f": b.step_count, "kind": kind,
+                 "expected": expected, "actual": actual},
+                f, keys, sigmas, heads)
+
+    for n in range(n_max + 1):
+        key = (small.states[s.state], entered)
+        f.append(b.step_count)
+        keys.append(K.index(key))
+        sigmas.append(s.read())
+        heads.append(s.head)
+        if big.states[b.state] != state_map_h(key):
+            return mismatch(n, "state", state_map_h(key),
+                            big.states[b.state])
+        if b.head != head_map(s.head, entered):
+            return mismatch(n, "head", head_map(s.head, entered), b.head)
+        if n == n_max:
+            break
+        cost = step_cost(key, small.symbols[s.read()])
+        start = s.head
+        tm.step(small, s)
+        visited = [b.head]
+        halted_at = None
+        for micro in range(1, cost + 1):
+            tm.step(big, b)
+            if b.halted:
+                halted_at = micro
+                break
+            visited.append(b.head)
+        if s.halted:
+            if halted_at != cost:
+                return mismatch(n + 1, "halting-synchrony",
+                                f"big halts at micro-step {cost}",
+                                "big still running" if halted_at is None
+                                else f"big halted at micro-step {halted_at}")
+            return "both-halted", n, None, f, keys, sigmas, heads
+        if halted_at is not None:
+            return mismatch(n + 1, "halting-synchrony", "big still running",
+                            f"big halted at micro-step {halted_at}")
+        for i in range(min(visited) // 2, max(visited) // 2 + 1):
+            if word(i) != words[small.symbols[s.tape.read(i)]]:
+                return mismatch(n + 1, f"tape cell {i}",
+                                words[small.symbols[s.tape.read(i)]],
+                                word(i))
+        entered = R if s.head > start else L
+    for i in range(s.tape.lo - 1, s.tape.hi + 2):
+        if word(i) != words[small.symbols[s.tape.read(i)]]:
+            return mismatch(n_max, f"tape cell {i} (final sweep)",
+                            words[small.symbols[s.tape.read(i)]], word(i))
+    return "verified", n_max, None, f, keys, sigmas, heads
+
+
+def _assert_matches_reference(big, small, n_max):
+    t = verify_simulation(big, small, DEFAULT_ENCODING, n_max)
+    status, n_verified, mismatch, *arrays = _reference_lockstep(big, small,
+                                                                n_max)
+    assert (t.status, t.n_verified, t.mismatch) == (status, n_verified,
+                                                    mismatch)
+    for got, want in zip((t.f, t.keys, t.sigmas, t.heads), arrays):
+        assert got.tolist() == want
+    return t
+
+
+def test_window_runs_agree_with_a_reference_lockstep(big, small):
+    """m152 itself and 400 seeded random two-cell corruptions of it,
+    checked against a lockstep written here on tm.step and dict tapes;
+    between them they fail every kind of check."""
+    _assert_matches_reference(big, small, 2000)
+    rng = random.Random(2021)
+    cells = [(q, s) for q in range(big.n_states) for s in range(2)]
+    options = [HALT] + [Transition(w, d, q) for w in range(2) for d in (L, R)
+                        for q in range(big.n_states)]
+    outcomes = set()
+    for _ in range(400):
+        bad = big
+        for q, s in rng.sample(cells, 2):
+            bad = bad.with_cell(q, s, rng.choice(options))
+        t = _assert_matches_reference(bad, small, rng.randrange(2001))
+        outcomes.add(t.mismatch["kind"].split()[0] if t.mismatch
+                     else t.status)
+    assert outcomes == {"verified", "tape", "state", "head",
+                        "halting-synchrony"}
+
+
+def test_a_step_leaving_the_window_is_checked_on_wider_cells(big, small):
+    """A corruption whose big head leaves the window of the failing step:
+    the tape cell that fails lies outside the `simcheck.W` cells from
+    small's head in the direction its key entered, so the step ran on
+    the wider cells of a step taken alone."""
+    q, r = big.state_index("mul2_G_extra"), big.state_index("rewind_a")
+    tq, tr = big.transition(q, 0), big.transition(r, 1)
+    bad = big.with_cell(q, 0, Transition(tq.write, L if tq.move == R else R,
+                                         tq.next_state))
+    bad = bad.with_cell(r, 1, Transition(1 - tr.write, tr.move,
+                                         tr.next_state))
+    t = _assert_matches_reference(bad, small, 2000)
+    n = t.mismatch["n"]
+    assert t.mismatch == {"n": 35, "f": 80, "kind": "tape cell 1",
+                          "expected": "ab", "actual": "aa"}
+    cell = int(t.mismatch["kind"].split()[2])
+    head, entered = int(t.heads[n - 1]), K[t.keys[n - 1]][1]
+    window = (range(head, head + simcheck.W) if entered == R
+              else range(head - simcheck.W + 1, head + 1))
+    assert cell not in window
+
+
+def test_transcripts_are_prefixes_of_longer_ones(big, small):
+    """Every bound n_max in 0..200 gives the first n_max + 1 entries of
+    the n_max = 1000 transcript, on m152 and on a run that ends in an
+    unrecorded mismatch step."""
+    q = small.state_index("check_halt")
+    bad_small = small.with_cell(q, small.symbol_index("0"), HALT)
+    for pair in ((big, small), (big, bad_small)):
+        full = verify_simulation(*pair, DEFAULT_ENCODING, 1000)
+        for n_max in range(201):
+            t = verify_simulation(*pair, DEFAULT_ENCODING, n_max)
+            m = min(n_max + 1, len(full.f))
+            for got, want in zip((t.f, t.keys, t.sigmas, t.heads),
+                                 (full.f, full.keys, full.sigmas,
+                                  full.heads)):
+                assert got.tolist() == want[:m].tolist()
+            if n_max + 1 < len(full.f):
+                assert (t.status, t.n_verified) == ("verified", n_max)
+            else:
+                assert (t.status, t.mismatch) == (full.status,
+                                                  full.mismatch)
