@@ -15,8 +15,10 @@ unreachable).  The closure search enumerates only the DFA that reads
 the tape left of the head and derives the one for the right side as a
 least fixpoint, on the machine and on its mirror image.  The bounded
 run is a `tm.FlatRun`, which the closure search's halting probe
-continues; `revalidate_certificate` re-checks every certificate
-independently, on `tm.step` for the cyclers.
+continues; every function here reads a run only through its `state`,
+`steps`, `halted`, `head`, `advance()` and `visited()`, so the layout
+of its list stays inside `tm`.  `revalidate_certificate` re-checks
+every certificate independently, on `tm.step` for the cyclers.
 
 Enumeration runs either over the raw space of all (2nk+1)^(nk) tables
 or over a canonical subset built in tree normal form: cells are filled
@@ -62,22 +64,9 @@ def counter_bumps(n: int) -> int:
     return 4
 
 
-class _CheckpointCache:
-    """Prefix sums of 2*(digits(2^k) + 1), grown on demand."""
-
-    def __init__(self):
-        self._sums = [0]  # cumulative over k = 1..n
-        self._lengths = ternary.power_of_two_lengths()
-        next(self._lengths)  # discard k = 0
-
-    def prefix(self, n: int) -> int:
-        while len(self._sums) <= n:
-            _, length = next(self._lengths)
-            self._sums.append(self._sums[-1] + 2 * (length + 1))
-        return self._sums[n]
-
-
-_checkpoints = _CheckpointCache()
+# prefix sums of 2*(digits(2^k) + 1) over k = 1..n, grown on demand
+_checkpoint_sums = [0]
+_lengths = itertools.islice(ternary.power_of_two_lengths(), 1, None)
 
 
 def checkpoint_steps(n: int) -> int:
@@ -85,7 +74,10 @@ def checkpoint_steps(n: int) -> int:
     holding 2^n: 5 + bumps + sum of 2*(digits(2^k)+1) for k = 1..n."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    return 5 + counter_bumps(n) + _checkpoints.prefix(n)
+    while len(_checkpoint_sums) <= n:
+        _, length = next(_lengths)
+        _checkpoint_sums.append(_checkpoint_sums[-1] + 2 * (length + 1))
+    return 5 + counter_bumps(n) + _checkpoint_sums[n]
 
 
 @dataclass
@@ -107,10 +99,10 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     ValidationError before running a machine that lacks the state
     `rewind` or one of the digit symbols 0, 1, 2.
 
-    The checks read the live tape of one tm.FlatRun at each s_n.  The
-    len(2^n) cells right of the separator, read by `ternary.lsf_to_int`
-    as a least-significant-first digit string, must equal 2^n, which
-    Python integers give exactly.
+    The checks read the visited cells of one tm.FlatRun at each s_n
+    (cells it never visited are blank).  The len(2^n) cells right of the
+    separator, read by `ternary.lsf_to_int` as a least-significant-first
+    digit string, must equal 2^n, which Python integers give exactly.
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
@@ -123,12 +115,11 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     rewind = m54.state_index("rewind")
     blank = m54.blank
     run = FlatRun(m54)
-    tape, unvisited = run.tape, run.sentinel
     # symbol index -> its digit character, "x" (no base-3 digit) otherwise
     numeral = bytes.maketrans(
-        bytes(range(m54.n_symbols + 1)),
+        bytes(range(m54.n_symbols)),
         bytes(ord(label) if label in ("0", "1", "2") else ord("x")
-              for label in (*m54.symbols, "")))
+              for label in m54.symbols))
     powers = ternary.power_of_two_lengths()
     for n in range(n_max + 1):
         power, length = next(powers)
@@ -139,33 +130,30 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
         if run.state != rewind:
             raise CheckpointMismatch(
                 n, f"state {m54.states[run.state]}, expected rewind")
-        p = run.pos
-        if p - run.origin != rest:
+        if run.head != rest:
             raise CheckpointMismatch(
-                n, f"head at {p - run.origin}, expected {rest}")
-        if tape[p] not in (blank, unvisited):
+                n, f"head at {run.head}, expected {rest}")
+        first, cells = run.visited()
+        sep = rest - first  # the separator's index in `cells`
+        if cells[sep] != blank:
             raise CheckpointMismatch(n, "separator cell is not blank")
-        start, end = p + 1, p + 1 + length
-        text = bytes(tape[start:end]).translate(numeral).decode()
+        end = sep + 1 + length
+        digits = bytes(cells[sep + 1:end]).ljust(length, bytes([blank]))
+        text = digits.translate(numeral).decode()
         if "x" in text or ternary.lsf_to_int(text) != power:
             expected = ternary.TernaryNumber.from_int(power).lsf_str()
-            for i, d in enumerate(expected, start=rest + 1):
-                sym = tape[i + run.origin]
+            for i, (d, sym) in enumerate(zip(expected, digits),
+                                         start=rest + 1):
                 if sym != m54.symbol_index(d):
-                    label = m54.symbols[blank if sym == unvisited else sym]
                     raise CheckpointMismatch(
-                        n, f"cell {i} holds {label}, expected digit {d} "
-                        f"of 2^{n}")
-        # the visited cells end at the first unvisited one (the list
-        # always ends with one, see tm.FlatRun)
-        for i in range(end, tape.index(unvisited, end)):
-            if tape[i] != blank:
+                        n, f"cell {i} holds {m54.symbols[sym]}, expected "
+                        f"digit {d} of 2^{n}")
+        for i in range(end, len(cells)):
+            if cells[i] != blank:
                 raise CheckpointMismatch(
-                    n, f"cell {i - run.origin} not blank past 2^{n}")
+                    n, f"cell {i + first} not blank past 2^{n}")
         counter = counter_bumps(n) // 2
-        sym = tape[p - 1]
-        if sym == unvisited:
-            sym = blank
+        sym = cells[sep - 1] if sep else blank
         if sym != m54.symbol_index(str(counter)):
             raise CheckpointMismatch(
                 n, f"counter cell holds {m54.symbols[sym]}, "
@@ -251,15 +239,15 @@ class _TranslatedDetector:
         # and the first entry the lowest (highest) head so far.
         self.lows = [(0, 0)]
         self.highs = [(0, 0)]
-        # (direction, state) -> [(t, head, tape bytes, origin)]
+        # (direction, state) -> [(t, head, first visited cell, visited
+        # cells as bytes)]
         self.records = {}
 
-    def on_step(self, run: FlatRun,
+    def on_step(self, t2: int, state: int, p2: int, first2: int,
                 tape: bytes) -> TranslatedCyclerCertificate | None:
-        """Feed the run after each step, with `tape` its list as bytes and
-        unvisited cells read as blank; certificate on match."""
-        p2 = run.pos - run.origin
-        t2, o2 = run.steps, run.origin
+        """Feed the run after each step: step count, state, head, and the
+        visited cells as bytes from cell `first2` on; certificate on
+        match."""
         lo, hi = self.lows[0][1], self.highs[0][1]
         for stack, sign in ((self.lows, 1), (self.highs, -1)):
             while stack and sign * stack[-1][1] >= sign * p2:
@@ -269,24 +257,25 @@ class _TranslatedDetector:
             return None
         d = 1 if p2 > hi else -1
         stack = self.lows if d > 0 else self.highs
-        bucket = self.records.setdefault((d, run.state), [])
-        for t1, p1, snap, o1 in bucket:
+        bucket = self.records.setdefault((d, state), [])
+        for t1, p1, first1, snap in bucket:
             # the farthest opposite excursion of steps t1+1..t2
             reach = stack[bisect.bisect_left(stack, (t1 + 1,))][1]
-            # the cells from the reach to the record head, as list indices
-            # (i1 of snap, i2 of tape); cells outside snap were blank at t1
+            # the cells from the reach to the record head, as indices i1
+            # of snap and i2 of tape; cells outside snap were unvisited,
+            # so blank, at t1, while tape holds all of them at t2
             if d > 0:
                 width = max(0, p1 - reach)
-                i1, i2 = p1 - width + o1, p2 - width + o2
-                earlier = snap[max(i1, 0):p1 + o1 + 1].rjust(width + 1,
-                                                             self.blank)
+                i1, i2 = p1 - width - first1, p2 - width - first2
+                earlier = snap[max(i1, 0):p1 - first1 + 1].rjust(width + 1,
+                                                                 self.blank)
             else:
                 width = max(0, reach - p1)
-                i1, i2 = p1 + o1, p2 + o2
+                i1, i2 = p1 - first1, p2 - first2
                 earlier = snap[i1:i1 + width + 1].ljust(width + 1, self.blank)
             if earlier == tape[i2:i2 + width + 1]:
                 return TranslatedCyclerCertificate(t1, t2, p2 - p1)
-        bucket.append((t2, p2, tape, o2))
+        bucket.append((t2, p2, first2, tape))
         return None
 
 
@@ -321,31 +310,32 @@ def _run_deciders(m: MachineTable, budget: int):
     (cycler or translated-cycler), or else the stopped run: halted, or
     at the budget.
 
-    The cycler's signature is the state, the head and the tape with
-    unvisited cells read as blank and blanks stripped from both ends.  An
-    exact repeat keeps the head bounded while a translated repeat proves
+    Both read one snapshot per step, the run's visited cells as bytes
+    (`tm.FlatRun.visited`).  The cycler's signature is the state, the
+    head and that snapshot with blanks stripped from both ends.  An exact
+    repeat keeps the head bounded while a translated repeat proves
     unbounded drift, so the two never both fire on one machine."""
     run = FlatRun(m)
     blank = bytes([m.blank])
-    as_blank = bytes.maketrans(bytes([run.sentinel]), blank)
     seen = {(m.init, 0, 0, b""): 0}
     detector = _TranslatedDetector(blank)
     while run.steps < budget:
         run.advance(run.steps + 1)
         if run.halted:
             break
-        tape = bytes(run.tape).translate(as_blank)
-        head = run.pos - run.origin
+        first, cells = run.visited()
+        tape = bytes(cells)
+        head = run.head
         rest = tape.lstrip(blank)
         content = rest.rstrip(blank)
-        lo = len(tape) - len(rest) - run.origin if content else head
+        lo = first + len(tape) - len(rest) if content else head
         sig = (run.state, head, lo, content)
         if sig in seen:
             return Classification(
                 "nonhalt", decider="cycler",
                 certificate=CyclerCertificate(seen[sig], run.steps))
         seen[sig] = run.steps
-        cert = detector.on_step(run, tape)
+        cert = detector.on_step(run.steps, run.state, head, first, tape)
         if cert is not None:
             return Classification("nonhalt", decider="translated-cycler",
                                   certificate=cert)
@@ -744,9 +734,8 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
         # the run halted on a cell not chosen yet: every completion with
         # Halt there (that is `m`) stops at the same step, and the others
         # are the branches
-        q, sym = run.state, run.tape[run.pos]
-        if sym == run.sentinel:
-            sym = m.blank
+        first, tape = run.visited()
+        q, sym = run.state, tape[run.head - first]
         for option in branch_options(first=(run.steps == 1)):
             cells[q][sym] = option
             recurse()

@@ -11,19 +11,22 @@ small cell, and the machines halt in sync.  It executes big itself
 rather than trusting the accumulated time-scale, so any off-by-one drift
 is caught immediately with a precise location.
 
-Both machines step on `tm.compile_cells` tables over one shared list,
-whose cell i holds small's cell i and big's block i.  While the maps
-hold, big's state and head follow from small's key and head, so the
-steps both machines take on a few cells, with every check they make,
-are a pure function of the key and those cells (the macro-step idea of
-Marxen & Buntrock).  The verifier takes such a window run once, from
-small's head over the next `W` cells in the direction the key entered,
-and replays it from a cache whenever the key meets the same cells
-again.  A step that would leave the window, fail a check or halt goes
-alone through the same step function, on cells wide enough for any
-step, which reports the mismatch.  The transcript goes into
-preallocated `array.array` buffers, per-step costs and moves summed in
-place at the end, that become its numpy arrays without a copy.
+Both machines step on `tm.compile_cells` tables over one shared tape:
+cell i holds small's symbol; big's block is its encoding.  That holds
+after every step that passes the checks, being the very law they
+verify, so each step builds big's blocks from small's cells afresh.
+While the maps hold, big's state and head follow from small's key and
+head, so the steps both machines take on a few cells, with every check
+they make, are a pure function of the key and those cells (the
+macro-step idea of Marxen & Buntrock).  The verifier takes such a
+window run once, from small's head over the next `W` cells in the
+direction the key entered, and replays it from a cache whenever the key
+meets the same cells again.  A step that would leave the window, fail a
+check or halt goes alone through the same step function, on cells wide
+enough for any step, which reports the mismatch.  The transcript goes
+into preallocated `array.array` buffers, per-step costs and moves
+summed in place at the end, that become its numpy arrays without a
+copy.
 """
 
 from __future__ import annotations
@@ -204,16 +207,14 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         enc_pairs.append((big_sym[word[0]], big_sym[word[1]]))
     if enc_pairs[small.blank] != (big.blank, big.blank):
         raise ValidationError("small blank must encode to big blanks")
-    # a block of big cells (a, b) as one number 2a + b
-    enc_code = [2 * a + b for a, b in enc_pairs]
 
     key_code = {}
     h_state = []
     head_offset = []
     for code, (state_name, d) in enumerate(K):
         key_code[(small.state_index(state_name), d)] = code
-        h_state.append(big.state_index(_H[(state_name, d)]))
-        head_offset.append(1 if d == L else 0)
+        h_state.append(big.state_index(state_map_h((state_name, d))))
+        head_offset.append(head_map(0, d))
     # plans[key][sigma]: (cost, write, delta, next key, next state) of
     # small's step, write None when small halts; None without a cost
     s_cells = compile_cells(small)
@@ -235,37 +236,30 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         plans.append(row)
     b_cells = compile_cells(big)
 
-    def words(cell):
-        """The expected and actual code words of a shared tape cell."""
-        return (enc.words[small.symbols[cell >> 2]],
-                big.symbols[cell >> 1 & 1] + big.symbols[cell & 1])
-
     def step(key, cells, p, base=0):
         """Small's step from `key` with its head on cells[p], and the big
-        micro-steps it costs from the state and cell the maps give, on a
-        copy of `cells`, whose first is tape cell `base`.  None if big
-        would use a cell beyond `cells`; else (stop, cells, key, p, cost)
-        after the step, where stop is None if the step passes every
-        check, or else (kind, big steps taken, expected, actual)."""
-        plan = plans[key][cells[p] >> 2]
+        micro-steps it costs from the state and cell the maps give, on the
+        blocks that encode `cells`, whose first is tape cell `base`.  None
+        if big would use a cell beyond those blocks; else (stop, cells,
+        key, p, cost) after the step, where stop is None if the step
+        passes every check, or else (kind, big steps taken, expected,
+        actual)."""
+        plan = plans[key][cells[p]]
         if plan is None:
             return ("undefined-cost", 0, None, None), cells, key, p, 0
         cost, w, delta, next_key, q2 = plan
-        cells = cells[:]
-        end = 2 * len(cells)
+        bits = [bit for sym in cells for bit in enc_pairs[sym]]
         bq = h_state[key]
         bp = lo = hi = 2 * p + head_offset[key]
         halted_at = None
         for micro in range(1, cost + 1):
-            if not 0 <= bp < end:
+            if not 0 <= bp < len(bits):
                 return None
-            i, shift = bp >> 1, ~bp & 1
-            cell = b_cells[bq][cells[i] >> shift & 1]
+            cell = b_cells[bq][bits[bp]]
             if cell is None:
                 halted_at = micro
                 break
-            bit, d, bq = cell
-            cells[i] = cells[i] & ~(1 << shift) | bit << shift
+            bits[bp], d, bq = cell
             bp += d
             if bp < lo:
                 lo = bp
@@ -281,17 +275,21 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                      "big still running" if halted_at is None
                      else f"big halted at micro-step {halted_at}"),
                     cells, key, p, cost)
-        if not (0 <= bp < end and 0 <= p + delta < len(cells)):
+        if not (0 <= bp < len(bits) and 0 <= p + delta < len(cells)):
             return None
-        cells[p] = w << 2 | cells[p] & 3
+        cells = cells[:]
+        cells[p] = w
         p += delta
         stop = None
         # every small cell whose block the big head visited must still
         # encode correctly; unvisited blocks are unchanged, so this is a
         # complete per-step check of the tape law
         for i in range(lo >> 1, (hi >> 1) + 1):
-            if cells[i] & 3 != enc_code[cells[i] >> 2]:
-                stop = (f"tape cell {base + i}", cost, *words(cells[i]))
+            block = bits[2 * i], bits[2 * i + 1]
+            if block != enc_pairs[cells[i]]:
+                stop = (f"tape cell {base + i}", cost,
+                        enc.words[small.symbols[cells[i]]],
+                        "".join(big.symbols[bit] for bit in block))
                 break
         else:
             # the next step's key, and the coupling there: big's state
@@ -320,7 +318,7 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             if out is None or out[0] is not None:
                 break
             keys.append(key)
-            sigmas.append(cells[p] >> 2)
+            sigmas.append(cells[p])
             _, cells, key, p_next, cost = out
             costs.append(cost)
             moves.append(p_next - p)
@@ -336,13 +334,13 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     sig_buf = array("b", [0]) * n_cap
     head_buf = array("q", [0]) * n_cap
 
-    # One tape for both machines: t[i] is 4 * (small's symbol) + (big's
-    # block as 2a + b) for small cell i - origin.  Between runs `margin`
-    # cells stay on either side of small's head, room for any window.
+    # One tape for both machines: t[i] is small's symbol at cell
+    # i - origin, and big's block i is its encoding.  Between runs
+    # `margin` cells stay on either side of small's head, room for any
+    # window.
     margin = W + _REACH
     origin = 2 * margin
-    blank = 4 * small.blank + enc_code[small.blank]
-    t = [blank] * (2 * origin)
+    t = [small.blank] * (2 * origin)
     sp = origin
     key = key_code.get((small.init, R))
     if key is None:
@@ -400,21 +398,21 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         k, cells, next_key, move, keys, sigmas, costs, moves = run
         if not k:
             keys_buf[n] = key
-            sig_buf[n] = t[sp] >> 2
+            sig_buf[n] = t[sp]
             stop, cells, next_key, p, cost = step(key, cells, _REACH,
                                                   x - origin)
             kind, spent, expected, actual = stop
             if kind == "undefined-cost":
                 raise UndefinedCost(
                     f"key ({K[key][0]}, {K[key][1]}) reading "
-                    f"{small.symbols[t[sp] >> 2]!r} at step {n}")
+                    f"{small.symbols[t[sp]]!r} at step {n}")
             if kind == "unknown-key":
                 raise UnknownKey(f"{actual} at step {n + 1}")
             if kind == "both-halted":
                 return transcript("both-halted", n, n + 1, n + 1)
             if kind in ("state", "head"):
                 keys_buf[n + 1] = next_key
-                sig_buf[n + 1] = cells[p] >> 2
+                sig_buf[n + 1] = cells[p]
                 f_buf[n + 1] = cost
                 head_buf[n + 1] = p - _REACH
                 spent = None
@@ -431,19 +429,13 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         if not margin <= sp < len(t) - margin:
             grow = len(t)
             if sp < margin:
-                t[:0] = [blank] * grow
+                t[:0] = [small.blank] * grow
                 origin += grow
                 sp += grow
             else:
-                t.extend([blank] * grow)
+                t.extend([small.blank] * grow)
     keys_buf[n_max] = key
-    sig_buf[n_max] = t[sp] >> 2
-
-    # closing sweep over the whole tape, touched or not
-    for i, cell in enumerate(t):
-        if cell & 3 != enc_code[cell >> 2]:
-            return fail(n_max, f"tape cell {i - origin} (final sweep)",
-                        *words(cell))
+    sig_buf[n_max] = t[sp]
     return transcript("verified", n_max, n_cap, n_cap)
 
 

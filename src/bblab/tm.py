@@ -15,7 +15,9 @@ is one macro step, so the bb5 champion halts in a fraction of a second.
 It returns the final configuration, whose `halted` and `step_count` say
 how the run ended.  `FlatRun` steps one cell at a time on a single list
 and can stop at any step count, which `run_trace`, the checkpoint
-verifier and the `search` deciders and enumerators use.  All of them
+verifier and the `search` deciders and enumerators use; they read its
+head and its visited cells (`visited()`), and the list stays private to
+it.  All of them
 give exactly the configurations `step` gives; `step` stays the
 independent reference that certificate revalidation runs on.
 """
@@ -125,7 +127,7 @@ class MachineTable:
 
     def with_cell(self, state: int, symbol: int, tr) -> "MachineTable":
         """Copy of this table with one cell replaced (used by fault-injection
-        tests and enumeration)."""
+        tests)."""
         rows = [list(row) for row in self.table]
         rows[state][symbol] = tr
         return MachineTable(
@@ -324,10 +326,12 @@ def run(m: MachineTable, budget: int) -> Configuration:
 
 class FlatRun:
     """A run from the blank tape on one flat list of cells, for callers
-    that stop at many step counts and read the tape in between.
+    that stop at many step counts and read the tape in between.  They
+    read it through `state`, `steps`, `halted`, `head` and `visited()`;
+    the list layout is private to this class.
 
-    `tape[i]` holds cell i - `origin`, and the head is at `tape[pos]`.
-    Cells never visited hold `sentinel`, one past the last symbol index,
+    `_tape[i]` holds cell i - `_origin`, and the head is at `_tape[_pos]`.
+    Cells never visited hold `_sentinel`, one past the last symbol index,
     which steps like the blank.  Every visited cell but the head's has
     been written, so the visited cells are the head's and the
     sentinel-free span around it.  Between batches of steps the list
@@ -336,39 +340,44 @@ class FlatRun:
     grows on that side, so both ends always hold the sentinel.
     """
 
-    __slots__ = ("cells", "blank", "sentinel", "tape", "origin", "pos",
+    __slots__ = ("_cells", "_blank", "_sentinel", "_tape", "_origin", "_pos",
                  "state", "steps", "halted")
 
     # cells kept on either side of the head before a batch of steps
     _MARGIN = 16
 
     def __init__(self, m: MachineTable):
-        self.cells = tuple(row + (row[m.blank],) for row in compile_cells(m))
-        self.blank = m.blank
-        self.sentinel = m.n_symbols
-        self.tape = [self.sentinel] * (4 * self._MARGIN)
-        self.origin = self.pos = 2 * self._MARGIN
+        self._cells = tuple(row + (row[m.blank],) for row in compile_cells(m))
+        self._blank = m.blank
+        self._sentinel = m.n_symbols
+        self._tape = [self._sentinel] * (4 * self._MARGIN)
+        self._origin = self._pos = 2 * self._MARGIN
         self.state = m.init
         self.steps = 0
         self.halted = False
 
+    @property
+    def head(self) -> int:
+        """The cell under the head."""
+        return self._pos - self._origin
+
     def _fit(self, p: int) -> int:
         """Double the list on a side where index p is within the margin
         of its end; returns p's index afterwards."""
-        tape = self.tape
+        tape = self._tape
         if p < self._MARGIN:
             grow = len(tape)
-            tape[:0] = [self.sentinel] * grow
-            self.origin += grow
+            tape[:0] = [self._sentinel] * grow
+            self._origin += grow
             p += grow
         if len(tape) - p <= self._MARGIN:
-            tape.extend([self.sentinel] * len(tape))
+            tape.extend([self._sentinel] * len(tape))
         return p
 
     def advance(self, target: int) -> None:
         """Step until `target` steps have run or the machine halts."""
-        cells, tape = self.cells, self.tape
-        q, p, done = self.state, self.pos, self.steps
+        cells, tape = self._cells, self._tape
+        q, p, done = self.state, self._pos, self.steps
         while done < target and not self.halted:
             p = self._fit(p)
             # a batch that cannot read past either end of the list
@@ -382,18 +391,24 @@ class FlatRun:
                 self.halted = True
             else:
                 done += n
-        self.state, self.pos, self.steps = q, self._fit(p), done
+        self.state, self._pos, self.steps = q, self._fit(p), done
+
+    def visited(self) -> tuple[int, list[int]]:
+        """(first, symbols): the first visited cell, and a new list of the
+        symbols of the visited cells from there on, with an unwritten
+        head cell read as blank."""
+        tape, p, sentinel = self._tape, self._pos, self._sentinel
+        lo = p - tape[p - 1::-1].index(sentinel)
+        symbols = tape[lo:tape.index(sentinel, p + 1)]
+        if symbols[p - lo] == sentinel:
+            symbols[p - lo] = self._blank
+        return lo - self._origin, symbols
 
     def configuration(self) -> Configuration:
         """A Configuration copy of the run as it stands."""
-        tape, p, sentinel = self.tape, self.pos, self.sentinel
-        lo = p - tape[p - 1::-1].index(sentinel)
-        hi = tape.index(sentinel, p + 1) - 1
-        extent = tape[lo:hi + 1]
-        if extent[p - lo] == sentinel:
-            extent[p - lo] = self.blank
-        return _materialize(self.state, p - self.origin, self.blank, extent,
-                            lo - self.origin, self.steps, self.halted)
+        first, symbols = self.visited()
+        return _materialize(self.state, self.head, self._blank, symbols,
+                            first, self.steps, self.halted)
 
 
 def run_trace(m: MachineTable, checkpoints: list[int]) -> list[Configuration]:

@@ -204,6 +204,34 @@ def test_run_matches_single_steps(m, budget, checkpoints):
     assert len(snaps) == (halted[0] + 1 if halted else len(checkpoints))
 
 
+@given(_tables(),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=3000),
+                          st.integers(min_value=0, max_value=40)),
+                max_size=5))
+@example(_SWEEP_LEFT, [(0, 40), (2000, 3)])
+@example(_SWEEP_RIGHT, [(0, 0), (30, 40)])
+@example(_BOUNCER, [(185, 10)])
+@settings(max_examples=200, deadline=None)
+def test_flat_run_matches_single_steps(m, stops):
+    """FlatRun advanced to sorted targets against single steps.  Each
+    (target, extra) stop advances to `target` and then one step at a time
+    `extra` more times, as the search deciders do.  At every target the
+    state, steps, halted flag, head, visited cells and configuration
+    agree with tm.step's."""
+    targets = sorted(t + i for t, extra in stops for i in range(extra + 1))
+    run = tm.FlatRun(m)
+    c = tm.initial_configuration(m)
+    for target in targets:
+        run.advance(target)
+        _step_to(m, c, target)
+        assert (run.state, run.steps, run.halted, run.head) == (
+            c.state, c.step_count, c.halted, c.head)
+        first, cells = run.visited()
+        assert (first, first + len(cells) - 1) == (c.tape.lo, c.tape.hi)
+        assert tuple(cells) == c.tape.window(c.tape.lo, c.tape.hi)
+        _assert_same_config(run.configuration(), c)
+
+
 def test_machine_table_validation_rejects_bad_indices():
     with pytest.raises(ValidationError):
         MachineTable(name="bad", symbols=("0", "1"), blank=0,
