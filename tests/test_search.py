@@ -243,16 +243,16 @@ def test_translated_cycler_tampering_rejected():
 def test_translated_detector_reads_cells_past_a_snapshot_as_blank(d):
     """The window the detector compares may reach past the earlier
     record's snapshot of visited cells; those cells were unvisited then,
-    so they read as blank.  Records fed by hand, drifting in direction d: head d*1 at
-    t=1, an excursion to -d*4 at t=2, head d*5 at t=3."""
+    so they read as blank.  Records fed by hand, drifting in direction d:
+    head d*1 at t=1, an excursion to -d*4 at t=2, head d*5 at t=3."""
     def feed(detector, t, head, state, cells, first):
         # `cells` lists the tape from cell `first` on
         return detector.on_step(t, state, head, first, bytes(cells))
 
     def detect(later):
         detector = search._TranslatedDetector(b"\0")
-        # the snapshot at t=1 holds cells -1..2 (or -2..1) with a 1 at cell 0,
-        # while the window at t=3 reaches cells -4..1 (or -1..4)
+        # the snapshot at t=1 holds cells -1..2 (or -2..1) with a 1 at
+        # cell 0, while the window at t=3 reaches cells -4..1 (or -1..4)
         assert feed(detector, 1, d, 0, [0, 1, 0, 0] if d > 0 else
                     [0, 0, 1, 0], -1 if d > 0 else -2) is None
         assert feed(detector, 2, -4 * d, 1, [0] * 10, -5) is None
