@@ -1,12 +1,13 @@
 """Running Turing machines exactly: the built-in tables and the champion.
 
-Demonstrates loading built-in machines, bounded runs, checkpoint traces,
-and the text format round-trip.
+Demonstrates loading built-in machines, bounded runs and how each run's
+compression ratio picks its stepper, checkpoint traces, and the text
+format round-trip.
 """
 
 import time
 
-from bblab import machines, tm
+from bblab import machines, search, tm
 
 # -- the 5-state 2-symbol busy-beaver champion ------------------------------
 
@@ -20,10 +21,23 @@ elapsed = time.perf_counter() - started
 print(f"halted: {final.halted} after {final.step_count:,} steps "
       f"({elapsed:.2f}s)")
 print(f"tape extent: cells {final.tape.lo}..{final.tape.hi}")
+print(f"compression: {final.compression:.1f} steps per macro step, "
+      f"{final.handoffs} hand-offs to the flat stepper")
+
+# -- the power-of-two machine: short runs of equal symbols ------------------
+
+m54 = machines.builtin_m54()
+s700 = search.checkpoint_steps(700)
+started = time.perf_counter()
+final = tm.run(m54, s700)
+elapsed = time.perf_counter() - started
+print(f"\npower-of-two machine at s_700: {final.step_count:,} steps "
+      f"({elapsed:.3f}s)")
+print(f"compression: {final.compression:.2f} steps per macro step, "
+      f"{final.handoffs} hand-offs to the flat stepper")
 
 # -- the power-of-two machine: snapshots along the way ----------------------
 
-m54 = machines.builtin_m54()
 print("\npower-of-two machine, first few checkpoints:")
 for snap in tm.run_trace(m54, [5, 9, 17, 333]):
     window = tm.window_str(m54, snap, snap.tape.lo, snap.tape.hi)

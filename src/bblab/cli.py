@@ -89,7 +89,9 @@ def cmd_run(args) -> int:
             lines.append(f"step {snap.step_count}: "
                          f"state {m.states[snap.state]}, head {snap.head}, "
                          f"tape [{snap.tape.lo}..{snap.tape.hi}] = {window}")
+    run_started = time.perf_counter()
     final = tm.run(m, args.budget)
+    run_seconds = time.perf_counter() - run_started
     payload["outcome"] = "halted" if final.halted else "running"
     payload["steps"] = final.step_count
     if final.halted:
@@ -104,6 +106,10 @@ def cmd_run(args) -> int:
         payload["window"] = {"lo": lo, "hi": hi, "symbols": window}
         lines.append(window)
     payload["elapsed_seconds"] = time.perf_counter() - started
+    payload["stats"] = {
+        "steps_per_s": final.step_count / run_seconds if run_seconds else 0.0,
+        "macro_steps": final.macro_steps, "compression": final.compression,
+        "handoffs": final.handoffs}
     _emit(args, payload, lines)
     return 0
 

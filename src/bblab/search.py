@@ -87,6 +87,19 @@ class CheckpointReport:
     checked: int
 
 
+def _require_byte_cells(m: MachineTable) -> None:
+    """The deciders and the checkpoint verifier pack tape cells into bytes:
+    raise ValidationError unless every symbol `m` can put on the tape, the
+    blank and each written one, is below 256."""
+    if m.n_symbols <= 256:
+        return
+    top = max([m.blank] + [tr.write for row in m.table for tr in row
+                           if tr is not HALT])
+    if top > 255:
+        raise ValidationError(f"{m.name} writes symbol index {top}; tape "
+                              "cells must fit in a byte (index below 256)")
+
+
 def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     """Run the power-of-two machine and assert the predicted configuration
     at every checkpoint step s_n for n <= n_max.
@@ -97,7 +110,8 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     head starting at cell 0, the separator settles at cell -1 (counter at
     -2, digits from 0).  Raises CheckpointMismatch otherwise, and
     ValidationError before running a machine that lacks the state
-    `rewind` or one of the digit symbols 0, 1, 2.
+    `rewind` or one of the digit symbols 0, 1, 2, or that writes a symbol
+    index of 256 or more.
 
     The checks read the visited cells of one tm.FlatRun at each s_n
     (cells it never visited are blank).  The len(2^n) cells right of the
@@ -111,15 +125,14 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     for digit in "012":
         if digit not in m54.symbols:
             raise ValidationError(f"{m54.name} has no symbol {digit!r}")
+    _require_byte_cells(m54)
     rest = REST_CELL
     rewind = m54.state_index("rewind")
     blank = m54.blank
     run = FlatRun(m54)
     # symbol index -> its digit character, "x" (no base-3 digit) otherwise
-    numeral = bytes.maketrans(
-        bytes(range(m54.n_symbols)),
-        bytes(ord(label) if label in ("0", "1", "2") else ord("x")
-              for label in m54.symbols))
+    numeral = bytes(ord(label) if label in ("0", "1", "2") else ord("x")
+                    for label in m54.symbols[:256]).ljust(256, b"x")
     powers = ternary.power_of_two_lengths()
     for n in range(n_max + 1):
         power, length = next(powers)
@@ -311,8 +324,10 @@ def _run_deciders(m: MachineTable, budget: int):
     at the budget.
 
     Both read one snapshot per step, the run's visited cells as bytes
-    (`tm.FlatRun.visited`).  The cycler's signature is the state, the
-    head and that snapshot with blanks stripped from both ends.  An exact
+    (`tm.FlatRun.visited`); the public entry points check once that the
+    cells fit (`_require_byte_cells`).  The cycler's signature is the
+    state, the head and that snapshot with blanks stripped from both
+    ends.  An exact
     repeat keeps the head bounded while a translated repeat proves
     unbounded drift, so the two never both fire on one machine."""
     run = FlatRun(m)
@@ -343,6 +358,7 @@ def _run_deciders(m: MachineTable, budget: int):
 
 
 def _pass_certificate(m: MachineTable, budget: int, decider: str):
+    _require_byte_cells(m)
     out = _run_deciders(m, budget)
     if isinstance(out, Classification) and out.decider == decider:
         return out.certificate
@@ -639,9 +655,11 @@ def classify(m: MachineTable, budget: int) -> Classification:
     """Cheapest decider first: the static escape check, one bounded run
     checking the cycler and the translated cycler after every step, then
     the regular-closure search on survivors; anything left is Undecided
-    at this budget."""
+    at this budget.  Raises ValidationError for a machine that writes a
+    symbol index of 256 or more."""
     if budget < 0:
         raise ValueError("budget must be a natural number")
+    _require_byte_cells(m)
     return _decide(m, budget)[0]
 
 
@@ -755,9 +773,13 @@ def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
 def enumerate_and_classify(n: int, k: int, budget: int,
                            reduced: bool = True) -> EnumerationSummary:
     """Classify every n-state k-symbol machine (canonical representatives
-    when `reduced`, the full raw space otherwise)."""
+    when `reduced`, the full raw space otherwise).  Raises ValidationError
+    for k > 256: the deciders pack tape cells into bytes."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 states and k >= 2 symbols")
+    if k > 256:
+        raise ValidationError(f"{k} symbols; tape cells must fit in a byte "
+                              "(at most 256 symbols)")
     if budget < 0:
         raise ValueError("budget must be a natural number")
     raw_count = (2 * n * k + 1) ** (n * k)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bblab import cli, machines
+from bblab import cli, machines, search
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +29,32 @@ def test_run_builtin_to_its_halt(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["outcome"], payload["steps"]) == ("halted", 47176870)
+    # long runs of equal symbols: chains compress the run
+    assert payload["stats"]["compression"] > 100
+
+
+def test_run_json_stats_follow_the_existing_keys(capsys):
+    """m54's short runs of equal symbols: its compression ratio stays below
+    2, so the run hands itself to the flat stepper."""
+    budget = search.checkpoint_steps(100)
+    code, out, _ = run_cli(capsys, "--format", "json", "run", "--builtin",
+                           "m54", "--budget", str(budget),
+                           "--show-window=-2:3")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["command", "machine", "budget", "outcome",
+                             "steps", "state", "head", "window",
+                             "elapsed_seconds", "stats"]
+    assert (payload["outcome"], payload["steps"], payload["state"],
+            payload["head"]) == ("running", budget, "rewind", -1)
+    stats = payload["stats"]
+    assert list(stats) == ["steps_per_s", "macro_steps", "compression",
+                           "handoffs"]
+    assert stats["steps_per_s"] > 0
+    assert 0 < stats["macro_steps"] <= budget
+    assert stats["compression"] == budget / stats["macro_steps"]
+    assert stats["compression"] < 2
+    assert stats["handoffs"] >= 1
 
 
 def test_run_with_window(capsys):
@@ -175,6 +201,14 @@ def test_enumerate_raw_flag(capsys):
     payload = json.loads(out)
     assert payload["reduced"] is False
     assert payload["total"] == 5 ** 2
+
+
+def test_enumerate_past_a_byte_of_symbols_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "-n", "1", "-k", "300",
+                             "--budget", "10")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "fit in a byte" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -182,6 +182,51 @@ def test_verify_checkpoints_rejects_a_machine_without_a_digit(m54, digit):
         verify_checkpoints(relabelled, 1)
 
 
+# -- alphabets wider than a byte --------------------------------------------
+
+
+def _widened(m, k=300):
+    """`m` with k symbols: the new ones are never written, and their cells,
+    never read, write blank and go right into the initial state."""
+    symbols = m.symbols + tuple(f"x{i}" for i in range(m.n_symbols, k))
+    unread = (Transition(m.blank, R, m.init),) * (k - m.n_symbols)
+    table = tuple(row + unread for row in m.table)
+    return tm.MachineTable(m.name, symbols, m.blank, m.states, m.init, table)
+
+
+# one state, 300 symbols: the blank cell writes symbol 299
+WIDE = _widened(machines.parse_machine(DRIFTER)).with_cell(
+    0, 0, Transition(299, R, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classify(WIDE, 10),
+    lambda: decide_cycler(WIDE, 10),
+    lambda: decide_translated_cycler(WIDE, 10),
+    lambda: enumerate_and_classify(1, 300, 10),
+    lambda: enumerate_and_classify(1, 300, 10, reduced=False),
+    lambda: verify_checkpoints(_widened(machines.builtin_m54()).with_cell(
+        0, 0, Transition(299, R, 0)), 5),
+], ids=["classify", "decide_cycler", "decide_translated_cycler",
+        "enumerate-reduced", "enumerate-raw", "verify_checkpoints"])
+def test_symbols_past_a_byte_are_an_input_error(call):
+    """The deciders and the checkpoint verifier pack tape cells into bytes;
+    a machine that writes symbol 256 or more is refused at entry."""
+    with pytest.raises(ValidationError, match="fit in a byte"):
+        call()
+
+
+def test_wide_alphabets_that_write_narrow_symbols_still_run(m54):
+    """300 symbols of which only indices below 256 are ever written: the
+    verdicts and the checkpoint check are those of the narrow table."""
+    for text in (DRIFTER, PINGPONG):
+        narrow = machines.parse_machine(text)
+        assert classify(_widened(narrow), 50) == classify(narrow, 50)
+    report = verify_checkpoints(_widened(m54), 20)
+    assert (report.checked, report.final_step) == (21, checkpoint_steps(20))
+    assert tm.run(WIDE, 10).tape.window(0, 9) == (299,) * 10
+
+
 # -- deciders and certificates ----------------------------------------------
 
 
