@@ -4,19 +4,21 @@ plus the checkpoint schedule of the power-of-two machine.
 One decider pipeline serves `classify` and both enumerators, cheapest
 first: the escape decider (no halting transition is reachable in the
 state graph); then a single bounded run that checks the cycler (exact
-configuration repeat) and the translated cycler (recurring
-record-breaking configuration shifted by a rigid offset) after every
-step; and finally, for machines that outlast the budget, the
-regular-closure decider (a regular set of configurations that contains
-the initial one, is closed under stepping, and excludes every halting
-one — the escape idea generalized from the state graph to tape
-contents; both are tagged "escape" since both prove halting
-unreachable).  The closure search enumerates only the DFA that reads
-the tape left of the head and derives the one for the right side as a
-least fixpoint, on the machine and on its mirror image.  The bounded
-run is a `tm.FlatRun`, which the closure search's halting probe
-continues; every function here reads a run only through its `state`,
-`steps`, `halted`, `head`, `advance()` and `visited()`, so the layout
+configuration repeat, keyed by the state, the head and the non-blank
+cells packed into two ints) and the translated cycler (recurring
+record-breaking configuration shifted by a rigid offset, which copies
+the tape only when the head breaks a record) after every step; and
+finally, for machines that outlast the budget, the regular-closure
+decider (a regular set of configurations that contains the initial
+one, is closed under stepping, and excludes every halting one — the
+escape idea generalized from the state graph to tape contents; both
+are tagged "escape" since both prove halting unreachable).  The
+closure search enumerates only the DFA that reads the tape left of the
+head and derives the one for the right side as a least fixpoint, on
+the machine and on its mirror image.  The bounded run is a
+`tm.FlatRun`, which the closure search's halting probe continues;
+every function here reads a run only through its `state`, `steps`,
+`halted`, `head`, `advance()`, `step()` and `visited()`, so the layout
 of its list stays inside `tm`.  `revalidate_certificate` re-checks
 every certificate independently, on `tm.step` for the cyclers.
 
@@ -256,19 +258,24 @@ class _TranslatedDetector:
         # cells as bytes)]
         self.records = {}
 
-    def on_step(self, t2: int, state: int, p2: int, first2: int,
-                tape: bytes) -> TranslatedCyclerCertificate | None:
-        """Feed the run after each step: step count, state, head, and the
-        visited cells as bytes from cell `first2` on; certificate on
-        match."""
-        lo, hi = self.lows[0][1], self.highs[0][1]
-        for stack, sign in ((self.lows, 1), (self.highs, -1)):
-            while stack and sign * stack[-1][1] >= sign * p2:
-                stack.pop()
-            stack.append((t2, p2))
-        if lo <= p2 <= hi:
-            return None
-        d = 1 if p2 > hi else -1
+    def on_move(self, t: int, p: int) -> int:
+        """Feed the head after each step: step count and head.  Returns
+        the direction of the record it breaks, 1 or -1, or 0."""
+        lows, highs = self.lows, self.highs
+        lo, hi = lows[0][1], highs[0][1]
+        while lows and lows[-1][1] >= p:
+            lows.pop()
+        lows.append((t, p))
+        while highs and highs[-1][1] <= p:
+            highs.pop()
+        highs.append((t, p))
+        return 1 if p > hi else -1 if p < lo else 0
+
+    def on_record(self, t2: int, state: int, p2: int, d: int, first2: int,
+                  tape: bytes) -> TranslatedCyclerCertificate | None:
+        """Feed a record that `on_move` reported in direction d: step
+        count, state, head, and the visited cells as bytes from cell
+        `first2` on; certificate on match."""
         stack = self.lows if d > 0 else self.highs
         bucket = self.records.setdefault((d, state), [])
         for t1, p1, first1, snap in bucket:
@@ -318,46 +325,58 @@ class Classification:
 
 
 def _run_deciders(m: MachineTable, budget: int):
-    """One bounded tm.FlatRun from the blank tape with the cycler and the
-    translated cycler checked after every step.  Returns a Classification
-    (cycler or translated-cycler), or else the stopped run: halted, or
-    at the budget.
+    """One bounded tm.FlatRun from the blank tape, stepped with
+    `FlatRun.step`, with the cycler and the translated cycler checked
+    after every step.  Returns a Classification (cycler or
+    translated-cycler), or else the stopped run: halted, or at the budget.
 
-    Both read one snapshot per step, the run's visited cells as bytes
-    (`tm.FlatRun.visited`); the public entry points check once that the
-    cells fit (`_require_byte_cells`).  The cycler's signature is the
-    state, the head and that snapshot with blanks stripped from both
-    ends.  An exact
-    repeat keeps the head bounded while a translated repeat proves
-    unbounded drift, so the two never both fire on one machine."""
+    The cycler keeps the tape as two ints, `right` for cells i >= 0 and
+    `left` for cells i < 0, each cell holding symbol ^ blank in `bits`
+    bits from bit bits * i of `right` (bits * (-1 - i) of `left`) on, so
+    blank cells hold 0; a step that changes a cell XORs the change in.
+    Its key (state, head, left, right) names the configuration exactly,
+    so the first repeat is the first exact one.  The translated cycler
+    updates its head stacks every step and reads the visited cells as
+    bytes (`tm.FlatRun.visited`) only when the head breaks a record; the
+    public entry points check once that the cells fit
+    (`_require_byte_cells`).  An exact repeat keeps the head bounded
+    while a translated repeat proves unbounded drift, so the two never
+    both fire on one machine."""
     run = FlatRun(m)
-    blank = bytes([m.blank])
-    seen = {(m.init, 0, 0, b""): 0}
-    detector = _TranslatedDetector(blank)
-    while run.steps < budget:
-        run.advance(run.steps + 1)
-        if run.halted:
+    step = run.step
+    bits = (m.n_symbols - 1).bit_length()
+    left = right = head = 0
+    seen = {(m.init, 0, 0, 0): 0}
+    detector = _TranslatedDetector(bytes([m.blank]))
+    on_move = detector.on_move
+    for t in range(1, budget + 1):
+        cell = step()
+        if cell is None:
             break
-        first, cells = run.visited()
-        tape = bytes(cells)
-        head = run.head
-        rest = tape.lstrip(blank)
-        content = rest.rstrip(blank)
-        lo = first + len(tape) - len(rest) if content else head
-        sig = (run.state, head, lo, content)
-        if sig in seen:
-            return Classification(
-                "nonhalt", decider="cycler",
-                certificate=CyclerCertificate(seen[sig], run.steps))
-        seen[sig] = run.steps
-        cert = detector.on_step(run.steps, run.state, head, first, tape)
-        if cert is not None:
-            return Classification("nonhalt", decider="translated-cycler",
-                                  certificate=cert)
+        read, written = cell
+        if read != written:
+            if head >= 0:
+                right ^= (read ^ written) << bits * head
+            else:
+                left ^= (read ^ written) << bits * ~head
+        head, state = run.head, run.state
+        t1 = seen.setdefault((state, head, left, right), t)
+        if t1 != t:
+            return Classification("nonhalt", decider="cycler",
+                                  certificate=CyclerCertificate(t1, t))
+        d = on_move(t, head)
+        if d:
+            first, cells = run.visited()
+            cert = detector.on_record(t, state, head, d, first, bytes(cells))
+            if cert is not None:
+                return Classification("nonhalt", decider="translated-cycler",
+                                      certificate=cert)
     return run
 
 
 def _pass_certificate(m: MachineTable, budget: int, decider: str):
+    if budget < 0:
+        raise ValueError("budget must be a natural number")
     _require_byte_cells(m)
     out = _run_deciders(m, budget)
     if isinstance(out, Classification) and out.decider == decider:
@@ -573,7 +592,8 @@ def _closure_axioms_hold(m: MachineTable,
 def revalidate_certificate(m: MachineTable, cert) -> bool:
     """Independently re-check a decider certificate: against the table for
     escape, against the closure axioms for regular closure, and against
-    tm execution for the cycler certificates."""
+    tm execution for the cycler certificates, which must have
+    0 <= t1 < t2."""
     if isinstance(cert, RegularClosureCertificate):
         return _closure_axioms_hold(m, cert)
     if isinstance(cert, EscapeCertificate):
@@ -585,6 +605,8 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
                 if tr is HALT or tr.next_state not in states:
                     return False
         return True
+    if not 0 <= cert.t1 < cert.t2:
+        return False  # t1 == t2 would compare a configuration with itself
     c = initial_configuration(m)
     heads = [c.head]
     for _ in range(cert.t1):

@@ -422,8 +422,9 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
 class FlatRun:
     """A run from the blank tape on one flat list of cells, for callers
     that stop at many step counts and read the tape in between.  They
-    read it through `state`, `steps`, `halted`, `head` and `visited()`;
-    the list layout is private to this class.
+    drive it with `advance()` or `step()` and read it through `state`,
+    `steps`, `halted`, `head` and `visited()`; the list layout is private
+    to this class.
 
     `_tape[i]` holds cell i - `_origin`, and the head is at `_tape[_pos]`.
     Cells never visited hold `_sentinel`, one past the last symbol index,
@@ -432,7 +433,8 @@ class FlatRun:
     sentinel-free span around it.  Between batches of steps the list
     keeps `_MARGIN` cells on either side of the head; the head reads an
     end cell only in the last step of a batch, after which the list
-    grows on that side, so both ends always hold the sentinel.
+    grows on that side.  `step` grows the list whenever the head lands on
+    an end cell, so both ends always hold the sentinel.
     """
 
     __slots__ = ("_cells", "_blank", "_sentinel", "_tape", "_origin", "_pos",
@@ -495,6 +497,24 @@ class FlatRun:
             else:
                 done += n
         self.state, self._pos, self.steps = q, self._fit(p), done
+
+    def step(self) -> tuple[int, int] | None:
+        """Run one step: (symbol read, symbol written), an unvisited cell
+        read as blank, or None when the step halts.  Raises StepAfterHalt
+        on a halted run."""
+        if self.halted:
+            raise StepAfterHalt("run has halted")
+        tape, p = self._tape, self._pos
+        read = tape[p]
+        cell = self._cells[self.state][read]
+        self.steps += 1
+        if cell is None:
+            self.halted = True
+            return None
+        tape[p], d, self.state = cell
+        p += d
+        self._pos = p if 0 < p < len(tape) - 1 else self._fit(p)
+        return (self._blank if read == self._sentinel else read), cell[0]
 
     def visited(self) -> tuple[int, list[int]]:
         """(first, symbols): the first visited cell, and a new list of the

@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -117,9 +118,12 @@ def test_checkpoint_steps_rejects_negative():
     lambda: tm.run_trace(machines.builtin_m54(), [-3, 2]),
     lambda: search.classify(machines.builtin_m54(), -1),
     lambda: search.enumerate_and_classify(2, 2, -1),
+    lambda: decide_cycler(machines.parse_machine(PINGPONG), -1),
+    lambda: decide_translated_cycler(machines.parse_machine(DRIFTER), -5),
 ], ids=["checkpoint_steps", "verify_checkpoints", "scan_erdos",
         "power_of_two_ternary", "verify_simulation", "run", "run_trace",
-        "classify", "enumerate_and_classify"])
+        "classify", "enumerate_and_classify", "decide_cycler",
+        "decide_translated_cycler"])
 def test_negative_bounds_are_rejected(call):
     with pytest.raises(ValueError, match="natural number"):
         call()
@@ -265,6 +269,60 @@ def test_cycler_certificate_tampering_rejected():
         m, CyclerCertificate(cert.t1, cert.t2 + 1))
 
 
+@pytest.mark.parametrize("cert", [
+    CyclerCertificate(0, 0), CyclerCertificate(7, 3), CyclerCertificate(5, 5),
+    CyclerCertificate(-2, 2), TranslatedCyclerCertificate(4, 4, 0),
+    TranslatedCyclerCertificate(6, 2, 0), TranslatedCyclerCertificate(3, 3, 1),
+])
+@pytest.mark.parametrize("text", [None, PINGPONG], ids=["champion",
+                                                        "pingpong"])
+def test_cycler_certificates_need_t1_before_t2(text, cert):
+    """With t2 <= t1 no step runs between the two configurations, so the
+    check would compare one configuration with itself; such a certificate
+    proves nothing, even for the halting champion."""
+    m = (machines.builtin_bb5_champion() if text is None
+         else machines.parse_machine(text))
+    assert not revalidate_certificate(m, cert)
+
+
+def _first_repeat(m, budget):
+    """Reference cycler: the first (t1, t2) at which the tm.step
+    configuration, keyed by state, head and the set of non-blank cells,
+    repeats within `budget` steps, or None if it halts or none does."""
+    c = tm.initial_configuration(m)
+    seen = {}
+    while True:
+        key = (c.state, c.head, frozenset(
+            (i, s) for i, s in c.tape.cells.items() if s != m.blank))
+        if key in seen:
+            return seen[key], c.step_count
+        seen[key] = c.step_count
+        if c.step_count == budget:
+            return None
+        tm.step(m, c)
+        if c.halted:
+            return None
+
+
+def test_cycler_finds_the_first_exact_repeat():
+    """decide_cycler against the reference on random tables, with random
+    blanks and initial states: the same first repeat, or none."""
+    rng = random.Random(5)
+    found = 0
+    for n, k in ((2, 2), (3, 2), (2, 3)):
+        options = _options(n, k)
+        for _ in range(600):
+            m = _table(n, k, [rng.choice(options) for _ in range(n * k)])
+            m = search.MachineTable(m.name, m.symbols, rng.randrange(k),
+                                    m.states, rng.randrange(n), m.table)
+            expected = _first_repeat(m, 60)
+            cert = decide_cycler(m, 60)
+            assert (cert and (cert.t1, cert.t2)) == expected, \
+                machines.serialize_machine(m)
+            found += expected is not None
+    assert found >= 60
+
+
 def test_cycler_declines_on_halting_machine():
     assert decide_cycler(machines.parse_machine(DRIFTER), 100) is None
 
@@ -291,8 +349,12 @@ def test_translated_detector_reads_cells_past_a_snapshot_as_blank(d):
     so they read as blank.  Records fed by hand, drifting in direction d:
     head d*1 at t=1, an excursion to -d*4 at t=2, head d*5 at t=3."""
     def feed(detector, t, head, state, cells, first):
+        # every fed step breaks a record on its head's side of cell 0;
         # `cells` lists the tape from cell `first` on
-        return detector.on_step(t, state, head, first, bytes(cells))
+        direction = detector.on_move(t, head)
+        assert direction == (1 if head > 0 else -1)
+        return detector.on_record(t, state, head, direction, first,
+                                  bytes(cells))
 
     def detect(later):
         detector = search._TranslatedDetector(b"\0")
@@ -364,12 +426,28 @@ def test_regular_closure_decider():
 def test_translated_detector_keeps_long_runs_linear():
     """Each record's reach comes from suffix minima and maxima of the
     head, not from a rescan of the steps since the record.  On a 2-core
-    Xeon this run takes about 0.5 s; a rescan per record takes about 5 s."""
+    Xeon this run takes about 0.1 s; a rescan per record takes about 5 s."""
     m = machines.parse_machine(BOUNCER, name="bouncer")
     started = time.perf_counter()
     run = search._run_deciders(m, 32_000)
     assert run.steps == 32_000 and not run.halted
     assert time.perf_counter() - started < 2.5
+
+
+def test_decider_pass_memory_stays_small():
+    """The cycler keeps each step's tape as two ints, and the translated
+    cycler copies the visited cells only at head records.  Under Python
+    3.11, tracemalloc's peak for this run is 5.0 MiB; a copy of the
+    visited cells per step took 13.2 MiB."""
+    m = machines.parse_machine(BOUNCER, name="bouncer")
+    tracemalloc.start()
+    try:
+        run = search._run_deciders(m, 32_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.steps == 32_000 and not run.halted
+    assert peak < 8 * 2 ** 20
 
 
 # Eleven (2,3) bouncers that outlast budget 100 and on which none of the

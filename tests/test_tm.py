@@ -273,7 +273,7 @@ def test_run_matches_single_steps(m, budget, checkpoints):
     """run (chains and FlatRun by turns) at `budget`, and run_trace (the
     flat-list stepper) at sorted `checkpoints`, against single steps.
     Consecutive checkpoints 1, 2, 3, ... advance the flat-list stepper one
-    step at a time, as the search deciders do.  The _ZIGZAG budgets end
+    step at a time.  The _ZIGZAG budgets end
     one step before, at and one step after each hand-off, inside a probe
     on chains and inside a FlatRun chunk."""
     _assert_same_run(tm.run(m, budget),
@@ -298,7 +298,7 @@ def test_run_matches_single_steps(m, budget, checkpoints):
 def test_flat_run_matches_single_steps(m, stops):
     """FlatRun advanced to sorted targets against single steps.  Each
     (target, extra) stop advances to `target` and then one step at a time
-    `extra` more times, as the search deciders do.  At every target the
+    `extra` more times.  At every target the
     state, steps, halted flag, head, visited cells and configuration
     agree with tm.step's."""
     targets = sorted(t + i for t, extra in stops for i in range(extra + 1))
@@ -307,6 +307,51 @@ def test_flat_run_matches_single_steps(m, stops):
     for target in targets:
         run.advance(target)
         _step_to(m, c, target)
+        assert (run.state, run.steps, run.halted, run.head) == (
+            c.state, c.step_count, c.halted, c.head)
+        first, cells = run.visited()
+        assert (first, first + len(cells) - 1) == (c.tape.lo, c.tape.hi)
+        assert tuple(cells) == c.tape.window(c.tape.lo, c.tape.hi)
+        _assert_same_config(run.configuration(), c)
+
+
+@given(_tables(), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3),
+       st.lists(st.tuples(st.booleans(),
+                          st.integers(min_value=0, max_value=60)),
+                max_size=8))
+@example(_SWEEP_RIGHT, 0, 0, [(True, 100)])
+@example(_SWEEP_LEFT, 0, 0, [(True, 100)])
+@example(_SWEEP_LEFT, 0, 0, [(False, 30), (True, 50), (False, 100),
+                             (True, 20)])
+@example(_BOUNCER, 1, 1, [(True, 60), (False, 60), (True, 60)])
+@settings(max_examples=200, deadline=None)
+def test_flat_run_step_matches_single_steps(m, blank, init, strides):
+    """FlatRun.step, by turns with advance(), against single steps, on
+    tables with any blank and initial state.  Each (single, count) stride
+    takes `count` steps, one step() at a time when `single`.  Every step()
+    returns the symbol read, an unvisited cell as blank, and the symbol
+    written, or None when it halts; a step() after the halt raises.  After
+    each stride the whole run agrees with tm.step's."""
+    m = MachineTable(m.name, m.symbols, blank % m.n_symbols, m.states,
+                     init % m.n_states, m.table)
+    run = tm.FlatRun(m)
+    c = tm.initial_configuration(m)
+    for single, count in strides:
+        if single:
+            for _ in range(count):
+                if c.halted:
+                    with pytest.raises(StepAfterHalt):
+                        run.step()
+                    break
+                read = c.read()
+                tr = m.table[c.state][read]
+                tm.step(m, c)
+                assert run.step() == (None if tr is HALT
+                                      else (read, tr.write))
+        else:
+            run.advance(run.steps + count)
+            _step_to(m, c, c.step_count + count)
         assert (run.state, run.steps, run.halted, run.head) == (
             c.state, c.step_count, c.halted, c.head)
         first, cells = run.visited()
