@@ -22,6 +22,10 @@ def show(n, k, budget, reduced=True):
         f"NOT confirmed ({s.counts['undecided']} undecided)"
     print(f"BB({n},{k}) candidate = {s.max_steps}  [{verdict}]  "
           f"{s.total:,} machines in {elapsed:.1f}s  {s.counts}")
+    # regular-closure verdicts are counted under "escape"
+    print(f"  {s.total / elapsed:,.0f} machines/s; the closure search "
+          f"decided {s.closure_decided} of the {s.closure_searches} "
+          "machines that outlasted the budget")
     if s.champions:
         print("  a champion:")
         for line in machines.serialize_machine(s.champions[0]).splitlines():

@@ -158,8 +158,16 @@ def cmd_enumerate(args) -> int:
     started = time.perf_counter()
     summary = search.enumerate_and_classify(args.n, args.k, args.budget,
                                             reduced=not args.raw)
+    elapsed = time.perf_counter() - started
+    rate = summary.total / elapsed if elapsed else 0.0
     payload = {"command": "enumerate", **summary.to_dict(),
-               "elapsed_seconds": time.perf_counter() - started}
+               "elapsed_seconds": elapsed}
+    payload["stats"] = {
+        "machines_per_s": rate,
+        "decider_pass_runs": summary.decider_pass_runs,
+        "decider_pass_steps": summary.decider_pass_steps,
+        "closure_searches": summary.closure_searches,
+        "closure_decided": summary.closure_decided}
     lines = [
         f"space: {args.n} states x {args.k} symbols, budget {args.budget}, "
         + ("raw" if args.raw else "reduced"),
@@ -167,6 +175,11 @@ def cmd_enumerate(args) -> int:
         f"counts: {summary.counts}",
         f"BB candidate: {summary.max_steps}, "
         f"undecided: {summary.counts['undecided']}",
+        f"stats: {rate:,.0f} machines/s, decider pass "
+        f"{summary.decider_pass_runs:,} runs of "
+        f"{summary.decider_pass_steps:,} steps in all, closure "
+        f"{summary.closure_decided:,} decided of "
+        f"{summary.closure_searches:,} searches",
         "confirmed" if summary.confirmed else "NOT confirmed "
         "(undecided machines remain)",
     ]

@@ -28,7 +28,8 @@ lazily in the order the blank-tape run first needs them, new
 states/symbols are introduced lowest-index-first, and the very first
 transition moves right.  A node's cells not chosen yet are Halt, so
 every node is a complete table and the pipeline runs it as is; a run
-that halts on such a cell branches on it.  The reduction preserves
+that halts on such a cell branches on it, and each branch's table is
+its parent's with that one cell replaced (`MachineTable.with_cell`).  The reduction preserves
 every halting step count, so maxima are exact; raw mode remains
 available as ground truth.
 """
@@ -36,6 +37,7 @@ available as ground truth.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -243,6 +245,11 @@ class _TranslatedDetector:
     the run from t2 replays the run from t1 shifted by head(t2)-head(t1):
     it reads only checked-equal cells or blanks beyond the record, so it
     drifts forever and never halts.
+
+    The run that feeds it keeps its two stacks up to date and calls
+    `on_record` only when the head breaks a record; `_run_deciders` does
+    both inline, so a step costs no call here.  Each reach is one bisect
+    into a stack, so the pass stays linear in its steps.
     """
 
     __slots__ = ("blank", "lows", "highs", "records")
@@ -251,31 +258,21 @@ class _TranslatedDetector:
         self.blank = blank
         # Suffix minima and maxima of the head as (step, head) stacks: the
         # first entry after step t holds the lowest (highest) head since t,
-        # and the first entry the lowest (highest) head so far.
+        # and the first entry the lowest (highest) head so far.  Heads
+        # strictly rise up `lows` and fall up `highs`; the top of each is
+        # the head now.
         self.lows = [(0, 0)]
         self.highs = [(0, 0)]
         # (direction, state) -> [(t, head, first visited cell, visited
         # cells as bytes)]
         self.records = {}
 
-    def on_move(self, t: int, p: int) -> int:
-        """Feed the head after each step: step count and head.  Returns
-        the direction of the record it breaks, 1 or -1, or 0."""
-        lows, highs = self.lows, self.highs
-        lo, hi = lows[0][1], highs[0][1]
-        while lows and lows[-1][1] >= p:
-            lows.pop()
-        lows.append((t, p))
-        while highs and highs[-1][1] <= p:
-            highs.pop()
-        highs.append((t, p))
-        return 1 if p > hi else -1 if p < lo else 0
-
     def on_record(self, t2: int, state: int, p2: int, d: int, first2: int,
                   tape: bytes) -> TranslatedCyclerCertificate | None:
-        """Feed a record that `on_move` reported in direction d: step
-        count, state, head, and the visited cells as bytes from cell
-        `first2` on; certificate on match."""
+        """Feed a record in direction d, 1 or -1: step count, state,
+        head, and the visited cells as bytes from cell `first2` on;
+        certificate on match.  The stacks must hold the heads up to step
+        t2."""
         stack = self.lows if d > 0 else self.highs
         bucket = self.records.setdefault((d, state), [])
         for t1, p1, first1, snap in bucket:
@@ -327,28 +324,33 @@ class Classification:
 def _run_deciders(m: MachineTable, budget: int):
     """One bounded tm.FlatRun from the blank tape, stepped with
     `FlatRun.step`, with the cycler and the translated cycler checked
-    after every step.  Returns a Classification (cycler or
-    translated-cycler), or else the stopped run: halted, or at the budget.
+    after every step, inline: a step that breaks no head record makes no
+    call into the detector.  Returns a Classification (cycler or
+    translated-cycler), or else the stopped run: halted, or at the
+    budget.
 
     The cycler keeps the tape as two ints, `right` for cells i >= 0 and
     `left` for cells i < 0, each cell holding symbol ^ blank in `bits`
     bits from bit bits * i of `right` (bits * (-1 - i) of `left`) on, so
     blank cells hold 0; a step that changes a cell XORs the change in.
     Its key (state, head, left, right) names the configuration exactly,
-    so the first repeat is the first exact one.  The translated cycler
-    updates its head stacks every step and reads the visited cells as
-    bytes (`tm.FlatRun.visited`) only when the head breaks a record; the
-    public entry points check once that the cells fit
-    (`_require_byte_cells`).  An exact repeat keeps the head bounded
-    while a translated repeat proves unbounded drift, so the two never
-    both fire on one machine."""
+    so the first repeat is the first exact one.  For the translated
+    cycler, every step updates the detector's suffix-minimum and -maximum
+    stacks of the head, which costs a push and at most two pops because
+    the head moves one cell, and compares the head with the lowest and
+    highest cells so far, `lo` and `hi`.  Only a step that breaks a
+    record reads the visited cells as bytes (`tm.FlatRun.visited`) and
+    calls `_TranslatedDetector.on_record`; the public entry points check
+    once that the cells fit (`_require_byte_cells`).  An exact repeat
+    keeps the head bounded while a translated repeat proves unbounded
+    drift, so the two never both fire on one machine."""
     run = FlatRun(m)
     step = run.step
     bits = (m.n_symbols - 1).bit_length()
-    left = right = head = 0
+    left = right = head = lo = hi = 0
     seen = {(m.init, 0, 0, 0): 0}
     detector = _TranslatedDetector(bytes([m.blank]))
-    on_move = detector.on_move
+    lows, highs = detector.lows, detector.highs
     for t in range(1, budget + 1):
         cell = step()
         if cell is None:
@@ -359,18 +361,37 @@ def _run_deciders(m: MachineTable, budget: int):
                 right ^= (read ^ written) << bits * head
             else:
                 left ^= (read ^ written) << bits * ~head
-        head, state = run.head, run.state
+        state = run.state
+        if run.head > head:
+            head += 1
+            ahead, behind = highs, lows
+        else:
+            head -= 1
+            ahead, behind = lows, highs
         t1 = seen.setdefault((state, head, left, right), t)
         if t1 != t:
             return Classification("nonhalt", decider="cycler",
                                   certificate=CyclerCertificate(t1, t))
-        d = on_move(t, head)
-        if d:
-            first, cells = run.visited()
-            cert = detector.on_record(t, state, head, d, first, bytes(cells))
-            if cert is not None:
-                return Classification("nonhalt", decider="translated-cycler",
-                                      certificate=cert)
+        # The head moved one cell, so it tops the stack behind it; on the
+        # stack ahead it replaces the old head, on top, and an entry at
+        # its own cell, just below, if there is one.
+        entry = (t, head)
+        behind.append(entry)
+        ahead.pop()
+        if ahead and ahead[-1][1] == head:
+            ahead.pop()
+        ahead.append(entry)
+        if lo <= head <= hi:
+            continue
+        if head > hi:
+            hi, d = head, 1
+        else:
+            lo, d = head, -1
+        first, cells = run.visited()
+        cert = detector.on_record(t, state, head, d, first, bytes(cells))
+        if cert is not None:
+            return Classification("nonhalt", decider="translated-cycler",
+                                  certificate=cert)
     return run
 
 
@@ -698,6 +719,13 @@ class EnumerationSummary:
     max_steps: int = 0
     champions: list = field(default_factory=list)
     undecided: list = field(default_factory=list)
+    # How the pipeline went, read off each verdict: runs of the decider
+    # pass and the steps they made, closure searches and the verdicts
+    # they gave (counted under "escape").  to_dict leaves them out.
+    decider_pass_runs: int = 0
+    decider_pass_steps: int = 0
+    closure_searches: int = 0
+    closure_decided: int = 0
 
     @property
     def confirmed(self) -> bool:
@@ -706,7 +734,23 @@ class EnumerationSummary:
         return self.counts["undecided"] == 0
 
     def record(self, cls: Classification, table: MachineTable):
+        """Count one verdict of _decide.  Every verdict but the state-graph
+        escape comes after a decider pass, which stops at the halting
+        step, at a cycler certificate's t2, or else at the budget; only
+        then does the closure search run, and its failure is the one
+        undecided verdict."""
         self.total += 1
+        cert = cls.certificate
+        if not isinstance(cert, EscapeCertificate):
+            self.decider_pass_runs += 1
+            if cls.status == "halts":
+                self.decider_pass_steps += cls.steps
+            elif cls.decider in ("cycler", "translated-cycler"):
+                self.decider_pass_steps += cert.t2
+            else:
+                self.decider_pass_steps += self.budget
+                self.closure_searches += 1
+                self.closure_decided += cert is not None
         if cls.status == "halts":
             self.counts["halts"] += 1
             if cls.steps > self.max_steps:
@@ -732,64 +776,65 @@ class EnumerationSummary:
         }
 
 
-def _machine(n: int, k: int, rows) -> MachineTable:
-    """The n-state, k-symbol enumeration table with the given rows of
-    Transitions and HALT, starting in state 0 on blank symbol 0."""
+def _machine(n: int, k: int) -> MachineTable:
+    """The n-state, k-symbol enumeration table whose cells all halt,
+    starting in state 0 on blank symbol 0.  Every table of the space is
+    derived from it by `MachineTable.with_cell`, which checks only the
+    cell it replaces, so the labels are built and checked once per space
+    and every table shares them."""
     return MachineTable(name=f"tm{n}x{k}",
                         symbols=tuple(str(i) for i in range(k)), blank=0,
                         states=tuple(chr(ord("A") + i) for i in range(n)),
-                        init=0, table=tuple(tuple(row) for row in rows))
+                        init=0, table=((HALT,) * k,) * n)
 
 
 def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
     # Branching never chooses Halt, so the HALT cells are exactly the
     # cells not chosen yet, and every node runs as a complete table.
-    cells = [[HALT] * k for _ in range(n)]
 
-    def branch_options(first: bool):
-        used_states = {0}
-        used_symbols = {0}
-        for q in range(n):
-            for s in range(k):
-                tr = cells[q][s]
-                if tr is not HALT:
-                    used_states.add(q)
-                    used_states.add(tr.next_state)
-                    used_symbols.add(s)
-                    used_symbols.add(tr.write)
-        max_state = min(max(used_states) + 1, n - 1)
-        max_symbol = min(max(used_symbols) + 1, k - 1)
+    @functools.cache
+    def branch_options(first: bool, top_state: int, top_symbol: int):
+        """The transitions a cell not chosen yet may take, given the
+        highest state and symbol the chosen cells use (or 0)."""
         moves = (R,) if first else (L, R)
-        return [Transition(w, move, q2)
-                for w in range(max_symbol + 1)
-                for move in moves
-                for q2 in range(max_state + 1)]
+        return tuple(Transition(w, move, q2)
+                     for w in range(min(top_symbol + 1, k - 1) + 1)
+                     for move in moves
+                     for q2 in range(min(top_state + 1, n - 1) + 1))
 
-    def recurse():
-        m = _machine(n, k, cells)
+    def recurse(m: MachineTable, top_state: int, top_symbol: int):
         verdict, run = _decide(m, budget)
         summary.record(verdict, m)
         if run is None:
             return
         # the run halted on a cell not chosen yet: every completion with
         # Halt there (that is `m`) stops at the same step, and the others
-        # are the branches
+        # are the branches.  The run reached the cell, so its state and
+        # symbol are already at most the tops.
         first, tape = run.visited()
         q, sym = run.state, tape[run.head - first]
-        for option in branch_options(first=(run.steps == 1)):
-            cells[q][sym] = option
-            recurse()
-        cells[q][sym] = HALT
+        for tr in branch_options(run.steps == 1, top_state, top_symbol):
+            recurse(m.with_cell(q, sym, tr), max(top_state, tr.next_state),
+                    max(top_symbol, tr.write))
 
-    recurse()
+    recurse(_machine(n, k), 0, 0)
 
 
 def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
     options = [HALT] + [Transition(w, move, q2) for w in range(k)
                         for move in (L, R) for q2 in range(n)]
-    for combo in itertools.product(options, repeat=n * k):
-        m = _machine(n, k, (combo[q * k:(q + 1) * k] for q in range(n)))
-        summary.record(_decide(m, budget)[0], m)
+    cells = [(q, s) for q in range(n) for s in range(k)]
+
+    def fill(m: MachineTable, i: int):
+        # cells before i are chosen, the first one slowest (product order)
+        if i == len(cells):
+            summary.record(_decide(m, budget)[0], m)
+            return
+        q, s = cells[i]
+        for tr in options:
+            fill(m.with_cell(q, s, tr), i + 1)
+
+    fill(_machine(n, k), 0)
 
 
 def enumerate_and_classify(n: int, k: int, budget: int,

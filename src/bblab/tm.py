@@ -89,28 +89,23 @@ class MachineTable:
                     f"state {self.states[q]}: expected {k} cells, got {len(row)}"
                 )
             for s, tr in enumerate(row):
-                if tr is HALT:
-                    continue
-                if not isinstance(tr, Transition):
-                    raise ValidationError(
-                        f"cell ({self.states[q]}, {self.symbols[s]}) is not "
-                        "a Transition or Halt"
-                    )
-                if not 0 <= tr.write < k:
-                    raise ValidationError(
-                        f"cell ({self.states[q]}, {self.symbols[s]}): "
-                        "write symbol out of range"
-                    )
-                if tr.move not in (L, R):
-                    raise ValidationError(
-                        f"cell ({self.states[q]}, {self.symbols[s]}): "
-                        f"bad move {tr.move!r}"
-                    )
-                if not 0 <= tr.next_state < n:
-                    raise ValidationError(
-                        f"cell ({self.states[q]}, {self.symbols[s]}): "
-                        "next state out of range"
-                    )
+                if tr is not HALT:
+                    self._check_cell(q, s, tr)
+
+    def _check_cell(self, q: int, s: int, tr: object) -> None:
+        """Raise ValidationError unless `tr`, not HALT, fits cell (q, s)."""
+        if not isinstance(tr, Transition):
+            problem = " is not a Transition or Halt"
+        elif not 0 <= tr.write < len(self.symbols):
+            problem = ": write symbol out of range"
+        elif tr.move not in (L, R):
+            problem = f": bad move {tr.move!r}"
+        elif not 0 <= tr.next_state < len(self.states):
+            problem = ": next state out of range"
+        else:
+            return
+        raise ValidationError(
+            f"cell ({self.states[q]}, {self.symbols[s]}){problem}")
 
     @property
     def n_states(self):
@@ -130,18 +125,23 @@ class MachineTable:
         return self.table[state][symbol]
 
     def with_cell(self, state: int, symbol: int, tr) -> "MachineTable":
-        """Copy of this table with one cell replaced (used by fault-injection
-        tests)."""
-        rows = [list(row) for row in self.table]
-        rows[state][symbol] = tr
-        return MachineTable(
-            name=self.name,
-            symbols=self.symbols,
-            blank=self.blank,
-            states=self.states,
-            init=self.init,
-            table=tuple(tuple(row) for row in rows),
-        )
+        """Copy of this table with cell (state, symbol) replaced by `tr`, a
+        Transition or HALT, under the same name and labels.  Only the new
+        cell is checked, with the constructor's ValidationError messages:
+        every other cell was checked when this table was built.  The
+        enumerators derive each table of a space from another this way."""
+        if tr is not HALT:
+            self._check_cell(state, symbol, tr)
+        row = list(self.table[state])
+        row[symbol] = tr
+        table = list(self.table)
+        table[state] = tuple(row)
+        # the one construction that skips __post_init__: all fields but
+        # the table are this table's, and the table differs in one checked
+        # cell
+        child = object.__new__(MachineTable)
+        vars(child).update(vars(self), table=tuple(table))
+        return child
 
 
 class Tape:

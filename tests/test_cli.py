@@ -180,6 +180,43 @@ def test_enumerate_json(capsys):
     assert payload["counts"]["undecided"] == 0
 
 
+@pytest.mark.parametrize("budget, confirmed", [(1000, True), (3, False)])
+def test_enumerate_json_stats_follow_the_existing_keys(capsys, budget,
+                                                       confirmed):
+    """Closure verdicts stay counted under "escape" and get their own
+    line in the stats; on a confirmed space every closure search
+    decided."""
+    code, out, _ = run_cli(capsys, "--format", "json", "enumerate", "-n",
+                           "3" if confirmed else "2", "-k", "2",
+                           "--budget", str(budget))
+    assert code == (0 if confirmed else 1)
+    payload = json.loads(out)
+    assert list(payload) == [
+        "command", "n", "k", "budget", "reduced", "total", "counts",
+        "max_steps", "confirmed", "champions", "undecided",
+        "elapsed_seconds", "stats"]
+    assert list(payload["counts"]) == ["halts", "escape", "cycler",
+                                       "translated-cycler", "undecided"]
+    stats = payload["stats"]
+    assert list(stats) == ["machines_per_s", "decider_pass_runs",
+                           "decider_pass_steps", "closure_searches",
+                           "closure_decided"]
+    assert stats["machines_per_s"] > 0
+    assert 0 < stats["decider_pass_runs"] <= payload["total"]
+    assert stats["decider_pass_steps"] >= stats["decider_pass_runs"]
+    assert 0 < stats["closure_decided"] <= payload["counts"]["escape"]
+    assert (stats["closure_decided"] == stats["closure_searches"]) is \
+        confirmed
+    code, text, _ = run_cli(capsys, "enumerate", "-n",
+                            "3" if confirmed else "2", "-k", "2",
+                            "--budget", str(budget))
+    line = (f"decider pass {stats['decider_pass_runs']:,} runs of "
+            f"{stats['decider_pass_steps']:,} steps in all, closure "
+            f"{stats['closure_decided']:,} decided of "
+            f"{stats['closure_searches']:,} searches")
+    assert line in text and "machines/s" in text
+
+
 def test_enumerate_undecided_written_not_dropped(capsys, tmp_path):
     out_path = tmp_path / "undecided.tm"
     code, out, _ = run_cli(capsys, "enumerate", "-n", "2", "-k", "2",

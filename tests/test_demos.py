@@ -20,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ("03_erdos_scan.py", "digit-2-free exponents: [0, 2, 8]"),
     ("04_simulation_check.py", "time scale: f(5)=10, f(16)=35, f(333)=741"),
     ("05_busy_beaver_search.py", "BB(3,2) candidate = 21  [confirmed]"),
+    ("05_busy_beaver_search.py", "machines/s; the closure search decided "
+     "86 of the 86 machines that outlasted the budget"),
 ])
 def test_demo_runs(demo, line):
     env = dict(os.environ)

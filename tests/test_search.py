@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import itertools
+import json
 import random
 import re
 import time
@@ -323,6 +324,64 @@ def test_cycler_finds_the_first_exact_repeat():
     assert found >= 60
 
 
+def _first_translated_repeat(m, budget):
+    """Reference translated cycler: the first (t1, t2, offset) the
+    matching rule of _TranslatedDetector accepts within `budget` steps of
+    tm.step, or None if it halts or none does.  At each head record t2 it
+    tries the earlier records t1 in the same direction with the same
+    state, oldest first, and rescans the heads of steps t1+1..t2 for the
+    farthest opposite excursion."""
+    c = tm.initial_configuration(m)
+    heads = [0]
+    records = []  # (t, direction, state, head, configuration)
+    while c.step_count < budget:
+        tm.step(m, c)
+        if c.halted:
+            return None
+        t2, p2 = c.step_count, c.head
+        earlier = heads[:t2]
+        heads.append(p2)
+        d = 1 if p2 > max(earlier) else -1 if p2 < min(earlier) else 0
+        if not d:
+            continue
+        for t1, d1, q1, p1, c1 in records:
+            if (d1, q1) != (d, c.state):
+                continue
+            between = heads[t1 + 1:t2 + 1]
+            width = max(0, d * p1 - min(d * h for h in between))
+            if all(c1.tape.read(p1 - d * j) == c.tape.read(p2 - d * j)
+                   for j in range(width + 1)):
+                return t1, t2, p2 - p1
+        records.append((t2, d, c.state, p2, c.clone()))
+    return None
+
+
+def test_translated_cycler_finds_the_first_translated_repeat():
+    """decide_translated_cycler against the reference on random tables,
+    with random blanks and initial states, and on bouncers, whose records
+    recur with reaches that keep changing: the same first certificate, or
+    none."""
+    rng = random.Random(6)
+    cases = []
+    for n, k in ((2, 2), (3, 2), (2, 3)):
+        options = _options(n, k)
+        for _ in range(600):
+            m = _table(n, k, [rng.choice(options) for _ in range(n * k)])
+            cases.append((search.MachineTable(
+                m.name, m.symbols, rng.randrange(k), m.states,
+                rng.randrange(n), m.table), 60))
+    cases += [(machines.parse_compact(row), 300) for row, _ in BOUNCERS_2X3]
+    cases.append((machines.parse_machine(BOUNCER), 2000))
+    found = 0
+    for m, budget in cases:
+        expected = _first_translated_repeat(m, budget)
+        cert = decide_translated_cycler(m, budget)
+        assert (cert and (cert.t1, cert.t2, cert.offset)) == expected, \
+            machines.serialize_machine(m)
+        found += expected is not None
+    assert found >= 1400
+
+
 def test_cycler_declines_on_halting_machine():
     assert decide_cycler(machines.parse_machine(DRIFTER), 100) is None
 
@@ -350,11 +409,17 @@ def test_translated_detector_reads_cells_past_a_snapshot_as_blank(d):
     head d*1 at t=1, an excursion to -d*4 at t=2, head d*5 at t=3."""
     def feed(detector, t, head, state, cells, first):
         # every fed step breaks a record on its head's side of cell 0;
-        # `cells` lists the tape from cell `first` on
-        direction = detector.on_move(t, head)
-        assert direction == (1 if head > 0 else -1)
-        return detector.on_record(t, state, head, direction, first,
-                                  bytes(cells))
+        # `cells` lists the tape from cell `first` on.  The stacks keep
+        # the suffix minima and maxima of the heads fed so far.
+        lows, highs = detector.lows, detector.highs
+        while lows and lows[-1][1] >= head:
+            lows.pop()
+        while highs and highs[-1][1] <= head:
+            highs.pop()
+        lows.append((t, head))
+        highs.append((t, head))
+        return detector.on_record(t, state, head, 1 if head > 0 else -1,
+                                  first, bytes(cells))
 
     def detect(later):
         detector = search._TranslatedDetector(b"\0")
@@ -683,6 +748,58 @@ def test_enumerate_2x3_leaves_one_bouncer():
                               "translated-cycler": 1_722, "undecided": 1}
     assert [m.table for m in summary.undecided] == [
         machines.parse_compact(BOUNCERS_2X3[-1][0]).table]
+
+
+@pytest.mark.parametrize("n, k, budget, reduced, expected", [
+    (2, 2, 100, True, "7209bdc5847131ff903b6210bcf60652"
+                      "552a4719c81fbd6b766985d83263f727"),
+    (2, 2, 100, False, "b689fd25896f7712eae368ff7876b2bd"
+                       "75af8ee1e7ed41a139a150c257a223d4"),
+    (3, 2, 1000, True, "a4243208ba2f345185a95308997f24bf"
+                       "2d6bcbfac9233490fade4c58ec663ee3"),
+    (2, 3, 100, True, "4005e2c121985dec83946593481ad3a8"
+                      "d0429cf4edf93aae73e83320ffda89ab"),
+], ids=["2x2", "2x2-raw", "3x2", "2x3"])
+def test_enumeration_outputs_are_pinned(n, k, budget, reduced, expected):
+    """The whole summary, champions and undecided machines in their order
+    included, pinned by the digest of its sorted-key JSON."""
+    summary = enumerate_and_classify(n, k, budget, reduced=reduced)
+    text = json.dumps(summary.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("n, k, budget, reduced", [
+    (2, 2, 3, True), (2, 2, 100, False), (3, 2, 1000, True)])
+def test_enumeration_counters_match_the_calls(monkeypatch, n, k, budget,
+                                              reduced):
+    """The summary reads its decider-pass and closure counters off the
+    verdicts; they match counts taken by wrapping the calls."""
+    calls = collections.Counter()
+    run_deciders = search._run_deciders
+    closure = search.decide_regular_closure
+
+    def counted_run(m, budget):
+        out = run_deciders(m, budget)
+        calls["runs"] += 1
+        calls["steps"] += (out.certificate.t2
+                           if isinstance(out, search.Classification)
+                           else out.steps)
+        return out
+
+    def counted_closure(m, **kwargs):
+        cert = closure(m, **kwargs)
+        calls["searches"] += 1
+        calls["decided"] += cert is not None
+        return cert
+
+    monkeypatch.setattr(search, "_run_deciders", counted_run)
+    monkeypatch.setattr(search, "decide_regular_closure", counted_closure)
+    summary = enumerate_and_classify(n, k, budget, reduced=reduced)
+    assert (summary.decider_pass_runs, summary.decider_pass_steps,
+            summary.closure_searches, summary.closure_decided) == (
+        calls["runs"], calls["steps"], calls["searches"], calls["decided"])
+    assert summary.decider_pass_runs > 0
+    assert summary.closure_decided <= summary.counts["escape"]
 
 
 def test_enumerate_records_champions():

@@ -378,6 +378,52 @@ def test_with_cell_replaces_one_transition(two_stepper):
     assert tm.run(changed, 10).step_count == 1
 
 
+def _rows_with(m, state, symbol, tr):
+    rows = [list(row) for row in m.table]
+    rows[state][symbol] = tr
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("tr", [HALT, Transition(0, L, 0),
+                                Transition(1, R, 1)])
+def test_with_cell_equals_the_constructed_table(two_stepper, tr):
+    """A derived table equals, and hashes as, the table the constructor
+    builds from the same rows; the source table is left as it was."""
+    before = two_stepper.table
+    changed = two_stepper.with_cell(1, 1, tr)
+    built = MachineTable(name=two_stepper.name, symbols=two_stepper.symbols,
+                         blank=two_stepper.blank, states=two_stepper.states,
+                         init=two_stepper.init,
+                         table=_rows_with(two_stepper, 1, 1, tr))
+    assert changed == built and hash(changed) == hash(built)
+    assert changed.transition(1, 1) == tr
+    assert two_stepper.table == before
+    assert two_stepper.transition(1, 1) == Transition(1, L, 0)
+    # the derived table derives further, and runs like the built one
+    again = changed.with_cell(0, 1, Transition(0, L, 1))
+    assert again.transition(1, 1) == changed.transition(1, 1)
+    assert tm.run(changed, 50).step_count == tm.run(built, 50).step_count
+
+
+@pytest.mark.parametrize("tr", [(1, R, 0), Transition(2, R, 0),
+                                Transition(-1, R, 0), Transition(0, "U", 0),
+                                Transition(0, R, 2), Transition(0, L, -1)],
+                         ids=["not-a-transition", "write-too-big",
+                              "write-negative", "bad-move",
+                              "next-state-too-big", "next-state-negative"])
+def test_with_cell_rejects_a_bad_cell_as_the_constructor_does(two_stepper,
+                                                              tr):
+    with pytest.raises(ValidationError) as built:
+        MachineTable(name="bad", symbols=two_stepper.symbols, blank=0,
+                     states=two_stepper.states, init=0,
+                     table=_rows_with(two_stepper, 1, 0, tr))
+    with pytest.raises(ValidationError) as derived:
+        two_stepper.with_cell(1, 0, tr)
+    assert str(derived.value) == str(built.value)
+    assert str(derived.value).startswith("cell (B, 0)")
+    assert two_stepper.transition(1, 0) == Transition(1, L, 0)
+
+
 def test_window_str_uses_symbol_labels(two_stepper):
     c = tm.initial_configuration(two_stepper)
     tm.step(two_stepper, c)
