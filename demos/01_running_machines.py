@@ -9,6 +9,13 @@ import time
 
 from bblab import machines, search, tm
 
+
+def stepper(final):
+    """Where a run went: tm.run picks its stepper once, after its first
+    probe on chains."""
+    return ("handed to the flat stepper after its first probe"
+            if final.handoffs else "on chains throughout")
+
 # -- the 5-state 2-symbol busy-beaver champion ------------------------------
 
 champion = machines.builtin_bb5_champion()
@@ -22,7 +29,7 @@ print(f"halted: {final.halted} after {final.step_count:,} steps "
       f"({elapsed:.2f}s)")
 print(f"tape extent: cells {final.tape.lo}..{final.tape.hi}")
 print(f"compression: {final.compression:.1f} steps per macro step, "
-      f"{final.handoffs} hand-offs to the flat stepper")
+      f"{stepper(final)}")
 
 # -- the power-of-two machine: short runs of equal symbols ------------------
 
@@ -34,7 +41,7 @@ elapsed = time.perf_counter() - started
 print(f"\npower-of-two machine at s_700: {final.step_count:,} steps "
       f"({elapsed:.3f}s)")
 print(f"compression: {final.compression:.2f} steps per macro step, "
-      f"{final.handoffs} hand-offs to the flat stepper")
+      f"{stepper(final)}")
 
 # -- the power-of-two machine: snapshots along the way ----------------------
 

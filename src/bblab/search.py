@@ -29,9 +29,9 @@ states/symbols are introduced lowest-index-first, and the very first
 transition moves right.  A node's cells not chosen yet are Halt, so
 every node is a complete table and the pipeline runs it as is; a run
 that halts on such a cell branches on it, and each branch's table is
-its parent's with that one cell replaced (`MachineTable.with_cell`).  The reduction preserves
-every halting step count, so maxima are exact; raw mode remains
-available as ground truth.
+its parent's with that one cell replaced (`MachineTable.with_cell`).
+The reduction preserves every halting step count, so maxima are exact;
+raw mode remains available as ground truth.
 """
 
 from __future__ import annotations
@@ -222,78 +222,18 @@ class CyclerCertificate:
 class TranslatedCyclerCertificate:
     """Recurring record-breaking configuration, shifted by `offset`.
 
-    t1 and t2 are steps at which the head reached a fresh extreme in the
-    same direction with equal state, and the tape within reach of the
-    future run (the segment between the record cell and the farthest
-    opposite excursion of the t1..t2 interval) is identical relative to
-    the head.  The run from t2 therefore replays the run from t1 shifted
-    by `offset`, forever.
+    A record-breaking step puts the head strictly beyond every previously
+    visited cell; everything further out is still blank.  t1 < t2 are
+    records in the same direction with equal state.  Let the reach be the
+    farthest opposite excursion of steps t1+1..t2.  The tape between the
+    reach and the head reads the same relative to both record heads, so
+    the run from t2 replays the run from t1 shifted by
+    `offset` = head(t2) - head(t1): it reads only checked-equal cells or
+    blanks beyond the record, so it drifts forever and never halts.
     """
     t1: int
     t2: int
     offset: int
-
-
-class _TranslatedDetector:
-    """Record-breaking translated-cycle detection, shared by the deciders.
-
-    A record-breaking step puts the head strictly beyond every previously
-    visited cell; everything further out is still blank.  For two records
-    t1 < t2 in the same direction with equal state, let the reach be the
-    farthest opposite excursion of steps t1+1..t2.  If the tape between
-    the reach and the head reads the same relative to both record heads,
-    the run from t2 replays the run from t1 shifted by head(t2)-head(t1):
-    it reads only checked-equal cells or blanks beyond the record, so it
-    drifts forever and never halts.
-
-    The run that feeds it keeps its two stacks up to date and calls
-    `on_record` only when the head breaks a record; `_run_deciders` does
-    both inline, so a step costs no call here.  Each reach is one bisect
-    into a stack, so the pass stays linear in its steps.
-    """
-
-    __slots__ = ("blank", "lows", "highs", "records")
-
-    def __init__(self, blank: bytes):
-        self.blank = blank
-        # Suffix minima and maxima of the head as (step, head) stacks: the
-        # first entry after step t holds the lowest (highest) head since t,
-        # and the first entry the lowest (highest) head so far.  Heads
-        # strictly rise up `lows` and fall up `highs`; the top of each is
-        # the head now.
-        self.lows = [(0, 0)]
-        self.highs = [(0, 0)]
-        # (direction, state) -> [(t, head, first visited cell, visited
-        # cells as bytes)]
-        self.records = {}
-
-    def on_record(self, t2: int, state: int, p2: int, d: int, first2: int,
-                  tape: bytes) -> TranslatedCyclerCertificate | None:
-        """Feed a record in direction d, 1 or -1: step count, state,
-        head, and the visited cells as bytes from cell `first2` on;
-        certificate on match.  The stacks must hold the heads up to step
-        t2."""
-        stack = self.lows if d > 0 else self.highs
-        bucket = self.records.setdefault((d, state), [])
-        for t1, p1, first1, snap in bucket:
-            # the farthest opposite excursion of steps t1+1..t2
-            reach = stack[bisect.bisect_left(stack, (t1 + 1,))][1]
-            # the cells from the reach to the record head, as indices i1
-            # of snap and i2 of tape; cells outside snap were unvisited,
-            # so blank, at t1, while tape holds all of them at t2
-            if d > 0:
-                width = max(0, p1 - reach)
-                i1, i2 = p1 - width - first1, p2 - width - first2
-                earlier = snap[max(i1, 0):p1 - first1 + 1].rjust(width + 1,
-                                                                 self.blank)
-            else:
-                width = max(0, reach - p1)
-                i1, i2 = p1 - first1, p2 - first2
-                earlier = snap[i1:i1 + width + 1].ljust(width + 1, self.blank)
-            if earlier == tape[i2:i2 + width + 1]:
-                return TranslatedCyclerCertificate(t1, t2, p2 - p1)
-        bucket.append((t2, p2, first2, tape))
-        return None
 
 
 def decide_escape(m: MachineTable):
@@ -324,8 +264,7 @@ class Classification:
 def _run_deciders(m: MachineTable, budget: int):
     """One bounded tm.FlatRun from the blank tape, stepped with
     `FlatRun.step`, with the cycler and the translated cycler checked
-    after every step, inline: a step that breaks no head record makes no
-    call into the detector.  Returns a Classification (cycler or
+    after every step, inline.  Returns a Classification (cycler or
     translated-cycler), or else the stopped run: halted, or at the
     budget.
 
@@ -334,23 +273,30 @@ def _run_deciders(m: MachineTable, budget: int):
     bits from bit bits * i of `right` (bits * (-1 - i) of `left`) on, so
     blank cells hold 0; a step that changes a cell XORs the change in.
     Its key (state, head, left, right) names the configuration exactly,
-    so the first repeat is the first exact one.  For the translated
-    cycler, every step updates the detector's suffix-minimum and -maximum
-    stacks of the head, which costs a push and at most two pops because
-    the head moves one cell, and compares the head with the lowest and
-    highest cells so far, `lo` and `hi`.  Only a step that breaks a
-    record reads the visited cells as bytes (`tm.FlatRun.visited`) and
-    calls `_TranslatedDetector.on_record`; the public entry points check
-    once that the cells fit (`_require_byte_cells`).  An exact repeat
+    so the first repeat is the first exact one.
+
+    The translated cycler (matching rule at TranslatedCyclerCertificate)
+    keeps the suffix minima and maxima of the head as (step, head) stacks:
+    the first entry of `lows` (`highs`) after step t holds the lowest
+    (highest) head since t.  Heads strictly rise up `lows` and fall up
+    `highs`, and both tops are the head now, so a step costs a push and
+    at most two pops, and the head breaks a record exactly when popping
+    the old head off the stack ahead leaves it empty.  Only a record
+    reads the visited cells as bytes (the public entry points check that
+    they fit, `_require_byte_cells`) and compares them with the earlier
+    records of its direction and state, each reach one bisect into the
+    stack behind, so the pass stays linear in its steps.  An exact repeat
     keeps the head bounded while a translated repeat proves unbounded
     drift, so the two never both fire on one machine."""
     run = FlatRun(m)
     step = run.step
     bits = (m.n_symbols - 1).bit_length()
-    left = right = head = lo = hi = 0
+    blank = bytes([m.blank])
+    left = right = head = 0
     seen = {(m.init, 0, 0, 0): 0}
-    detector = _TranslatedDetector(bytes([m.blank]))
-    lows, highs = detector.lows, detector.highs
+    lows, highs = [(0, 0)], [(0, 0)]
+    # (direction, state) -> [(t, head, first visited cell, cells as bytes)]
+    records = {}
     for t in range(1, budget + 1):
         cell = step()
         if cell is None:
@@ -378,20 +324,32 @@ def _run_deciders(m: MachineTable, budget: int):
         entry = (t, head)
         behind.append(entry)
         ahead.pop()
-        if ahead and ahead[-1][1] == head:
-            ahead.pop()
-        ahead.append(entry)
-        if lo <= head <= hi:
+        if ahead:
+            if ahead[-1][1] == head:
+                ahead.pop()
+            ahead.append(entry)
             continue
-        if head > hi:
-            hi, d = head, 1
-        else:
-            lo, d = head, -1
+        ahead.append(entry)
+        # a record, in direction d: past every cell visited before
+        d = 1 if head > 0 else -1
         first, cells = run.visited()
-        cert = detector.on_record(t, state, head, d, first, bytes(cells))
-        if cert is not None:
-            return Classification("nonhalt", decider="translated-cycler",
-                                  certificate=cert)
+        tape = bytes(cells)
+        bucket = records.setdefault((d, state), [])
+        for t1, p1, first1, snap in bucket:
+            # the farthest opposite excursion of steps t1+1..t
+            reach = behind[bisect.bisect_left(behind, (t1 + 1,))][1]
+            # the window runs from the reach to the record head; i1 and i2
+            # index its first cell in snap and in tape.  Cells outside
+            # snap were unvisited, so blank, at t1.
+            width = max(0, d * (p1 - reach))
+            shift = width if d > 0 else 0
+            i1, i2 = p1 - shift - first1, head - shift - first
+            earlier = blank * -i1 + snap[max(i1, 0):i1 + width + 1]
+            if earlier.ljust(width + 1, blank) == tape[i2:i2 + width + 1]:
+                return Classification(
+                    "nonhalt", decider="translated-cycler",
+                    certificate=TranslatedCyclerCertificate(t1, t, head - p1))
+        bucket.append((t, head, first, tape))
     return run
 
 
@@ -413,8 +371,8 @@ def decide_cycler(m: MachineTable, budget: int):
 
 def decide_translated_cycler(m: MachineTable, budget: int):
     """Certificate of a recurring record-breaking configuration with a
-    nonzero shift (see _TranslatedDetector for the matching rule), or
-    None if the machine halts first or no repeat shows up in budget."""
+    nonzero shift (see TranslatedCyclerCertificate for the matching rule),
+    or None if the machine halts first or no repeat shows up in budget."""
     return _pass_certificate(m, budget, "translated-cycler")
 
 

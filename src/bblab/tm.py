@@ -13,17 +13,17 @@ compiled table (`compile_cells`) and keep the tape in plain lists.
 `FlatRun` steps one cell at a time on a single list and can stop at any
 step count, which `run_trace`, the checkpoint verifier and the `search`
 deciders and enumerators use; they read its head and its visited cells
-(`visited()`), and the list stays private to it.  `run` picks its
-stepper from the run's compression ratio, measured as it goes.  On
-run-length "chains" a self-loop over a run of equal symbols is one macro
-step, so the bb5 champion halts in a fraction of a second; where runs of
-equal symbols are short, as on the power-of-two machine, a chain macro
-step costs several FlatRun steps for little more than one step of
-progress, and the run goes on in a FlatRun for a while.  It returns the
-final configuration, whose `halted` and `step_count` say how the run
-ended and whose `macro_steps`, `compression` and `handoffs` say how it
-went.  All of them give exactly the configurations `step` gives; `step`
-stays the independent reference that certificate revalidation runs on.
+(`visited()`), and the list stays private to it.  `run` starts on
+run-length "chains", where a self-loop over a run of equal symbols is
+one macro step, so the bb5 champion halts in a fraction of a second.
+Where runs of equal symbols are short, as on the power-of-two machine, a
+chain macro step costs several FlatRun steps for little more than one
+step of progress, so a run whose first few hundred macro steps compress
+poorly goes on in a FlatRun to the end.  It returns the final
+configuration, whose `halted` and `step_count` say how the run ended and
+whose `macro_steps`, `compression` and `handoffs` say how it went.  All
+of them give exactly the configurations `step` gives; `step` stays the
+independent reference that certificate revalidation runs on.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ def _tape(blank: int, extent: list[int], lo: int) -> Tape:
 class RunConfiguration(Configuration):
     """The final configuration of `run`, with how the run went:
     `macro_steps` counts its chain macro steps and its `FlatRun` steps,
-    one each, and `handoffs` the times it moved to `FlatRun`."""
+    one each, and `handoffs` is 1 if it moved to `FlatRun`, else 0."""
 
     __slots__ = ("macro_steps", "handoffs")
 
@@ -270,23 +270,15 @@ class RunConfiguration(Configuration):
         return self.step_count / self.macro_steps if self.macro_steps else 0.0
 
 
-# How `run` picks its stepper.  It probes on chains for _PROBE macro steps;
-# a probe that averages fewer than _RATIO steps per macro step hands the
-# run to FlatRun for _CHUNK steps, then chains probe again.  Measured on a
-# 2-vCPU Xeon, Python 3.11.7: a chain macro step costs about as much as 10
-# FlatRun steps, so chains pay off only where runs of equal symbols are
-# long.  Probes of m54 average 1.0-1.5 steps per macro step and nearly
-# all of the bb5 champion's read 1.0 or more than 5; ratios of 1.5 and 3
-# made the same hand-offs as 2.  Probes of 128, 256 and 512 macro steps
-# timed the same.  A hand-off costs two passes over the tape: with 2^12 steps
-# a chunk, m54 to s_700 took 70 hand-offs and about 1.4 times as long as
-# with 2^14 (19 hand-offs, 0.02-0.03 s against 0.09-0.15 s on chains
-# alone); 2^15 left m54 as fast and made the champion, which spends up to
-# a chunk of each fast phase on FlatRun, about 1.2 times slower (2^14: 7
-# hand-offs, as fast as chains alone).
+# How `run` picks its stepper: once, from its first _PROBE macro steps on
+# chains.  Measured on a 2-vCPU Xeon, Python 3.11.7, a chain macro step
+# costs about as much as 10 FlatRun steps.  The bb5 champion's first probe
+# averages 5.3 steps per macro step, and it halts on chains alone in about
+# 0.04 s, within 10% of its time with FlatRun in its phases of 1.0; m54's
+# averages 1.2, and it reaches s_700 on FlatRun in 0.015-0.03 s against
+# 0.15 s on chains alone.
 _PROBE = 256
 _RATIO = 2
-_CHUNK = 1 << 14
 
 
 def _unpack(left: list, sym: int, right: list) -> tuple[list[int], int]:
@@ -302,39 +294,23 @@ def _unpack(left: list, sym: int, right: list) -> tuple[list[int], int]:
     return extent, at
 
 
-def _runs(cells: list[int]) -> list[list[int]]:
-    """[symbol, count] runs of `cells`, in order."""
-    if not cells:
-        return []
-    starts = [0] + [i for i in range(1, len(cells))
-                    if cells[i] != cells[i - 1]]
-    return [[cells[i], j - i]
-            for i, j in zip(starts, starts[1:] + [len(cells)])]
-
-
 def run(m: MachineTable, budget: int) -> RunConfiguration:
     """Run from the initial configuration for up to `budget` executed
     transitions and return the final configuration.  Deterministic: equal
     budgets give equal results.
 
-    The run picks its stepper as it goes, from its compression ratio:
-    the steps per macro step of its last probe on chains.  Whether chains
-    pay off depends on the tape, not on the machine: the bb5 champion has
-    phases of ratio 1.0 between phases of ratio in the thousands, so no
-    choice made once per machine fits it.
-
-    On chains, the cells left and right of the head are two stacks of
-    [symbol, count] runs, nearest run last, with equal neighbours merged.
-    A self-loop (q, s) -> (w, d, q) reads s all the way along a run of s
-    ahead of the head, so it executes as one macro step over the head
-    cell and that whole run (Marxen & Buntrock, "Attacking the Busy
-    Beaver 5", 1990).  Every macro step is capped at the remaining
-    budget, which covers the endless blank run beyond either end of the
-    tape.  The stacks hold exactly the visited cells other than the
-    head's, so they fix the touched extent.  A probe of _PROBE macro
-    steps that averages fewer than _RATIO steps each hands the run, as
-    the unpacked stacks, to a FlatRun for _CHUNK steps; its visited cells
-    come back as stacks for the next probe.
+    The run starts on chains: the cells left and right of the head are
+    two stacks of [symbol, count] runs, nearest run last, with equal
+    neighbours merged.  A self-loop (q, s) -> (w, d, q) reads s all the
+    way along a run of s ahead of the head, so it executes as one macro
+    step over the head cell and that whole run (Marxen & Buntrock,
+    "Attacking the Busy Beaver 5", 1990).  Every macro step is capped at
+    the remaining budget, which covers the endless blank run beyond
+    either end of the tape.  The stacks hold exactly the visited cells
+    other than the head's, so they fix the touched extent.  If the first
+    _PROBE macro steps average fewer than _RATIO steps each, the run
+    hands itself, as the unpacked stacks, to a FlatRun for the rest of
+    the budget; otherwise it stays on chains to the end.
     """
     if budget < 0:
         raise ValueError("budget must be a natural number")
@@ -346,77 +322,62 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
               (c[0], *((left, right) if c[1] > 0 else (right, left)), *c[1:])
               for c in row] for row in compile_cells(m)]
     state, sym, head, done, halted = m.init, blank, 0, 0, False
-    macro = handoffs = 0
-    flat = None
-    while done < budget and not halted:
-        start = done
-        for probed in range(1, _PROBE + 1):
-            cell = cells[state][sym]
-            if cell is None:
-                done += 1
-                halted = True
-                break
-            w, behind, ahead, delta, state_next = cell
-            # n: steps in this macro step; past an empty side lies endless
-            # blank
-            if state_next != state:
-                n = 1
-            elif ahead:
-                top = ahead[-1]
-                n = top[1] + 1 if top[0] == sym else 1
-                if n > budget - done:
-                    n = budget - done
+    macro = 0
+    for macro in range(1, budget + 1):
+        cell = cells[state][sym]
+        if cell is None:
+            done += 1
+            halted = True
+            break
+        w, behind, ahead, delta, state_next = cell
+        # n: steps in this macro step; past an empty side lies endless blank
+        if state_next != state:
+            n = 1
+        elif ahead:
+            top = ahead[-1]
+            n = top[1] + 1 if top[0] == sym else 1
+            if n > budget - done:
+                n = budget - done
+        else:
+            n = budget - done if sym == blank else 1
+        if behind and behind[-1][0] == w:
+            behind[-1][1] += n
+        else:
+            behind.append([w, n])
+        if n > 1 and ahead:
+            # the head passes over n - 1 cells of the run of `sym` ahead
+            top = ahead[-1]
+            if top[1] == n - 1:
+                ahead.pop()
             else:
-                n = budget - done if sym == blank else 1
-            if behind and behind[-1][0] == w:
-                behind[-1][1] += n
+                top[1] -= n - 1
+        if ahead:
+            top = ahead[-1]
+            sym = top[0]
+            if top[1] == 1:
+                ahead.pop()
             else:
-                behind.append([w, n])
-            if n > 1 and ahead:
-                # the head passes over n - 1 cells of the run of `sym` ahead
-                top = ahead[-1]
-                if top[1] == n - 1:
-                    ahead.pop()
-                else:
-                    top[1] -= n - 1
-            if ahead:
-                top = ahead[-1]
-                sym = top[0]
-                if top[1] == 1:
-                    ahead.pop()
-                else:
-                    top[1] -= 1
-            else:
-                sym = blank
-            head += delta * n
-            done += n
-            state = state_next
-            if done == budget:
-                break
-        macro += probed
-        if halted or done == budget or done - start >= _RATIO * _PROBE:
-            continue
-        if flat is None:
+                top[1] -= 1
+        else:
+            sym = blank
+        head += delta * n
+        done += n
+        state = state_next
+        if done == budget:
+            break
+        if macro == _PROBE and done < _RATIO * _PROBE:
             flat = FlatRun(m)
-        extent, at = _unpack(left, sym, right)
-        flat._resume(state, head, head - at, extent, done)
-        flat.advance(min(budget, done + _CHUNK))
-        macro += flat.steps - done
-        handoffs += 1
-        state, head, done, halted = flat.state, flat.head, flat.steps, \
-            flat.halted
-        first, extent = flat.visited()
-        if halted or done == budget:
-            return RunConfiguration(state, head, _tape(blank, extent, first),
-                                    done, halted, macro, handoffs)
-        at = head - first
-        sym = extent[at]
-        left[:] = _runs(extent[:at])
-        right[:] = _runs(extent[:at:-1])
+            extent, at = _unpack(left, sym, right)
+            flat._resume(state, head, head - at, extent, done)
+            flat.advance(budget)
+            first, extent = flat.visited()
+            return RunConfiguration(flat.state, flat.head,
+                                    _tape(blank, extent, first), flat.steps,
+                                    flat.halted, macro + flat.steps - done, 1)
 
     extent, at = _unpack(left, sym, right)
     return RunConfiguration(state, head, _tape(blank, extent, head - at),
-                            done, halted, macro, handoffs)
+                            done, halted, macro, 0)
 
 
 class FlatRun:
@@ -541,7 +502,8 @@ def run_trace(m: MachineTable, checkpoints: list[int]) -> list[Configuration]:
     `checkpoints` must be sorted ascending.  Execution stops early if the
     machine halts; the halting configuration is then the last snapshot.
     """
-    if list(checkpoints) != sorted(checkpoints):
+    checkpoints = list(checkpoints)
+    if checkpoints != sorted(checkpoints):
         raise ValueError("checkpoints must be sorted ascending")
     if min(checkpoints, default=0) < 0:
         raise ValueError("each checkpoint must be a natural number")

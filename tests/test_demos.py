@@ -14,7 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo, line", [
     ("01_running_machines.py", "halted: True after 47,176,870 steps"),
     ("01_running_machines.py",
-     "compression: 1.01 steps per macro step, 19 hand-offs"),
+     "compression: 1.00 steps per macro step, handed to the flat stepper "
+     "after its first probe"),
     ("02_doubling_transducer.py",
      "all 9840 padded words of up to 9 digits double correctly"),
     ("03_erdos_scan.py", "digit-2-free exponents: [0, 2, 8]"),

@@ -326,11 +326,11 @@ def test_cycler_finds_the_first_exact_repeat():
 
 def _first_translated_repeat(m, budget):
     """Reference translated cycler: the first (t1, t2, offset) the
-    matching rule of _TranslatedDetector accepts within `budget` steps of
-    tm.step, or None if it halts or none does.  At each head record t2 it
-    tries the earlier records t1 in the same direction with the same
-    state, oldest first, and rescans the heads of steps t1+1..t2 for the
-    farthest opposite excursion."""
+    matching rule of TranslatedCyclerCertificate accepts within `budget`
+    steps of tm.step, or None if it halts or none does.  At each head
+    record t2 it tries the earlier records t1 in the same direction with
+    the same state, oldest first, and rescans the heads of steps t1+1..t2
+    for the farthest opposite excursion."""
     c = tm.initial_configuration(m)
     heads = [0]
     records = []  # (t, direction, state, head, configuration)
@@ -401,41 +401,44 @@ def test_translated_cycler_tampering_rejected():
         m, TranslatedCyclerCertificate(cert.t1, cert.t2, -cert.offset))
 
 
+# Two tables from the random draws of
+# test_translated_cycler_finds_the_first_translated_repeat, one drifting
+# each way, whose certificate compares a window that reaches past the
+# cells visited at t1.
+_PAST_SNAPSHOT = {
+    1: "symbols: 0 1\nblank: 1\nstates: A B\ninit: B\n"
+       "A 0 -> 1 R B\nA 1 -> 0 L B\nB 0 -> 0 L B\nB 1 -> 0 R A\n",
+    -1: "symbols: 0 1\nblank: 1\nstates: A B\ninit: A\n"
+        "A 0 -> 1 L A\nA 1 -> 0 L B\nB 0 -> 0 R A\nB 1 -> 0 R B\n",
+}
+
+
 @pytest.mark.parametrize("d", [1, -1])
-def test_translated_detector_reads_cells_past_a_snapshot_as_blank(d):
-    """The window the detector compares may reach past the earlier
-    record's snapshot of visited cells; those cells were unvisited then,
-    so they read as blank.  Records fed by hand, drifting in direction d:
-    head d*1 at t=1, an excursion to -d*4 at t=2, head d*5 at t=3."""
-    def feed(detector, t, head, state, cells, first):
-        # every fed step breaks a record on its head's side of cell 0;
-        # `cells` lists the tape from cell `first` on.  The stacks keep
-        # the suffix minima and maxima of the heads fed so far.
-        lows, highs = detector.lows, detector.highs
-        while lows and lows[-1][1] >= head:
-            lows.pop()
-        while highs and highs[-1][1] <= head:
-            highs.pop()
-        lows.append((t, head))
-        highs.append((t, head))
-        return detector.on_record(t, state, head, 1 if head > 0 else -1,
-                                  first, bytes(cells))
-
-    def detect(later):
-        detector = search._TranslatedDetector(b"\0")
-        # the snapshot at t=1 holds cells -1..2 (or -2..1) with a 1 at
-        # cell 0, while the window at t=3 reaches cells -4..1 (or -1..4)
-        assert feed(detector, 1, d, 0, [0, 1, 0, 0] if d > 0 else
-                    [0, 0, 1, 0], -1 if d > 0 else -2) is None
-        assert feed(detector, 2, -4 * d, 1, [0] * 10, -5) is None
-        return feed(detector, 3, 5 * d, 0, later, -6)
-
-    # cells -6..5 at t=3; shifted by 4*d, the window holds the 1 at 4*d
-    later = [0] * 12
-    later[4 * d + 6] = 1
-    assert detect(later) == TranslatedCyclerCertificate(1, 3, 4 * d)
-    later[2 * d + 6] = 1
-    assert detect(later) is None
+def test_translated_cycler_reads_cells_past_a_snapshot_as_blank(d):
+    """The window the translated cycler compares may reach past the
+    earlier record's snapshot of visited cells; those cells were unvisited
+    then, so they read as blank."""
+    m = machines.parse_machine(_PAST_SNAPSHOT[d])
+    expected = _first_translated_repeat(m, 60)
+    cert = decide_translated_cycler(m, 60)
+    assert (cert.t1, cert.t2, cert.offset) == expected
+    assert cert.offset * d > 0
+    # the window, from the record cell at t1 back to the farthest opposite
+    # excursion of steps t1+1..t2, against the cells visited at t1
+    c = tm.initial_configuration(m)
+    heads = [0]
+    for _ in range(cert.t1):
+        tm.step(m, c)
+        heads.append(c.head)
+    lo, hi = c.tape.lo, c.tape.hi
+    for _ in range(cert.t2 - cert.t1):
+        tm.step(m, c)
+        heads.append(c.head)
+    between = heads[cert.t1 + 1:]
+    if d > 0:
+        assert min(between) < lo
+    else:
+        assert max(between) > hi
 
 
 def _restricted_growth(cells, size: int, k: int, blank: int) -> bool:

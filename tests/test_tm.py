@@ -115,6 +115,14 @@ def test_run_trace_requires_sorted_checkpoints(two_stepper):
         tm.run_trace(two_stepper, [5, 1])
 
 
+def test_run_trace_reads_a_one_shot_iterable_once(two_stepper):
+    snaps = tm.run_trace(two_stepper, (t for t in [1, 2, 3]))
+    expected = tm.run_trace(two_stepper, [1, 2, 3])
+    assert len(snaps) == len(expected) == 3
+    for got, want in zip(snaps, expected):
+        _assert_same_config(got, want)
+
+
 def _step_to(m, c, budget):
     """Reference run: single steps until `budget` or halt."""
     while c.step_count < budget and not c.halted:
@@ -148,26 +156,27 @@ def test_fast_and_slow_paths_agree():
         _assert_same_run(tm.run(m, budget), _step_to(m, c, budget))
 
 
-def test_zigzag_hands_off_where_its_examples_expect():
-    """The _ZIGZAG examples below sit at its hand-offs: one to FlatRun
-    after the first probe and another after the next one."""
-    counts = {budget: tm.run(_ZIGZAG, budget).handoffs
-              for budget in (_TO_FLAT, _TO_FLAT + 1, _TO_FLAT_AGAIN,
-                             _TO_FLAT_AGAIN + 1)}
-    assert counts == {_TO_FLAT: 0, _TO_FLAT + 1: 1, _TO_FLAT_AGAIN: 1,
-                      _TO_FLAT_AGAIN + 1: 2}
-    final = tm.run(_ZIGZAG, _TO_FLAT_AGAIN + 1)
-    assert (final.macro_steps, final.compression) == (_TO_FLAT_AGAIN + 1, 1.0)
+def test_run_picks_its_stepper_once_from_the_first_probe():
+    """_ZIGZAG's first probe averages 1.0 steps per macro step, so the run
+    hands itself to FlatRun after it and stays there; the champion's
+    averages more than _RATIO and m54's less, so the champion never hands
+    off and m54 once."""
+    counts = [tm.run(_ZIGZAG, budget).handoffs
+              for budget in (tm._PROBE, tm._PROBE + 1, 50_000)]
+    assert counts == [0, 1, 1]
+    final = tm.run(_ZIGZAG, 50_000)
+    assert (final.macro_steps, final.compression) == (50_000, 1.0)
+    assert tm.run(machines.builtin_bb5_champion(), 100_000_000).handoffs == 0
+    m54_to_s700 = tm.run(machines.builtin_m54(), search.checkpoint_steps(700))
+    assert m54_to_s700.handoffs == 1
 
 
 def test_champion_hand_offs_agree_with_single_steps():
     """The champion's first phase of 1.0 steps per macro step starts near
-    step 99,888; its probe hands the run to FlatRun at step 100,144 and
-    FlatRun hands it back at 116,528, where chains compress again.  The
-    budgets end in that probe, at and around both hand-offs, and just
-    after the return."""
+    step 99,888, long after its first probe, so the run stays on chains
+    through it.  The budgets end in and around that phase."""
     m = machines.builtin_bb5_champion()
-    assert [tm.run(m, b).handoffs for b in (100_144, 100_145)] == [0, 1]
+    assert [tm.run(m, b).handoffs for b in (100_144, 100_145)] == [0, 0]
     c = tm.initial_configuration(m)
     for budget in (99_900, 100_143, 100_144, 100_145, 116_527, 116_528,
                    116_529, 116_600):
@@ -196,14 +205,14 @@ def test_champion_halts_on_the_same_tape():
 
 def test_m54_checkpoints_agree_with_run_trace():
     """m54 at s_n for n in {0, 1, 8, 100, 700}: at s_100 and s_700 the run
-    has handed itself to FlatRun."""
+    has handed itself to FlatRun, once."""
     m = machines.builtin_m54()
     budgets = [search.checkpoint_steps(n) for n in (0, 1, 8, 100, 700)]
     for budget, snap in zip(budgets, tm.run_trace(m, budgets)):
         final = tm.run(m, budget)
         _assert_same_config(final, snap)
         assert final.macro_steps <= budget
-    assert final.handoffs > 1 and final.compression < 2
+    assert final.handoffs == 1 and final.compression < 2
 
 
 @st.composite
@@ -236,30 +245,21 @@ _BOUNCER = machines.parse_machine(
     name="bouncer")
 
 
-# No transition keeps its state, so every probe on chains reads 1.0 steps
-# per macro step and hands the run to FlatRun: at step _PROBE, then at
-# _PROBE + _CHUNK back to chains, and at 2 * _PROBE + _CHUNK to FlatRun
-# again.  Its tape grows on both sides and holds all three symbols.
+# No transition keeps its state, so its first probe on chains reads 1.0
+# steps per macro step and hands the run to FlatRun at step _PROBE.  Its
+# tape grows on both sides and holds all three symbols.
 _ZIGZAG = machines.parse_machine(
     "symbols: 0 1 2\nblank: 0\nstates: A B\ninit: A\n"
     "A 0 -> 2 L B\nA 1 -> 0 R B\nA 2 -> 1 R B\n"
     "B 0 -> 2 R A\nB 1 -> 0 L A\nB 2 -> 1 L A\n", name="zigzag")
-_TO_FLAT = tm._PROBE
-_TO_CHAINS = tm._PROBE + tm._CHUNK
-_TO_FLAT_AGAIN = 2 * tm._PROBE + tm._CHUNK
 
 
 @given(_tables(), st.integers(min_value=0, max_value=3000),
        st.lists(st.integers(min_value=0, max_value=3000), max_size=6))
-@example(_ZIGZAG, _TO_FLAT - 1, [])
-@example(_ZIGZAG, _TO_FLAT, [_TO_FLAT - 1])
-@example(_ZIGZAG, _TO_FLAT + 1, [_TO_FLAT])
-@example(_ZIGZAG, _TO_CHAINS - 1, [])
-@example(_ZIGZAG, _TO_CHAINS, [])
-@example(_ZIGZAG, _TO_CHAINS + 1, [])
-@example(_ZIGZAG, _TO_FLAT_AGAIN - 1, [])
-@example(_ZIGZAG, _TO_FLAT_AGAIN, [])
-@example(_ZIGZAG, _TO_FLAT_AGAIN + 1, [_TO_CHAINS + 1, _TO_FLAT_AGAIN + 1])
+@example(_ZIGZAG, tm._PROBE - 1, [])
+@example(_ZIGZAG, tm._PROBE, [tm._PROBE - 1])
+@example(_ZIGZAG, tm._PROBE + 1, [tm._PROBE])
+@example(_ZIGZAG, 3000, [tm._PROBE + 1, 3000])
 @example(_SWEEP_RIGHT, 0, [0])
 @example(_SWEEP_RIGHT, 2500, [1, 2, 2, 2500])
 @example(_SWEEP_LEFT, 2500, [17, 40, 1000, 2500])
@@ -270,12 +270,12 @@ _TO_FLAT_AGAIN = 2 * tm._PROBE + tm._CHUNK
 @example(_BOUNCER, 200, list(range(1, 201)))
 @settings(max_examples=300, deadline=None)
 def test_run_matches_single_steps(m, budget, checkpoints):
-    """run (chains and FlatRun by turns) at `budget`, and run_trace (the
-    flat-list stepper) at sorted `checkpoints`, against single steps.
-    Consecutive checkpoints 1, 2, 3, ... advance the flat-list stepper one
-    step at a time.  The _ZIGZAG budgets end
-    one step before, at and one step after each hand-off, inside a probe
-    on chains and inside a FlatRun chunk."""
+    """run (on chains, then FlatRun if its first probe compresses poorly)
+    at `budget`, and run_trace (the flat-list stepper) at sorted
+    `checkpoints`, against single steps.  Consecutive checkpoints 1, 2, 3,
+    ... advance the flat-list stepper one step at a time.  The _ZIGZAG
+    budgets end one step before, at and one step after its hand-off, and
+    far into FlatRun."""
     _assert_same_run(tm.run(m, budget),
                      _step_to(m, tm.initial_configuration(m), budget))
     checkpoints.sort()
