@@ -91,19 +91,6 @@ class CheckpointReport:
     checked: int
 
 
-def _require_byte_cells(m: MachineTable) -> None:
-    """The deciders and the checkpoint verifier pack tape cells into bytes:
-    raise ValidationError unless every symbol `m` can put on the tape, the
-    blank and each written one, is below 256."""
-    if m.n_symbols <= 256:
-        return
-    top = max([m.blank] + [tr.write for row in m.table for tr in row
-                           if tr is not HALT])
-    if top > 255:
-        raise ValidationError(f"{m.name} writes symbol index {top}; tape "
-                              "cells must fit in a byte (index below 256)")
-
-
 def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     """Run the power-of-two machine and assert the predicted configuration
     at every checkpoint step s_n for n <= n_max.
@@ -114,8 +101,7 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     head starting at cell 0, the separator settles at cell -1 (counter at
     -2, digits from 0).  Raises CheckpointMismatch otherwise, and
     ValidationError before running a machine that lacks the state
-    `rewind` or one of the digit symbols 0, 1, 2, or that writes a symbol
-    index of 256 or more.
+    `rewind` or one of the digit symbols 0, 1, 2.
 
     The checks read the visited cells of one tm.FlatRun at each s_n
     (cells it never visited are blank).  The len(2^n) cells right of the
@@ -129,14 +115,13 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     for digit in "012":
         if digit not in m54.symbols:
             raise ValidationError(f"{m54.name} has no symbol {digit!r}")
-    _require_byte_cells(m54)
     rest = REST_CELL
     rewind = m54.state_index("rewind")
     blank = m54.blank
     run = FlatRun(m54)
     # symbol index -> its digit character, "x" (no base-3 digit) otherwise
-    numeral = bytes(ord(label) if label in ("0", "1", "2") else ord("x")
-                    for label in m54.symbols[:256]).ljust(256, b"x")
+    numeral = [label if label in ("0", "1", "2") else "x"
+               for label in m54.symbols]
     powers = ternary.power_of_two_lengths()
     for n in range(n_max + 1):
         power, length = next(powers)
@@ -155,8 +140,9 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
         if cells[sep] != blank:
             raise CheckpointMismatch(n, "separator cell is not blank")
         end = sep + 1 + length
-        digits = bytes(cells[sep + 1:end]).ljust(length, bytes([blank]))
-        text = digits.translate(numeral).decode()
+        digits = cells[sep + 1:end]
+        digits += [blank] * (length - len(digits))
+        text = "".join([numeral[s] for s in digits])
         if "x" in text or ternary.lsf_to_int(text) != power:
             expected = ternary.TernaryNumber.from_int(power).lsf_str()
             for i, (d, sym) in enumerate(zip(expected, digits),
@@ -282,20 +268,19 @@ def _run_deciders(m: MachineTable, budget: int):
     `highs`, and both tops are the head now, so a step costs a push and
     at most two pops, and the head breaks a record exactly when popping
     the old head off the stack ahead leaves it empty.  Only a record
-    reads the visited cells as bytes (the public entry points check that
-    they fit, `_require_byte_cells`) and compares them with the earlier
-    records of its direction and state, each reach one bisect into the
-    stack behind, so the pass stays linear in its steps.  An exact repeat
+    reads the visited cells and compares them with the earlier records
+    of its direction and state, each reach one bisect into the stack
+    behind, so the pass stays linear in its steps.  An exact repeat
     keeps the head bounded while a translated repeat proves unbounded
     drift, so the two never both fire on one machine."""
     run = FlatRun(m)
     step = run.step
     bits = (m.n_symbols - 1).bit_length()
-    blank = bytes([m.blank])
+    blank = [m.blank]
     left = right = head = 0
     seen = {(m.init, 0, 0, 0): 0}
     lows, highs = [(0, 0)], [(0, 0)]
-    # (direction, state) -> [(t, head, first visited cell, cells as bytes)]
+    # (direction, state) -> [(t, head, first visited cell, visited cells)]
     records = {}
     for t in range(1, budget + 1):
         cell = step()
@@ -332,8 +317,7 @@ def _run_deciders(m: MachineTable, budget: int):
         ahead.append(entry)
         # a record, in direction d: past every cell visited before
         d = 1 if head > 0 else -1
-        first, cells = run.visited()
-        tape = bytes(cells)
+        first, tape = run.visited()
         bucket = records.setdefault((d, state), [])
         for t1, p1, first1, snap in bucket:
             # the farthest opposite excursion of steps t1+1..t
@@ -345,7 +329,8 @@ def _run_deciders(m: MachineTable, budget: int):
             shift = width if d > 0 else 0
             i1, i2 = p1 - shift - first1, head - shift - first
             earlier = blank * -i1 + snap[max(i1, 0):i1 + width + 1]
-            if earlier.ljust(width + 1, blank) == tape[i2:i2 + width + 1]:
+            earlier += blank * (width + 1 - len(earlier))
+            if earlier == tape[i2:i2 + width + 1]:
                 return Classification(
                     "nonhalt", decider="translated-cycler",
                     certificate=TranslatedCyclerCertificate(t1, t, head - p1))
@@ -356,7 +341,6 @@ def _run_deciders(m: MachineTable, budget: int):
 def _pass_certificate(m: MachineTable, budget: int, decider: str):
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    _require_byte_cells(m)
     out = _run_deciders(m, budget)
     if isinstance(out, Classification) and out.decider == decider:
         return out.certificate
@@ -528,6 +512,14 @@ def decide_regular_closure(m: MachineTable, *, probe=None):
     return None
 
 
+def _indices(values, sizes) -> bool:
+    """Whether `values` is a tuple of one int per size in `sizes`, each in
+    range(size): the shape of a DFA row and of an accepted quadruple."""
+    return (isinstance(values, tuple) and len(values) == len(sizes)
+            and all(isinstance(v, int) and 0 <= v < size
+                    for v, size in zip(values, sizes)))
+
+
 def _closure_axioms_hold(m: MachineTable,
                          cert: RegularClosureCertificate) -> bool:
     """Check every axiom of the closure proof directly against the table;
@@ -535,20 +527,19 @@ def _closure_axioms_hold(m: MachineTable,
     k = m.n_symbols
     left, right = cert.left_dfa, cert.right_dfa
     for dfa in (left, right):
-        if not dfa or dfa[0][m.blank] != 0:
+        if not (isinstance(dfa, tuple) and dfa
+                and all(_indices(row, (len(dfa),) * k) for row in dfa)
+                and dfa[0][m.blank] == 0):
             return False
-        if any(len(row) != k for row in dfa):
-            return False
-        if any(not 0 <= t < len(dfa) for row in dfa for t in row):
-            return False
+    sizes = (len(left), m.n_states, k, len(right))
+    if not (isinstance(cert.accepted, tuple)
+            and all(_indices(entry, sizes) for entry in cert.accepted)):
+        return False
     accepted = set(cert.accepted)
     if (0, m.init, m.blank, 0) not in accepted:
         return False
     table = compile_cells(m)
     for l, q, s, r in accepted:
-        if not (0 <= l < len(left) and 0 <= r < len(right)
-                and 0 <= q < m.n_states and 0 <= s < k):
-            return False
         tr = table[q][s]
         if tr is None:
             return False  # a halting configuration is accepted
@@ -572,18 +563,26 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
     """Independently re-check a decider certificate: against the table for
     escape, against the closure axioms for regular closure, and against
     tm execution for the cycler certificates, which must have
-    0 <= t1 < t2."""
+    0 <= t1 < t2.  Anything else, or a certificate whose fields have the
+    wrong shape, is rejected: the check returns False and never raises."""
     if isinstance(cert, RegularClosureCertificate):
         return _closure_axioms_hold(m, cert)
     if isinstance(cert, EscapeCertificate):
-        states = set(cert.reachable)
-        if m.init not in states:
+        states = cert.reachable
+        if not (isinstance(states, tuple) and m.init in states):
             return False
         for q in states:
+            if not (isinstance(q, int) and 0 <= q < m.n_states):
+                return False
             for tr in m.table[q]:
                 if tr is HALT or tr.next_state not in states:
                     return False
         return True
+    if not isinstance(cert, (CyclerCertificate, TranslatedCyclerCertificate)):
+        return False
+    offset = getattr(cert, "offset", 0)
+    if not all(isinstance(v, int) for v in (cert.t1, cert.t2, offset)):
+        return False
     if not 0 <= cert.t1 < cert.t2:
         return False  # t1 == t2 would compare a configuration with itself
     c = initial_configuration(m)
@@ -599,7 +598,6 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
             return False
         step(m, c)
         heads.append(c.head)
-    offset = getattr(cert, "offset", 0)
     if c.state != snap1.state or c.head != snap1.head + offset:
         return False
     p1, p2 = snap1.head, c.head
@@ -656,11 +654,9 @@ def classify(m: MachineTable, budget: int) -> Classification:
     """Cheapest decider first: the static escape check, one bounded run
     checking the cycler and the translated cycler after every step, then
     the regular-closure search on survivors; anything left is Undecided
-    at this budget.  Raises ValidationError for a machine that writes a
-    symbol index of 256 or more."""
+    at this budget."""
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    _require_byte_cells(m)
     return _decide(m, budget)[0]
 
 
@@ -798,13 +794,9 @@ def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
 def enumerate_and_classify(n: int, k: int, budget: int,
                            reduced: bool = True) -> EnumerationSummary:
     """Classify every n-state k-symbol machine (canonical representatives
-    when `reduced`, the full raw space otherwise).  Raises ValidationError
-    for k > 256: the deciders pack tape cells into bytes."""
+    when `reduced`, the full raw space otherwise)."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 states and k >= 2 symbols")
-    if k > 256:
-        raise ValidationError(f"{k} symbols; tape cells must fit in a byte "
-                              "(at most 256 symbols)")
     if budget < 0:
         raise ValueError("budget must be a natural number")
     raw_count = (2 * n * k + 1) ** (n * k)

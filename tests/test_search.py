@@ -199,30 +199,75 @@ def _widened(m, k=300):
     return tm.MachineTable(m.name, symbols, m.blank, m.states, m.init, table)
 
 
+def _reversed_alphabet(m):
+    """`m` with symbol index i renamed k - 1 - i, labels and all: the same
+    machine, its symbols moved to the other end of the alphabet."""
+    k = m.n_symbols
+
+    def rename(tr):
+        return tr if tr is HALT else Transition(k - 1 - tr.write, tr.move,
+                                                tr.next_state)
+
+    table = tuple(tuple(map(rename, reversed(row))) for row in m.table)
+    return tm.MachineTable(m.name, m.symbols[::-1], k - 1 - m.blank,
+                           m.states, m.init, table)
+
+
 # one state, 300 symbols: the blank cell writes symbol 299
 WIDE = _widened(machines.parse_machine(DRIFTER)).with_cell(
     0, 0, Transition(299, R, 0))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: classify(WIDE, 10),
-    lambda: decide_cycler(WIDE, 10),
-    lambda: decide_translated_cycler(WIDE, 10),
-    lambda: enumerate_and_classify(1, 300, 10),
-    lambda: enumerate_and_classify(1, 300, 10, reduced=False),
-    lambda: verify_checkpoints(_widened(machines.builtin_m54()).with_cell(
-        0, 0, Transition(299, R, 0)), 5),
+def _drifter(wide):
+    return WIDE if wide else machines.parse_machine(DRIFTER)
+
+
+def _m54(wide, fault=None):
+    """m54 with the cell (state, symbol) of `fault` replaced by its
+    transition, over 300 symbols with its own at 296..299 if `wide`."""
+    m = machines.builtin_m54()
+    if fault is not None:
+        state, symbol, cell = fault
+        m = m.with_cell(m.state_index(state), m.symbol_index(symbol), cell)
+    return _reversed_alphabet(_widened(m)) if wide else m
+
+
+def _mismatch(m):
+    with pytest.raises(CheckpointMismatch) as exc:
+        verify_checkpoints(m, 25)
+    return str(exc.value)
+
+
+def _counts(summary):
+    return summary.total, summary.counts, summary.max_steps
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda wide: classify(_drifter(wide), 10),
+     search.Classification("nonhalt", decider="translated-cycler",
+                           certificate=TranslatedCyclerCertificate(1, 2, 1))),
+    (lambda wide: decide_cycler(_drifter(wide), 10), None),
+    (lambda wide: decide_translated_cycler(_drifter(wide), 10),
+     TranslatedCyclerCertificate(1, 2, 1)),
+    (lambda wide: _counts(enumerate_and_classify(1, 300 if wide else 3, 10)),
+     (3, {"halts": 1, "escape": 0, "cycler": 0, "translated-cycler": 2,
+          "undecided": 0}, 1)),
+    (lambda wide: verify_checkpoints(_m54(wide), 20),
+     search.CheckpointReport(20, checkpoint_steps(20), 21)),
+    (lambda wide: _mismatch(_m54(wide, ("mul2_F", "0", Transition(1, R, 0)))),
+     "checkpoint n=7: cell 1 holds 1, expected digit 0 of 2^7"),
 ], ids=["classify", "decide_cycler", "decide_translated_cycler",
-        "enumerate-reduced", "enumerate-raw", "verify_checkpoints"])
-def test_symbols_past_a_byte_are_an_input_error(call):
-    """The deciders and the checkpoint verifier pack tape cells into bytes;
-    a machine that writes symbol 256 or more is refused at entry."""
-    with pytest.raises(ValidationError, match="fit in a byte"):
-        call()
+        "enumerate-reduced", "verify_checkpoints", "verify_checkpoints-fault"])
+def test_symbols_past_a_byte_match_their_narrow_relabelling(call, expected):
+    """A table that writes symbols of index 256 or more gets the verdict,
+    certificate, enumeration counts and checkpoint report of its narrow
+    relabelling (one state over 3 symbols for the enumeration)."""
+    assert call(False) == expected
+    assert call(True) == expected
 
 
 def test_wide_alphabets_that_write_narrow_symbols_still_run(m54):
-    """300 symbols of which only indices below 256 are ever written: the
+    """300 symbols of which only the first few are ever written: the
     verdicts and the checkpoint check are those of the narrow table."""
     for text in (DRIFTER, PINGPONG):
         narrow = machines.parse_machine(text)
@@ -441,6 +486,20 @@ def test_translated_cycler_reads_cells_past_a_snapshot_as_blank(d):
         assert max(between) > hi
 
 
+@pytest.mark.parametrize("d", [1, -1])
+def test_translated_cycler_pads_past_a_snapshot_with_a_wide_blank(d):
+    """The tables above over 300 symbols, with their two symbols renamed
+    299 and 298 (the blank is 298): the window past the earlier snapshot
+    pads with that blank, and the certificate is the reference's and the
+    narrow table's."""
+    narrow = machines.parse_machine(_PAST_SNAPSHOT[d])
+    m = _reversed_alphabet(_widened(narrow))
+    assert m.blank == 298
+    cert = decide_translated_cycler(m, 60)
+    assert (cert.t1, cert.t2, cert.offset) == _first_translated_repeat(m, 60)
+    assert cert == decide_translated_cycler(narrow, 60)
+
+
 def _restricted_growth(cells, size: int, k: int, blank: int) -> bool:
     """Reference for the canonical-DFA rule on a row-major table: blank
     maps state 0 to itself, each cell names at most the one state not
@@ -607,6 +666,31 @@ def test_regular_closure_certificate_never_accepts_halting_cell():
                if m.transition(q, s) is HALT}
     assert halting
     assert all((q, s) not in halting for _, q, s, _ in cert.accepted)
+
+
+@pytest.mark.parametrize("text, malform", [
+    (BOUNCER, lambda c: RegularClosureCertificate(((),), c.right_dfa,
+                                                  c.accepted)),
+    (BOUNCER, lambda c: RegularClosureCertificate(
+        c.left_dfa, c.right_dfa, c.accepted + ((0, 0, 0),))),
+    (BOUNCER, lambda c: RegularClosureCertificate(c.left_dfa, c.right_dfa,
+                                                  None)),
+    (NO_HALT_REACHABLE, lambda c: EscapeCertificate(c.reachable + (99,))),
+    (NO_HALT_REACHABLE, lambda c: EscapeCertificate(None)),
+    (PINGPONG, lambda c: None),
+    (PINGPONG, lambda c: CyclerCertificate(0.5, 3)),
+    (DRIFTER, lambda c: TranslatedCyclerCertificate(c.t1, c.t2, "1")),
+], ids=["closure-empty-dfa-row", "closure-short-quadruple",
+        "closure-no-accepted", "escape-unknown-state", "escape-no-states",
+        "none", "cycler-fractional-step", "translated-text-offset"])
+def test_malformed_certificates_revalidate_false(text, malform):
+    """The checker rejects a certificate whose fields have the wrong shape
+    instead of raising, and still accepts the well-formed one it was made
+    from."""
+    m = machines.parse_machine(text)
+    cert = classify(m, 100).certificate
+    assert revalidate_certificate(m, cert)
+    assert revalidate_certificate(m, malform(cert)) is False
 
 
 def test_classify_statuses():
@@ -828,6 +912,8 @@ def test_enumerate_starved_budget_is_honest():
 def test_enumerate_guard_and_validation():
     with pytest.raises(SpaceTooLarge):
         enumerate_and_classify(4, 2, 10, reduced=False)
+    with pytest.raises(SpaceTooLarge):
+        enumerate_and_classify(1, 300, 10, reduced=False)
     with pytest.raises(ValueError):
         enumerate_and_classify(0, 2, 10)
     with pytest.raises(ValueError):
