@@ -909,11 +909,16 @@ def test_enumerate_starved_budget_is_honest():
     assert summary.undecided  # the machines themselves are kept
 
 
+def test_raw_enumeration_past_a_byte_meets_the_candidate_guard():
+    """Symbols of index 256 or more are no input error, but one state over
+    300 symbols is far past the raw candidate-count guard."""
+    with pytest.raises(SpaceTooLarge):
+        enumerate_and_classify(1, 300, 10, reduced=False)
+
+
 def test_enumerate_guard_and_validation():
     with pytest.raises(SpaceTooLarge):
         enumerate_and_classify(4, 2, 10, reduced=False)
-    with pytest.raises(SpaceTooLarge):
-        enumerate_and_classify(1, 300, 10, reduced=False)
     with pytest.raises(ValueError):
         enumerate_and_classify(0, 2, 10)
     with pytest.raises(ValueError):
