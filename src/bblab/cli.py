@@ -167,7 +167,9 @@ def cmd_enumerate(args) -> int:
         "decider_pass_runs": summary.decider_pass_runs,
         "decider_pass_steps": summary.decider_pass_steps,
         "closure_searches": summary.closure_searches,
-        "closure_decided": summary.closure_decided}
+        "closure_decided": summary.closure_decided,
+        "decider_pass_seconds": summary.decider_pass_seconds,
+        "closure_seconds": summary.closure_seconds}
     lines = [
         f"space: {args.n} states x {args.k} symbols, budget {args.budget}, "
         + ("raw" if args.raw else "reduced"),
@@ -179,7 +181,9 @@ def cmd_enumerate(args) -> int:
         f"{summary.decider_pass_runs:,} runs of "
         f"{summary.decider_pass_steps:,} steps in all, closure "
         f"{summary.closure_decided:,} decided of "
-        f"{summary.closure_searches:,} searches",
+        f"{summary.closure_searches:,} searches; "
+        f"{summary.decider_pass_seconds:.2f} s in the decider pass, "
+        f"{summary.closure_seconds:.2f} s in closure searches",
         "confirmed" if summary.confirmed else "NOT confirmed "
         "(undecided machines remain)",
     ]

@@ -15,12 +15,13 @@ escape idea generalized from the state graph to tape contents; both
 are tagged "escape" since both prove halting unreachable).  The
 closure search enumerates only the DFA that reads the tape left of the
 head and derives the one for the right side as a least fixpoint, on
-the machine and on its mirror image.  The bounded run is a
+the machine and on its mirror image.  The bounded run steps on a list
+of its own and hands a run that halts or outlasts the budget back as a
 `tm.FlatRun`, which the closure search's halting probe continues;
-every function here reads a run only through its `state`, `steps`,
-`halted`, `head`, `advance()`, `step()` and `visited()`, so the layout
-of its list stays inside `tm`.  `revalidate_certificate` re-checks
-every certificate independently, on `tm.step` for the cyclers.
+FlatRuns are read only through `state`, `steps`, `halted`, `head`,
+`advance()` and `visited()`, so their layout stays inside `tm`.
+`revalidate_certificate` re-checks every certificate independently, on
+`tm.step` for the cyclers.
 
 Enumeration runs either over the raw space of all (2nk+1)^(nk) tables
 or over a canonical subset built in tree normal form: cells are filled
@@ -29,7 +30,9 @@ states/symbols are introduced lowest-index-first, and the very first
 transition moves right.  A node's cells not chosen yet are Halt, so
 every node is a complete table and the pipeline runs it as is; a run
 that halts on such a cell branches on it, and each branch's table is
-its parent's with that one cell replaced (`MachineTable.with_cell`).
+its parent's with that one cell replaced (`MachineTable.with_cell`);
+the escape check runs once per target state of that cell, and the
+branches it settles are never built.
 The reduction preserves every halting step count, so maxima are exact;
 raw mode remains available as ground truth.
 """
@@ -39,6 +42,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import time
 from dataclasses import dataclass, field
 
 from .errors import CheckpointMismatch, SpaceTooLarge, ValidationError
@@ -248,11 +252,12 @@ class Classification:
 
 
 def _run_deciders(m: MachineTable, budget: int):
-    """One bounded tm.FlatRun from the blank tape, stepped with
-    `FlatRun.step`, with the cycler and the translated cycler checked
-    after every step, inline.  Returns a Classification (cycler or
-    translated-cycler), or else the stopped run: halted, or at the
-    budget.
+    """One bounded run from the blank tape, stepping `compile_cells(m)` on
+    a list of its own (cell i at tape[i + origin], blank where never
+    written), with the cycler and the translated cycler checked after
+    every step.  Returns a Classification (cycler or translated-cycler),
+    or else the stopped run, halted or at the budget, as a tm.FlatRun
+    resumed from the list.
 
     The cycler keeps the tape as two ints, `right` for cells i >= 0 and
     `left` for cells i < 0, each cell holding symbol ^ blank in `bits`
@@ -262,79 +267,89 @@ def _run_deciders(m: MachineTable, budget: int):
     so the first repeat is the first exact one.
 
     The translated cycler (matching rule at TranslatedCyclerCertificate)
-    keeps the suffix minima and maxima of the head as (step, head) stacks:
-    the first entry of `lows` (`highs`) after step t holds the lowest
-    (highest) head since t.  Heads strictly rise up `lows` and fall up
-    `highs`, and both tops are the head now, so a step costs a push and
-    at most two pops, and the head breaks a record exactly when popping
-    the old head off the stack ahead leaves it empty.  Only a record
-    reads the visited cells and compares them with the earlier records
-    of its direction and state, each reach one bisect into the stack
-    behind, so the pass stays linear in its steps.  An exact repeat
+    needs at each record the reach since every earlier record of its
+    direction.  `low` is the lowest head since the last right record and
+    `high` the highest since the last left one, so a step that breaks no
+    record costs at most two comparisons.  A record pushes that value,
+    times its direction, onto its stack after popping the entries it
+    undercuts, so the first entry after step t1 holds the farthest
+    excursion since t1: one bisect.  Only a record copies the visited
+    cells, [bottom, top], turned so that its head comes last, and only a
+    record can step off the list, which then triples.  An exact repeat
     keeps the head bounded while a translated repeat proves unbounded
-    drift, so the two never both fire on one machine."""
-    run = FlatRun(m)
-    step = run.step
+    drift, so the two never both fire."""
+    cells = compile_cells(m)
     bits = (m.n_symbols - 1).bit_length()
-    blank = [m.blank]
-    left = right = head = 0
-    seen = {(m.init, 0, 0, 0): 0}
-    lows, highs = [(0, 0)], [(0, 0)]
-    # (direction, state) -> [(t, head, first visited cell, visited cells)]
+    blank = m.blank
+    tape, origin = [blank] * 32, 16
+    q = m.init
+    left = right = head = low = high = bottom = top = 0
+    seen = {(q, 0, 0, 0): 0}
+    lows, highs = [], []
+    # (direction, state) -> [(t, head, visited cells, the head's last)]
     records = {}
-    for t in range(1, budget + 1):
-        cell = step()
-        if cell is None:
-            break
-        read, written = cell
-        if read != written:
-            if head >= 0:
-                right ^= (read ^ written) << bits * head
+    steps = budget
+    try:
+        for t in range(1, budget + 1):
+            p = head + origin
+            sym = tape[p]
+            w, d, q = cells[q][sym]
+            if w != sym:
+                tape[p] = w
+                if head >= 0:
+                    right ^= (sym ^ w) << bits * head
+                else:
+                    left ^= (sym ^ w) << bits * ~head
+            head += d
+            t1 = seen.setdefault((q, head, left, right), t)
+            if t1 != t:
+                return Classification("nonhalt", decider="cycler",
+                                      certificate=CyclerCertificate(t1, t))
+            if d > 0:
+                if head <= high:
+                    continue
+                high = head
+                if head <= top:
+                    continue
+                # a right record: past every cell visited before
+                top, stack, v, low = head, lows, low, head
             else:
-                left ^= (read ^ written) << bits * ~head
-        state = run.state
-        if run.head > head:
-            head += 1
-            ahead, behind = highs, lows
-        else:
-            head -= 1
-            ahead, behind = lows, highs
-        t1 = seen.setdefault((state, head, left, right), t)
-        if t1 != t:
-            return Classification("nonhalt", decider="cycler",
-                                  certificate=CyclerCertificate(t1, t))
-        # The head moved one cell, so it tops the stack behind it; on the
-        # stack ahead it replaces the old head, on top, and an entry at
-        # its own cell, just below, if there is one.
-        entry = (t, head)
-        behind.append(entry)
-        ahead.pop()
-        if ahead:
-            if ahead[-1][1] == head:
-                ahead.pop()
-            ahead.append(entry)
-            continue
-        ahead.append(entry)
-        # a record, in direction d: past every cell visited before
-        d = 1 if head > 0 else -1
-        first, tape = run.visited()
-        bucket = records.setdefault((d, state), [])
-        for t1, p1, first1, snap in bucket:
-            # the farthest opposite excursion of steps t1+1..t
-            reach = behind[bisect.bisect_left(behind, (t1 + 1,))][1]
-            # the window runs from the reach to the record head; i1 and i2
-            # index its first cell in snap and in tape.  Cells outside
-            # snap were unvisited, so blank, at t1.
-            width = max(0, d * (p1 - reach))
-            shift = width if d > 0 else 0
-            i1, i2 = p1 - shift - first1, head - shift - first
-            earlier = blank * -i1 + snap[max(i1, 0):i1 + width + 1]
-            earlier += blank * (width + 1 - len(earlier))
-            if earlier == tape[i2:i2 + width + 1]:
-                return Classification(
-                    "nonhalt", decider="translated-cycler",
-                    certificate=TranslatedCyclerCertificate(t1, t, head - p1))
-        bucket.append((t, head, first, tape))
+                if head >= low:
+                    continue
+                low = head
+                if head >= bottom:
+                    continue
+                bottom, stack, v, high = head, highs, -high, head
+            if not 0 <= head + origin < len(tape):
+                pad = [blank] * len(tape)
+                tape = pad + tape + pad
+                origin += len(pad)
+            while stack and stack[-1][1] >= v:
+                stack.pop()
+            stack.append((t, v))
+            now = tape[bottom + origin:top + origin + 1]
+            if d < 0:
+                now.reverse()
+            bucket = records.setdefault((d, q), [])
+            for t1, p1, snap in bucket:
+                # the window runs from the reach to the record head, the
+                # last cell of snap and of now; cells before snap were
+                # unvisited, so blank, at t1
+                reach = stack[bisect.bisect_left(stack, (t1 + 1,))][1]
+                width = max(0, d * p1 - reach)
+                earlier = snap[-width - 1:]
+                earlier[:0] = [blank] * (width + 1 - len(earlier))
+                if earlier == now[-width - 1:]:
+                    return Classification(
+                        "nonhalt", decider="translated-cycler",
+                        certificate=TranslatedCyclerCertificate(
+                            t1, t, head - p1))
+            bucket.append((t, head, now))
+    except TypeError:  # unpacking None: the Halt cell, which step t runs
+        steps = t - 1
+    run = FlatRun.resume(m, q, head, bottom,
+                         tape[bottom + origin:top + origin + 1], steps)
+    run.advance(budget)
     return run
 
 
@@ -569,15 +584,11 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
         return _closure_axioms_hold(m, cert)
     if isinstance(cert, EscapeCertificate):
         states = cert.reachable
-        if not (isinstance(states, tuple) and m.init in states):
-            return False
-        for q in states:
-            if not (isinstance(q, int) and 0 <= q < m.n_states):
-                return False
-            for tr in m.table[q]:
-                if tr is HALT or tr.next_state not in states:
-                    return False
-        return True
+        return (isinstance(states, tuple)
+                and _indices(states, (m.n_states,) * len(states))
+                and m.init in states
+                and all(tr is not HALT and tr.next_state in states
+                        for q in states for tr in m.table[q]))
     if not isinstance(cert, (CyclerCertificate, TranslatedCyclerCertificate)):
         return False
     offset = getattr(cert, "offset", 0)
@@ -587,13 +598,9 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
         return False  # t1 == t2 would compare a configuration with itself
     c = initial_configuration(m)
     heads = [c.head]
-    for _ in range(cert.t1):
-        if c.halted:
-            return False
-        step(m, c)
-        heads.append(c.head)
-    snap1 = c.clone()
-    for _ in range(cert.t2 - cert.t1):
+    for t in range(cert.t2):
+        if t == cert.t1:
+            snap1 = c.clone()
         if c.halted:
             return False
         step(m, c)
@@ -615,11 +622,7 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
         return False
     if max(d * h for h in heads[:cert.t2]) >= d * p2:
         return False
-    between = heads[cert.t1 + 1:cert.t2 + 1]
-    if d > 0:
-        width = max(0, p1 - min(between))
-    else:
-        width = max(0, max(between) - p1)
+    width = max(0, d * p1 - min(d * h for h in heads[cert.t1 + 1:]))
     return all(snap1.tape.read(p1 - d * j) == c.tape.read(p2 - d * j)
                for j in range(width + 1))
 
@@ -628,26 +631,37 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
 # classification and enumeration
 
 
-def _decide(m: MachineTable, budget: int):
-    """The decider pipeline: the static escape check, then the single
-    bounded run of _run_deciders, then the regular-closure search if the
-    run outlasts the budget; anything left is Undecided at this budget.
-    Returns the Classification and, for a halt, the halted tm.FlatRun
-    (None otherwise)."""
+def _escape_verdict(m: MachineTable):
+    """The escape decider's Classification of m, or None."""
     escape = decide_escape(m)
-    if escape is not None:
-        return Classification("nonhalt", decider="escape",
-                              certificate=escape), None
+    return escape and Classification("nonhalt", decider="escape",
+                                      certificate=escape)
+
+
+def _decide(m: MachineTable, budget: int, summary=None):
+    """The decider pipeline past the escape check: _run_deciders, then the
+    regular-closure search if the run outlasts the budget; anything left
+    is Undecided.  Returns the Classification and, for a halt, the halted
+    tm.FlatRun; a given EnumerationSummary records the verdict and the
+    seconds the pass and the search took."""
+    started = time.perf_counter()
     out = _run_deciders(m, budget)
+    ran = searched = time.perf_counter()
     if isinstance(out, Classification):
-        return out, None
-    if out.halted:
-        return Classification("halts", steps=out.steps), out
-    closure = decide_regular_closure(m, probe=out)
-    if closure is not None:
-        return Classification("nonhalt", decider="escape",
-                              certificate=closure), None
-    return Classification("undecided"), None
+        verdict = out
+    elif out.halted:
+        verdict = Classification("halts", steps=out.steps)
+    else:
+        closure = decide_regular_closure(m, probe=out)
+        searched = time.perf_counter()
+        verdict = (Classification("undecided") if closure is None else
+                   Classification("nonhalt", decider="escape",
+                                  certificate=closure))
+    if summary is not None:
+        summary.decider_pass_seconds += ran - started
+        summary.closure_seconds += searched - ran
+        summary.record(verdict, m)
+    return verdict, out if verdict.status == "halts" else None
 
 
 def classify(m: MachineTable, budget: int) -> Classification:
@@ -657,7 +671,7 @@ def classify(m: MachineTable, budget: int) -> Classification:
     at this budget."""
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    return _decide(m, budget)[0]
+    return _escape_verdict(m) or _decide(m, budget)[0]
 
 
 @dataclass
@@ -674,12 +688,14 @@ class EnumerationSummary:
     champions: list = field(default_factory=list)
     undecided: list = field(default_factory=list)
     # How the pipeline went, read off each verdict: runs of the decider
-    # pass and the steps they made, closure searches and the verdicts
-    # they gave (counted under "escape").  to_dict leaves them out.
+    # pass and their steps, closure searches and the verdicts they gave
+    # (counted under "escape"), and the seconds of each; not in to_dict.
     decider_pass_runs: int = 0
     decider_pass_steps: int = 0
     closure_searches: int = 0
     closure_decided: int = 0
+    decider_pass_seconds: float = 0.0
+    closure_seconds: float = 0.0
 
     @property
     def confirmed(self) -> bool:
@@ -688,11 +704,10 @@ class EnumerationSummary:
         return self.counts["undecided"] == 0
 
     def record(self, cls: Classification, table: MachineTable):
-        """Count one verdict of _decide.  Every verdict but the state-graph
-        escape comes after a decider pass, which stops at the halting
-        step, at a cycler certificate's t2, or else at the budget; only
-        then does the closure search run, and its failure is the one
-        undecided verdict."""
+        """Count one verdict.  Every verdict but the state-graph escape
+        comes after a decider pass, which stops at the halting step, at a
+        cycler certificate's t2, or else at the budget, where the closure
+        search runs; its failure is the one undecided verdict."""
         self.total += 1
         cert = cls.certificate
         if not isinstance(cert, EscapeCertificate):
@@ -742,6 +757,14 @@ def _machine(n: int, k: int) -> MachineTable:
                         init=0, table=((HALT,) * k,) * n)
 
 
+def _escapes_into(m: MachineTable, q: int, sym: int, targets) -> dict:
+    """Per target state q2, the escape verdict on every table that is `m`
+    with its Halt cell (q, sym) replaced by a transition into q2: whatever
+    it writes and wherever it moves, the state graph is m's plus q -> q2."""
+    return {q2: _escape_verdict(m.with_cell(q, sym, Transition(0, R, q2)))
+            for q2 in targets}
+
+
 def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
     # Branching never chooses Halt, so the HALT cells are exactly the
     # cells not chosen yet, and every node runs as a complete table.
@@ -757,8 +780,7 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
                      for q2 in range(min(top_state + 1, n - 1) + 1))
 
     def recurse(m: MachineTable, top_state: int, top_symbol: int):
-        verdict, run = _decide(m, budget)
-        summary.record(verdict, m)
+        run = _decide(m, budget, summary)[1]
         if run is None:
             return
         # the run halted on a cell not chosen yet: every completion with
@@ -767,10 +789,18 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
         # symbol are already at most the tops.
         first, tape = run.visited()
         q, sym = run.state, tape[run.head - first]
+        escapes = _escapes_into(m, q, sym,
+                                range(min(top_state + 1, n - 1) + 1))
         for tr in branch_options(run.steps == 1, top_state, top_symbol):
-            recurse(m.with_cell(q, sym, tr), max(top_state, tr.next_state),
-                    max(top_symbol, tr.write))
+            escape = escapes[tr.next_state]
+            if escape is None:
+                recurse(m.with_cell(q, sym, tr),
+                        max(top_state, tr.next_state),
+                        max(top_symbol, tr.write))
+            else:
+                summary.record(escape, m)  # an escape keeps no table
 
+    # the root halts on every cell, so its state graph cannot escape
     recurse(_machine(n, k), 0, 0)
 
 
@@ -781,12 +811,14 @@ def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
 
     def fill(m: MachineTable, i: int):
         # cells before i are chosen, the first one slowest (product order)
-        if i == len(cells):
-            summary.record(_decide(m, budget)[0], m)
-            return
-        q, s = cells[i]
-        for tr in options:
-            fill(m.with_cell(q, s, tr), i + 1)
+        if i < len(cells):
+            q, s = cells[i]
+            for tr in options:
+                fill(m.with_cell(q, s, tr), i + 1)
+        elif (escape := _escape_verdict(m)) is not None:
+            summary.record(escape, m)
+        else:
+            _decide(m, budget, summary)
 
     fill(_machine(n, k), 0)
 

@@ -11,19 +11,20 @@ with `HALT`, which is None, as the compiled tables do.
 written cells to symbols.  The loops that run many steps share one flat
 compiled table (`compile_cells`) and keep the tape in plain lists.
 `FlatRun` steps one cell at a time on a single list and can stop at any
-step count, which `run_trace`, the checkpoint verifier and the `search`
-deciders and enumerators use; they read its head and its visited cells
-(`visited()`), and the list stays private to it.  `run` starts on
-run-length "chains", where a self-loop over a run of equal symbols is
-one macro step, so the bb5 champion halts in a fraction of a second.
-Where runs of equal symbols are short, as on the power-of-two machine, a
-chain macro step costs several FlatRun steps for little more than one
-step of progress, so a run whose first few hundred macro steps compress
-poorly goes on in a FlatRun to the end.  It returns the final
-configuration, whose `halted` and `step_count` say how the run ended and
-whose `macro_steps`, `compression` and `handoffs` say how it went.  All
-of them give exactly the configurations `step` gives; `step` stays the
-independent reference that certificate revalidation runs on.
+step count; `FlatRun.resume` takes over a run from another stepper, as
+`run` and the `search` decider pass do.  Its callers read its head and
+its visited cells (`visited()`), and the list stays private to it.
+`run` starts on run-length "chains", where a self-loop over a run of
+equal symbols is one macro step, so the bb5 champion halts in a
+fraction of a second.  Where runs of equal symbols are short, as on the
+power-of-two machine, a chain macro step costs several FlatRun steps
+for little more than one step of progress, so a run whose first few
+hundred macro steps compress poorly goes on in a FlatRun to the end.
+It returns the final configuration, whose `halted` and `step_count` say
+how the run ended and whose `macro_steps`, `compression` and `handoffs`
+say how it went.  All of them give exactly the configurations `step`
+gives; `step` stays the independent reference that certificate
+revalidation runs on.
 """
 
 from __future__ import annotations
@@ -366,9 +367,8 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
         if done == budget:
             break
         if macro == _PROBE and done < _RATIO * _PROBE:
-            flat = FlatRun(m)
             extent, at = _unpack(left, sym, right)
-            flat._resume(state, head, head - at, extent, done)
+            flat = FlatRun.resume(m, state, head, head - at, extent, done)
             flat.advance(budget)
             first, extent = flat.visited()
             return RunConfiguration(flat.state, flat.head,
@@ -381,11 +381,11 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
 
 
 class FlatRun:
-    """A run from the blank tape on one flat list of cells, for callers
-    that stop at many step counts and read the tape in between.  They
-    drive it with `advance()` or `step()` and read it through `state`,
-    `steps`, `halted`, `head` and `visited()`; the list layout is private
-    to this class.
+    """A run on one flat list of cells, for callers that stop at many step
+    counts and read the tape in between.  It starts from the blank tape,
+    or with `resume` from where another stepper stopped.  Callers drive it
+    with `advance()` and read it through `state`, `steps`, `halted`,
+    `head` and `visited()`; the list layout is private to this class.
 
     `_tape[i]` holds cell i - `_origin`, and the head is at `_tape[_pos]`.
     Cells never visited hold `_sentinel`, one past the last symbol index,
@@ -394,8 +394,7 @@ class FlatRun:
     sentinel-free span around it.  Between batches of steps the list
     keeps `_MARGIN` cells on either side of the head; the head reads an
     end cell only in the last step of a batch, after which the list
-    grows on that side.  `step` grows the list whenever the head lands on
-    an end cell, so both ends always hold the sentinel.
+    grows on that side.
     """
 
     __slots__ = ("_cells", "_blank", "_sentinel", "_tape", "_origin", "_pos",
@@ -405,22 +404,25 @@ class FlatRun:
     _MARGIN = 16
 
     def __init__(self, m: MachineTable):
+        """The run of `m` from the blank tape."""
         self._cells = tuple(row + (row[m.blank],) for row in compile_cells(m))
-        self._blank = m.blank
-        self._sentinel = m.n_symbols
-        self._resume(m.init, 0, 0, [self._sentinel], 0)
+        self._blank, self._sentinel = m.blank, m.n_symbols
+        self._tape = [self._sentinel] * (4 * self._MARGIN + 1)
+        self._origin = self._pos = 2 * self._MARGIN
+        self.state, self.steps, self.halted = m.init, 0, False
 
-    def _resume(self, state: int, head: int, first: int, symbols: list[int],
-                steps: int) -> None:
-        """Go on from a run that has made `steps` steps without halting and
+    @classmethod
+    def resume(cls, m: MachineTable, state: int, head: int, first: int,
+               symbols: list[int], steps: int) -> "FlatRun":
+        """The run of `m` that has made `steps` steps without halting and
         stands in `state` with the head at cell `head`.  `symbols` holds
-        its visited cells from cell `first` on; an unwritten head cell may
-        hold the sentinel."""
-        pad = [self._sentinel] * (2 * self._MARGIN)
-        self._tape = pad + symbols + pad
-        self._origin = 2 * self._MARGIN - first
-        self._pos = self._origin + head
-        self.state, self.steps, self.halted = state, steps, False
+        its visited cells from cell `first` on."""
+        run = cls(m)
+        pad = run._tape[:2 * cls._MARGIN]
+        run._tape = pad + symbols + pad
+        run._origin = 2 * cls._MARGIN - first
+        run._pos, run.state, run.steps = run._origin + head, state, steps
+        return run
 
     @property
     def head(self) -> int:
@@ -458,24 +460,6 @@ class FlatRun:
             else:
                 done += n
         self.state, self._pos, self.steps = q, self._fit(p), done
-
-    def step(self) -> tuple[int, int] | None:
-        """Run one step: (symbol read, symbol written), an unvisited cell
-        read as blank, or None when the step halts.  Raises StepAfterHalt
-        on a halted run."""
-        if self.halted:
-            raise StepAfterHalt("run has halted")
-        tape, p = self._tape, self._pos
-        read = tape[p]
-        cell = self._cells[self.state][read]
-        self.steps += 1
-        if cell is None:
-            self.halted = True
-            return None
-        tape[p], d, self.state = cell
-        p += d
-        self._pos = p if 0 < p < len(tape) - 1 else self._fit(p)
-        return (self._blank if read == self._sentinel else read), cell[0]
 
     def visited(self) -> tuple[int, list[int]]:
         """(first, symbols): the first visited cell, and a new list of the

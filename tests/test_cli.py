@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, text output, JSON output."""
 
 import json
+import re
 
 import pytest
 
@@ -185,7 +186,9 @@ def test_enumerate_json_stats_follow_the_existing_keys(capsys, budget,
                                                        confirmed):
     """Closure verdicts stay counted under "escape" and get their own
     line in the stats; on a confirmed space every closure search
-    decided."""
+    decided.  The seconds spent in the decider pass and in the closure
+    searches come after the existing keys, never negative and within the
+    elapsed time."""
     code, out, _ = run_cli(capsys, "--format", "json", "enumerate", "-n",
                            "3" if confirmed else "2", "-k", "2",
                            "--budget", str(budget))
@@ -200,13 +203,17 @@ def test_enumerate_json_stats_follow_the_existing_keys(capsys, budget,
     stats = payload["stats"]
     assert list(stats) == ["machines_per_s", "decider_pass_runs",
                            "decider_pass_steps", "closure_searches",
-                           "closure_decided"]
+                           "closure_decided", "decider_pass_seconds",
+                           "closure_seconds"]
     assert stats["machines_per_s"] > 0
     assert 0 < stats["decider_pass_runs"] <= payload["total"]
     assert stats["decider_pass_steps"] >= stats["decider_pass_runs"]
     assert 0 < stats["closure_decided"] <= payload["counts"]["escape"]
     assert (stats["closure_decided"] == stats["closure_searches"]) is \
         confirmed
+    assert stats["decider_pass_seconds"] >= 0 and stats["closure_seconds"] >= 0
+    assert (stats["decider_pass_seconds"] + stats["closure_seconds"]
+            <= payload["elapsed_seconds"])
     code, text, _ = run_cli(capsys, "enumerate", "-n",
                             "3" if confirmed else "2", "-k", "2",
                             "--budget", str(budget))
@@ -215,6 +222,8 @@ def test_enumerate_json_stats_follow_the_existing_keys(capsys, budget,
             f"{stats['closure_decided']:,} decided of "
             f"{stats['closure_searches']:,} searches")
     assert line in text and "machines/s" in text
+    assert re.search(r"searches; [0-9.]+ s in the decider pass, [0-9.]+ s "
+                     r"in closure searches", text)
 
 
 def test_enumerate_undecided_written_not_dropped(capsys, tmp_path):

@@ -173,6 +173,30 @@ def test_verify_checkpoints_reports_the_failed_check(m54, state, symbol,
         verify_checkpoints(bad, 25)
 
 
+# m54 with five mul2 cells rewritten so that every sweep turns back at
+# cell 0: the run is in rewind on the separator with the right counter at
+# s_0, s_1 and s_2, but it never visits cell 1, so at s_2 the visited
+# cells hold one digit of 2^2 = "11".
+_SHORT_SWEEPS = [("mul2_G", "#", Transition(0, L, 2)),
+                 ("mul2_F", "0", Transition(1, L, 3)),
+                 ("mul2_F", "1", Transition(2, L, 0)),
+                 ("mul2_F", "2", Transition(0, L, 0)),
+                 ("mul2_F", "#", Transition(3, R, 2))]
+
+
+def test_verify_checkpoints_reads_unvisited_digits_as_blank(m54):
+    """Digits that stop short of their length read as blank, so the
+    mismatch names the first unvisited digit cell instead of comparing
+    the visited prefix alone, which matches."""
+    bad = m54
+    for state, symbol, cell in _SHORT_SWEEPS:
+        bad = bad.with_cell(bad.state_index(state), bad.symbol_index(symbol),
+                            cell)
+    message = "n=2: cell 1 holds #, expected digit 1 of 2^2"
+    with pytest.raises(CheckpointMismatch, match=re.escape(message)):
+        verify_checkpoints(bad, 25)
+
+
 def test_verify_checkpoints_rejects_a_machine_without_rewind():
     with pytest.raises(ValidationError, match="has no state 'rewind'"):
         verify_checkpoints(machines.builtin_bb5_champion(), 1)
@@ -427,6 +451,25 @@ def test_translated_cycler_finds_the_first_translated_repeat():
     assert found >= 1400
 
 
+def test_decider_pass_survivors_have_no_cycler_certificate(monkeypatch):
+    """The (3,2) machines that outlast budget 1000 in the decider pass go
+    on to the closure search.  On ten of them, spread over all 86, the
+    reference detectors find no certificate within that budget either."""
+    survivors = []
+    closure = search.decide_regular_closure
+
+    def kept(m, **kwargs):
+        survivors.append(m)
+        return closure(m, **kwargs)
+
+    monkeypatch.setattr(search, "decide_regular_closure", kept)
+    enumerate_and_classify(3, 2, 1000)
+    assert len(survivors) == 86
+    for m in survivors[::9][:10]:
+        assert _first_repeat(m, 1000) is None
+        assert _first_translated_repeat(m, 1000) is None
+
+
 def test_cycler_declines_on_halting_machine():
     assert decide_cycler(machines.parse_machine(DRIFTER), 100) is None
 
@@ -551,9 +594,10 @@ def test_regular_closure_decider():
 
 
 def test_translated_detector_keeps_long_runs_linear():
-    """Each record's reach comes from suffix minima and maxima of the
-    head, not from a rescan of the steps since the record.  On a 2-core
-    Xeon this run takes about 0.1 s; a rescan per record takes about 5 s."""
+    """Each record's reach comes from one bisect into a stack of the
+    excursions between records, pushed only when a record is broken, not
+    from a rescan of the steps since the record.  On a 2-core Xeon this
+    run takes about 0.1 s; a rescan per record takes about 5 s."""
     m = machines.parse_machine(BOUNCER, name="bouncer")
     started = time.perf_counter()
     run = search._run_deciders(m, 32_000)
@@ -887,6 +931,37 @@ def test_enumeration_counters_match_the_calls(monkeypatch, n, k, budget,
         calls["runs"], calls["steps"], calls["searches"], calls["decided"])
     assert summary.decider_pass_runs > 0
     assert summary.closure_decided <= summary.counts["escape"]
+
+
+@pytest.mark.parametrize("n, k, budget", [(3, 2, 1000), (2, 3, 100)])
+def test_escapes_per_target_state_match_each_branch(monkeypatch, n, k,
+                                                    budget):
+    """At every branch point of the tree the escape check runs once per
+    target state; its verdict equals decide_escape on each branch into
+    that state built in full, whatever the branch writes and wherever it
+    moves."""
+    branch_points = []
+    escapes_into = search._escapes_into
+
+    def kept(m, q, sym, targets):
+        escapes = escapes_into(m, q, sym, targets)
+        branch_points.append((m, q, sym, escapes))
+        return escapes
+
+    monkeypatch.setattr(search, "_escapes_into", kept)
+    summary = enumerate_and_classify(n, k, budget)
+    # every halt is on a cell not chosen yet, so every halting node branches
+    assert len(branch_points) == summary.counts["halts"]
+    for m, q, sym, escapes in branch_points:
+        for q2, verdict in escapes.items():
+            cert = verdict and verdict.certificate
+            for w in range(k):
+                for move in (L, R):
+                    branch = m.with_cell(q, sym, Transition(w, move, q2))
+                    assert decide_escape(branch) == cert
+                    if cert is not None:
+                        assert (verdict.status, verdict.decider) == (
+                            "nonhalt", "escape")
 
 
 def test_enumerate_records_champions():

@@ -287,6 +287,24 @@ def test_run_matches_single_steps(m, budget, checkpoints):
     assert len(snaps) == (halted[0] + 1 if halted else len(checkpoints))
 
 
+def _relabelled(m, blank, init):
+    """`m` with blank symbol index `blank` and initial state `init`, each
+    taken modulo the table's size."""
+    return MachineTable(m.name, m.symbols, blank % m.n_symbols, m.states,
+                        init % m.n_states, m.table)
+
+
+def _assert_run_is_config(run, c):
+    """A FlatRun agrees with a tm.step configuration: state, steps, halted
+    flag, head, visited cells and configuration."""
+    assert (run.state, run.steps, run.halted, run.head) == (
+        c.state, c.step_count, c.halted, c.head)
+    first, cells = run.visited()
+    assert (first, first + len(cells) - 1) == (c.tape.lo, c.tape.hi)
+    assert tuple(cells) == c.tape.window(c.tape.lo, c.tape.hi)
+    _assert_same_config(run.configuration(), c)
+
+
 @given(_tables(),
        st.lists(st.tuples(st.integers(min_value=0, max_value=3000),
                           st.integers(min_value=0, max_value=40)),
@@ -306,58 +324,69 @@ def test_flat_run_matches_single_steps(m, stops):
     c = tm.initial_configuration(m)
     for target in targets:
         run.advance(target)
-        _step_to(m, c, target)
-        assert (run.state, run.steps, run.halted, run.head) == (
-            c.state, c.step_count, c.halted, c.head)
-        first, cells = run.visited()
-        assert (first, first + len(cells) - 1) == (c.tape.lo, c.tape.hi)
-        assert tuple(cells) == c.tape.window(c.tape.lo, c.tape.hi)
-        _assert_same_config(run.configuration(), c)
+        _assert_run_is_config(run, _step_to(m, c, target))
 
 
 @given(_tables(), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=3),
-       st.lists(st.tuples(st.booleans(),
-                          st.integers(min_value=0, max_value=60)),
-                max_size=8))
-@example(_SWEEP_RIGHT, 0, 0, [(True, 100)])
-@example(_SWEEP_LEFT, 0, 0, [(True, 100)])
-@example(_SWEEP_LEFT, 0, 0, [(False, 30), (True, 50), (False, 100),
-                             (True, 20)])
-@example(_BOUNCER, 1, 1, [(True, 60), (False, 60), (True, 60)])
+       st.integers(min_value=0, max_value=200),
+       st.lists(st.integers(min_value=0, max_value=60), max_size=6))
+@example(_SWEEP_RIGHT, 0, 0, 20, [100])
+@example(_SWEEP_LEFT, 0, 0, 20, [30, 100])
+@example(_BOUNCER, 1, 1, 60, [60, 0, 60])
 @settings(max_examples=200, deadline=None)
-def test_flat_run_step_matches_single_steps(m, blank, init, strides):
-    """FlatRun.step, by turns with advance(), against single steps, on
-    tables with any blank and initial state.  Each (single, count) stride
-    takes `count` steps, one step() at a time when `single`.  Every step()
-    returns the symbol read, an unvisited cell as blank, and the symbol
-    written, or None when it halts; a step() after the halt raises.  After
-    each stride the whole run agrees with tm.step's."""
-    m = MachineTable(m.name, m.symbols, blank % m.n_symbols, m.states,
-                     init % m.n_states, m.table)
-    run = tm.FlatRun(m)
+def test_resumed_run_matches_single_steps(m, blank, init, start, strides):
+    """FlatRun.resume from a tm.step configuration, on tables with any
+    blank and initial state, then advanced stride by stride.  The run is
+    resumed at `start` steps, or at the step before a halt that comes
+    sooner, and at once and after each stride it agrees with tm.step's."""
+    m = _relabelled(m, blank, init)
     c = tm.initial_configuration(m)
-    for single, count in strides:
-        if single:
-            for _ in range(count):
-                if c.halted:
-                    with pytest.raises(StepAfterHalt):
-                        run.step()
-                    break
-                read = c.read()
-                tr = m.table[c.state][read]
-                tm.step(m, c)
-                assert run.step() == (None if tr is HALT
-                                      else (read, tr.write))
-        else:
-            run.advance(run.steps + count)
-            _step_to(m, c, c.step_count + count)
-        assert (run.state, run.steps, run.halted, run.head) == (
-            c.state, c.step_count, c.halted, c.head)
-        first, cells = run.visited()
-        assert (first, first + len(cells) - 1) == (c.tape.lo, c.tape.hi)
-        assert tuple(cells) == c.tape.window(c.tape.lo, c.tape.hi)
-        _assert_same_config(run.configuration(), c)
+    while c.step_count < start and m.table[c.state][c.read()] is not HALT:
+        tm.step(m, c)
+    run = tm.FlatRun.resume(m, c.state, c.head, c.tape.lo,
+                            list(c.tape.window(c.tape.lo, c.tape.hi)),
+                            c.step_count)
+    _assert_run_is_config(run, c)
+    for count in strides:
+        run.advance(run.steps + count)
+        _step_to(m, c, c.step_count + count)
+        _assert_run_is_config(run, c)
+
+
+# The first machine halts at step 107; the second runs to any budget, and
+# by step 2,000 its tape spans cells -49..26, past the decider pass's
+# first list of 32 cells on both sides.
+_BB4 = machines.parse_compact("1RB1LB_1LA0LC_---1LD_1RD0RA")
+_WIDE_BOUNCER = machines.parse_compact("0RB1RD_1RC---_1LA1RC_1LB1LD")
+
+
+@given(_tables(), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=600))
+@example(_BB4, 0, 0, 1000)
+@example(_BB4, 0, 0, 107)
+@example(_BB4, 0, 0, 106)
+@example(_WIDE_BOUNCER, 0, 0, 2000)
+@settings(max_examples=300, deadline=None)
+def test_decider_pass_hands_back_the_run_tm_step_reaches(m, blank, init,
+                                                         budget):
+    """search._run_deciders steps on a list of its own and, when no cycler
+    fires, hands back a FlatRun resumed from it: halted, or at the budget.
+    That run agrees with tm.step's at the same budget, and it goes on
+    like tm.step's.  A cycler verdict comes only where tm.step does not
+    halt by the certificate's t2."""
+    m = _relabelled(m, blank, init)
+    out = search._run_deciders(m, budget)
+    if isinstance(out, search.Classification):
+        c = _step_to(m, tm.initial_configuration(m), out.certificate.t2)
+        assert out.status == "nonhalt" and not c.halted
+        assert c.step_count == out.certificate.t2 <= budget
+        return
+    c = _step_to(m, tm.initial_configuration(m), budget)
+    _assert_run_is_config(out, c)
+    out.advance(budget + 50)
+    _assert_run_is_config(out, _step_to(m, c, budget + 50))
 
 
 def test_machine_table_validation_rejects_bad_indices():
