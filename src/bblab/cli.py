@@ -149,6 +149,7 @@ def cmd_check_sim(args) -> int:
         lines = [transcript.summary()]
     payload["stats"] = {"window_runs": transcript.window_runs,
                         "replays": transcript.replays,
+                        "sweeps": transcript.sweeps,
                         "small_steps_per_s": transcript.small_steps_per_s}
     _emit(args, payload, lines)
     return 0 if transcript.ok else 1

@@ -348,7 +348,7 @@ def _run_deciders(m: MachineTable, budget: int):
     except TypeError:  # unpacking None: the Halt cell, which step t runs
         steps = t - 1
     run = FlatRun.resume(m, q, head, bottom,
-                         tape[bottom + origin:top + origin + 1], steps)
+                         tape[bottom + origin:top + origin + 1], steps, cells)
     run.advance(budget)
     return run
 

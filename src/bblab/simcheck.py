@@ -23,16 +23,33 @@ window run once, from small's head over the next `W` cells in the
 direction the key entered, and replays it from a cache whenever the key
 meets the same cells again.  A step that would leave the window, fail a
 check or halt goes alone through the same step function, on cells wide
-enough for any step, which reports the mismatch.  The transcript goes
-into preallocated `array.array` buffers, per-step costs and moves
-summed in place at the end, that become its numpy arrays without a
-copy.
+enough for any step, which reports the mismatch.
+
+Half of the 4-symbol machine's steps are passes over the digits that
+rewrite each digit and keep the key, so the verifier also collapses
+such a pass into one bulk step.  A key's sweep symbols are those whose
+step writes the symbol back and keeps the key, and which the step
+function, run once per call on the symbol beside each possible
+neighbour ahead and with no cell behind, passes with every check: that
+step depends on the symbol alone.  After replaying a window run made
+only of sweep steps of one key, the verifier finds (`bytearray.find`)
+where the cells ahead stop holding that key's sweep symbols, and
+records the stretch between at once: the key throughout, and the cells
+in the order visited as read symbols.  To 10^6 steps this takes 1,139 window runs, 128,401 replays
+and 1,867 sweeps, against 1,141 window runs and 250,315 replays
+without sweeps.
+
+The transcript goes into two bytearray buffers, one byte per step each
+for keys and read symbols.  Replays queue their records, which are
+written out at each sweep, at a mismatch and at the end.  A step's cost
+follows from its key and read symbol, and small's move from the next
+key, so the int64 arrays `f` and `heads` are built from the two buffers
+at the end.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +101,11 @@ STEP_COSTS = {
 }
 
 # Cells in a window run.  To 10^6 steps of m54 (2-vCPU Xeon, Python
-# 3.11) W = 5 took 1,141 window runs and 250,315 replays of 4.0 steps
-# in 0.43-0.63 s.  W = 4 replays 3.0 steps at a time (0.71 s); W = 6
-# was no faster (0.45-0.60 s) with 3,033 window runs, and W = 8 meets
-# so many distinct windows (20,766 runs) that it took 1.1 s.
+# 3.11, CPU time, best of 3 in each of 5 processes) W = 5 took 1,139
+# window runs, 128,401 replays and 1,867 sweeps in 0.10-0.11 s.  W = 4
+# took 0.12-0.21 s (169,294 replays), W = 6 0.11-0.13 s with 2,882
+# window runs, and W = 8 meets so many distinct windows (15,326 runs)
+# that it took 0.37-0.44 s.
 W = 5
 
 # Cells a single step can use on either side of small's head: big starts
@@ -130,8 +148,9 @@ class SimulationTranscript:
     `sigmas` and `heads` record k_n (as an index into K), the read symbol
     index and the small head position for each verified step.
     `window_runs` counts the window runs computed, one per distinct key
-    and window met, and `replays` the runs applied to the tape, each of
-    one or more steps.
+    and window met, `replays` the runs applied to the tape, each of one
+    or more steps, and `sweeps` the stretches of sweep steps crossed in
+    one bulk step each.
     """
 
     status: str  # "verified" | "both-halted" | "mismatch"
@@ -143,6 +162,7 @@ class SimulationTranscript:
     mismatch: dict | None = None
     window_runs: int = 0
     replays: int = 0
+    sweeps: int = 0
     seconds: float = 0.0  # wall time of the verification
 
     @property
@@ -305,42 +325,72 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                         2 * base + bp)
         return stop, cells, next_key, p, cost
 
+    # Per key: its sweep symbols (see the module docstring), and the
+    # other symbols, which end a sweep.
+    sweep, stops = [], []
+    n_symbols = len(small.symbols)
+    for code, row in enumerate(plans):
+        ahead = 1 if K[code][1] == R else -1
+        symbols = set()
+        for sigma, plan in enumerate(row):
+            if plan is None or plan[1] != sigma or plan[3] != code:
+                continue
+            for nu in range(n_symbols):
+                cells = bytearray((sigma, nu)[::ahead])
+                out = step(code, cells, 0 if ahead > 0 else 1)
+                if out is None or out[0] is not None:
+                    break
+            else:
+                symbols.add(sigma)
+        sweep.append(symbols)
+        stops.append([s for s in range(n_symbols) if s not in symbols])
+
     def window_run(key, cells, p, limit):
         """The steps from `key` with small's head on cells[p] while each
         passes every check on `cells` alone, at most `limit` of them:
-        (steps, cells, key and small's head movement after them, and each
-        step's key, read symbol, cost and move)."""
-        keys, sigmas = array("b"), array("b")
-        costs, moves = array("q"), array("q")
-        start = p
-        while len(keys) < limit:
+        (steps, cells, key and small's head movement after them, each
+        step's key and read symbol as two bytes, and whether every step
+        is a sweep step of the first key)."""
+        rec = bytearray()
+        start, first, swept = p, key, True
+        while len(rec) < 2 * limit:
             out = step(key, cells, p)
             if out is None or out[0] is not None:
                 break
-            keys.append(key)
-            sigmas.append(cells[p])
-            _, cells, key, p_next, cost = out
-            costs.append(cost)
-            moves.append(p_next - p)
-            p = p_next
-        return len(keys), cells, key, p - start, keys, sigmas, costs, moves
+            sigma = cells[p]
+            swept = swept and key == first and sigma in sweep[first]
+            rec += bytes((key, sigma))
+            _, cells, key, p, _ = out
+        return (len(rec) // 2, cells, key, p - start, bytes(rec),
+                swept and bool(rec))
 
-    # Transcript buffers: step n's key and read symbol at index n, its
-    # cost and small's move at index n + 1, summed into f and heads at
-    # the end.
+    # Transcript buffers: step n's key and read symbol at index n.  Its
+    # cost is cost_of[key * n_symbols + symbol], and small's move is the
+    # direction of key n + 1, so f and heads are their sums, taken at
+    # the end.  Replays leave their records in `pending`, written out at
+    # each sweep, at a mismatch and at the end.
     n_cap = n_max + 1
-    f_buf = array("q", [0]) * n_cap
-    keys_buf = array("b", [0]) * n_cap
-    sig_buf = array("b", [0]) * n_cap
-    head_buf = array("q", [0]) * n_cap
+    keys_buf, sig_buf = bytearray(n_cap), bytearray(n_cap)
+    pending = []
+    cost_of = np.array([0 if plan is None else plan[0]
+                        for row in plans for plan in row], np.int64)
+    move_of = np.array([1 if d == R else -1 for _, d in K], np.int64)
+
+    def flush(n):
+        """Write the pending records, those of the steps before n."""
+        rec = b"".join(pending)
+        pending.clear()
+        keys_buf[n - len(rec) // 2:n] = rec[0::2]
+        sig_buf[n - len(rec) // 2:n] = rec[1::2]
 
     # One tape for both machines: t[i] is small's symbol at cell
     # i - origin, and big's block i is its encoding.  Between runs
     # `margin` cells stay on either side of small's head, room for any
-    # window.
+    # window.  At most four symbols have two-cell code words over two
+    # symbols, so a cell fits a byte.
     margin = W + _REACH
     origin = 2 * margin
-    t = [small.blank] * (2 * origin)
+    t = bytearray([small.blank]) * (2 * origin)
     sp = origin
     key = key_code.get((small.init, R))
     if key is None:
@@ -349,19 +399,27 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     # entered; with the head at its centre a run replays 2.0 steps, not
     # 4.0, and 10^6 steps took 1.0 s.
     lead = [0 if d == R else W - 1 for _, d in K]
+    key_byte = [bytes((code,)) for code in range(len(K))]
     runs = {}
-    window_runs = replays = 0
+    window_runs = replays = sweeps = 0
 
     def transcript(status, n_verified, length, recorded, mismatch=None):
         """The first `length` records, whose first `recorded` are set."""
-        f, keys, sigmas, heads = (_array(buf, length) for buf in
-                                  (f_buf, keys_buf, sig_buf, head_buf))
-        np.cumsum(f[:recorded], out=f[:recorded])
-        np.cumsum(heads[:recorded], out=heads[:recorded])
+        keys, sigmas = (_array(buf, length) for buf in (keys_buf, sig_buf))
+        f, heads = (np.zeros(length, np.int64) for _ in range(2))
+        # each step's cost and move, looked up in place (mode "clip"
+        # writes `out` unbuffered; every index is in range), then summed
+        f[1:recorded] = keys[:recorded - 1]
+        f[1:recorded] *= n_symbols
+        f[1:recorded] += sigmas[:recorded - 1]
+        heads[1:recorded] = keys[1:recorded]
+        for out, table in ((f, cost_of), (heads, move_of)):
+            table.take(out[1:recorded], mode="clip", out=out[1:recorded])
+            np.cumsum(out[:recorded], out=out[:recorded])
         return SimulationTranscript(
             status=status, n_verified=n_verified, f=f, keys=keys,
             sigmas=sigmas, heads=heads, mismatch=mismatch,
-            window_runs=window_runs, replays=replays,
+            window_runs=window_runs, replays=replays, sweeps=sweeps,
             seconds=time.perf_counter() - started)
 
     def fail(n, kind, expected, actual, spent=None):
@@ -383,24 +441,24 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     n = 0
     while n < n_max:
         x = sp - lead[key]
-        window = (key, *t[x:x + W])
-        run = runs.get(window)
+        run = runs.get(key_byte[key] + t[x:x + W])
         if run is None:
             window_runs += 1
-            run = runs[window] = window_run(key, t[x:x + W], lead[key],
-                                            n_max - n)
+            run = runs[key_byte[key] + t[x:x + W]] = window_run(
+                key, t[x:x + W], lead[key], n_max - n)
         if not 0 < run[0] <= n_max - n:
             # a step that leaves the window, fails a check or halts, or
             # one a run would take past n_max: on its own, on cells wide
             # enough for any step
             x = sp - _REACH
             run = window_run(key, t[x:sp + _REACH + 1], _REACH, 1)
-        k, cells, next_key, move, keys, sigmas, costs, moves = run
+        k, cells, next_key, move, rec, swept = run
         if not k:
+            flush(n)
             keys_buf[n] = key
             sig_buf[n] = t[sp]
-            stop, cells, next_key, p, cost = step(key, cells, _REACH,
-                                                  x - origin)
+            stop, cells, next_key, p, _ = step(key, cells, _REACH,
+                                               x - origin)
             kind, spent, expected, actual = stop
             if kind == "undefined-cost":
                 raise UndefinedCost(
@@ -413,35 +471,54 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             if kind in ("state", "head"):
                 keys_buf[n + 1] = next_key
                 sig_buf[n + 1] = cells[p]
-                f_buf[n + 1] = cost
-                head_buf[n + 1] = p - _REACH
                 spent = None
             return fail(n + 1, kind, expected, actual, spent)
         replays += 1
         t[x:x + len(cells)] = cells
-        keys_buf[n:n + k] = keys
-        sig_buf[n:n + k] = sigmas
-        f_buf[n + 1:n + k + 1] = costs
-        head_buf[n + 1:n + k + 1] = moves
+        pending.append(rec)
         n += k
         sp += move
         key = next_key
         if not margin <= sp < len(t) - margin:
             grow = len(t)
             if sp < margin:
-                t[:0] = [small.blank] * grow
+                t[:0] = bytes([small.blank]) * grow
                 origin += grow
                 sp += grow
             else:
-                t.extend([small.blank] * grow)
+                t.extend(bytes([small.blank]) * grow)
+        if swept:
+            # the rest of the pass: the cells ahead that hold the key's
+            # sweep symbols, within n_max steps and the margin; `end` is
+            # small's head after them
+            if move > 0:
+                end = min(sp + n_max - n, len(t) - margin - 1)
+                for s in stops[key]:
+                    j = t.find(s, sp, end)
+                    if j >= 0:
+                        end = j
+                stretch = t[sp:end]
+            else:
+                end = max(sp - n_max + n, margin)
+                for s in stops[key]:
+                    end = max(t.rfind(s, end, sp + 1), end)
+                stretch = t[sp:end:-1]
+            if stretch:
+                sweeps += 1
+                flush(n)
+                m = len(stretch)
+                keys_buf[n:n + m] = key_byte[key] * m
+                sig_buf[n:n + m] = stretch
+                n += m
+                sp = end
+    flush(n)
     keys_buf[n_max] = key
     sig_buf[n_max] = t[sp]
     return transcript("verified", n_max, n_cap, n_cap)
 
 
-def _array(buf: array, n: int) -> np.ndarray:
-    """The first n entries of `buf` as a numpy array, without a copy when
-    that is all of it.  numpy reads the array typecodes "q" and "b" as
-    int64 and int8."""
-    out = np.frombuffer(buf, dtype=buf.typecode)
+def _array(buf: bytearray, n: int) -> np.ndarray:
+    """The first n bytes of `buf` as an int8 numpy array, without a copy
+    when that is all of it."""
+    out = np.frombuffer(buf, np.int8)
     return out if n == len(buf) else out[:n].copy()

@@ -403,9 +403,12 @@ class FlatRun:
     # cells kept on either side of the head before a batch of steps
     _MARGIN = 16
 
-    def __init__(self, m: MachineTable):
-        """The run of `m` from the blank tape."""
-        self._cells = tuple(row + (row[m.blank],) for row in compile_cells(m))
+    def __init__(self, m: MachineTable, cells: tuple | None = None):
+        """The run of `m` from the blank tape.  `cells` is
+        `compile_cells(m)`, for a caller that has compiled it already."""
+        if cells is None:
+            cells = compile_cells(m)
+        self._cells = tuple(row + (row[m.blank],) for row in cells)
         self._blank, self._sentinel = m.blank, m.n_symbols
         self._tape = [self._sentinel] * (4 * self._MARGIN + 1)
         self._origin = self._pos = 2 * self._MARGIN
@@ -413,11 +416,13 @@ class FlatRun:
 
     @classmethod
     def resume(cls, m: MachineTable, state: int, head: int, first: int,
-               symbols: list[int], steps: int) -> "FlatRun":
+               symbols: list[int], steps: int,
+               cells: tuple | None = None) -> "FlatRun":
         """The run of `m` that has made `steps` steps without halting and
         stands in `state` with the head at cell `head`.  `symbols` holds
-        its visited cells from cell `first` on."""
-        run = cls(m)
+        its visited cells from cell `first` on; `cells` is as for the
+        constructor."""
+        run = cls(m, cells)
         pad = run._tape[:2 * cls._MARGIN]
         run._tape = pad + symbols + pad
         run._origin = 2 * cls._MARGIN - first

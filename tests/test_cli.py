@@ -163,6 +163,16 @@ def test_check_sim_json(capsys):
     assert stats["small_steps_per_s"] > 0
 
 
+def test_check_sim_json_counts_sweeps_after_the_existing_keys(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "check-sim",
+                           "--steps", "100000")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert list(stats) == ["window_runs", "replays", "sweeps",
+                           "small_steps_per_s"]
+    assert stats["sweeps"] > 0
+
+
 def test_enumerate_confirmed(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "-n", "2", "-k", "2",
                            "--budget", "100")

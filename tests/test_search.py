@@ -621,6 +621,49 @@ def test_decider_pass_memory_stays_small():
     assert peak < 8 * 2 ** 20
 
 
+def _snapshot(run):
+    return run.state, run.steps, run.halted, run.head, run.visited()
+
+
+@pytest.mark.parametrize("table, budget, steps", [
+    ("bb4", 1000, 107),          # halts within the budget
+    ("bouncer", 500, 500),       # reaches the budget
+])
+def test_decider_pass_compiles_its_table_once(monkeypatch, table, budget,
+                                              steps):
+    """The pass hands the rows it compiled to the run it returns, so
+    neither FlatRun.resume nor the constructor compiles them again.  The
+    returned run steps on as one that compiled its own table: a fresh run
+    for the halted pass, and for the other one resumed, as before, from
+    the configuration the pass stopped in."""
+    m = machines.parse_machine(BB4 if table == "bb4" else BOUNCER,
+                               name=table)
+    calls = []
+    compile_cells = tm.compile_cells
+
+    def counted(machine):
+        calls.append(machine)
+        return compile_cells(machine)
+
+    monkeypatch.setattr(tm, "compile_cells", counted)
+    monkeypatch.setattr(search, "compile_cells", counted)
+    run = search._run_deciders(m, budget)
+    assert calls == [m]
+    assert (run.steps, run.halted) == (steps, steps < budget)
+    if run.halted:
+        other = tm.FlatRun(m)
+        other.advance(budget)
+    else:
+        first, symbols = run.visited()
+        other = tm.FlatRun.resume(m, run.state, run.head, first, symbols,
+                                  run.steps)
+    assert calls == [m, m]  # `other` compiled its own
+    for target in (budget, budget + 1, budget + 300):
+        run.advance(target)
+        other.advance(target)
+        assert _snapshot(run) == _snapshot(other)
+
+
 # Eleven (2,3) bouncers that outlast budget 100 and on which none of the
 # first 3,000,000 pairs of canonical DFAs of up to 3 states per side
 # closes (smallest classes first), with their verdicts.  The last,

@@ -241,6 +241,44 @@ def test_transcript_arrays_are_pinned(long_transcript):
                           "f2bdc5e8390da9609d0e0d6c56bf9c2d")
 
 
+def test_window_runs_replays_and_sweeps_are_pinned(long_transcript):
+    """To n = 10^5 the verifier computes 1,007 window runs and replays
+    13,600; the 458 sweeps take the rest of each rewind and find_2 pass
+    (1,056 window runs and 25,097 replays without sweeps)."""
+    t = long_transcript
+    assert (t.window_runs, t.replays, t.sweeps) == (1007, 13600, 458)
+
+
+def test_a_sweep_cut_short_by_n_max_agrees_with_the_reference(big, small):
+    """Steps 9,923 to 9,999 are one rewind pass.  Its sweep takes steps
+    9,930 to 9,998 and stops at the blank that step 9,999 reads.  Each
+    bound in between cuts the sweep short: one sweep more than to step
+    9,930, and the same verdict and transcript as the reference
+    lockstep."""
+    rewind = K.index(("rewind", L))
+    start = verify_simulation(big, small, DEFAULT_ENCODING, 9930)
+    for n_max in (9931, 9950, 9975, 9998):
+        t = _assert_matches_reference(big, small, n_max)
+        assert set(t.keys[9923:].tolist()) == {rewind}
+        assert t.sweeps == start.sweeps + 1
+
+
+def test_a_digit_step_reading_the_block_behind_is_not_swept(big, small):
+    """With rewind_sim reading `a` moving right, rewind's step on 0 and 2
+    (code words ending in `a`) reads the block behind small's head, and
+    on the cells of a sweep check, with no cell behind, big leaves them:
+    neither digit is a sweep symbol.  The step fails at rewind's first
+    such digit, step 23, before any sweep, as in the reference."""
+    q = big.state_index("rewind_sim")
+    tr = big.transition(q, 0)
+    bad = big.with_cell(q, 0, Transition(tr.write, R, tr.next_state))
+    for n_max in (22, 23, 2000):
+        t = _assert_matches_reference(bad, small, n_max)
+        assert t.sweeps == 0
+    assert t.mismatch == {"n": 23, "f": 51, "kind": "head",
+                          "expected": -1, "actual": 1}
+
+
 def test_transcript_agrees_with_independent_runs(big, small,
                                                  long_transcript):
     """At sampled n, running each machine on its own with tm.run puts
