@@ -16,10 +16,11 @@ are tagged "escape" since both prove halting unreachable).  The
 closure search enumerates only the DFA that reads the tape left of the
 head and derives the one for the right side as a least fixpoint, on
 the machine and on its mirror image.  The bounded run steps on a list
-of its own and hands a run that halts or outlasts the budget back as a
-`tm.FlatRun`, which the closure search's halting probe continues;
-FlatRuns are read only through `state`, `steps`, `halted`, `head`,
-`advance()` and `visited()`, so their layout stays inside `tm`.
+of its own and returns plain values: a verdict, with the (state,
+symbol) of a halt, which is all the enumerator branches on.  The
+closure search's halting probe and the checkpoint verifier step on a
+`tm.FlatRun`, read only through `state`, `steps`, `halted`, `head`,
+`advance()` and `visited()`, so its layout stays inside `tm`.
 `revalidate_certificate` re-checks every certificate independently, on
 `tm.step` for the cyclers.
 
@@ -78,8 +79,9 @@ _lengths = itertools.islice(ternary.power_of_two_lengths(), 1, None)
 
 
 def checkpoint_steps(n: int) -> int:
-    """Step at which the power-of-two machine returns to `rewind` at cell 0
-    holding 2^n: 5 + bumps + sum of 2*(digits(2^k)+1) for k = 1..n."""
+    """Step at which the power-of-two machine returns to `rewind` at
+    REST_CELL (cell -1) holding 2^n: 5 + bumps + sum of 2*(digits(2^k)+1)
+    for k = 1..n."""
     if n < 0:
         raise ValueError("n must be a natural number")
     while len(_checkpoint_sums) <= n:
@@ -255,9 +257,10 @@ def _run_deciders(m: MachineTable, budget: int):
     """One bounded run from the blank tape, stepping `compile_cells(m)` on
     a list of its own (cell i at tape[i + origin], blank where never
     written), with the cycler and the translated cycler checked after
-    every step.  Returns a Classification (cycler or translated-cycler),
-    or else the stopped run, halted or at the budget, as a tm.FlatRun
-    resumed from the list.
+    every step.  Returns (verdict, cell): a cycler or translated-cycler
+    Classification with None; a halt at step t as
+    Classification("halts", steps=t) with the halting (state, symbol);
+    or (None, None) at the budget.
 
     The cycler keeps the tape as two ints, `right` for cells i >= 0 and
     `left` for cells i < 0, each cell holding symbol ^ blank in `bits`
@@ -288,7 +291,6 @@ def _run_deciders(m: MachineTable, budget: int):
     lows, highs = [], []
     # (direction, state) -> [(t, head, visited cells, the head's last)]
     records = {}
-    steps = budget
     try:
         for t in range(1, budget + 1):
             p = head + origin
@@ -303,8 +305,9 @@ def _run_deciders(m: MachineTable, budget: int):
             head += d
             t1 = seen.setdefault((q, head, left, right), t)
             if t1 != t:
-                return Classification("nonhalt", decider="cycler",
-                                      certificate=CyclerCertificate(t1, t))
+                return Classification(
+                    "nonhalt", decider="cycler",
+                    certificate=CyclerCertificate(t1, t)), None
             if d > 0:
                 if head <= high:
                     continue
@@ -343,22 +346,19 @@ def _run_deciders(m: MachineTable, budget: int):
                     return Classification(
                         "nonhalt", decider="translated-cycler",
                         certificate=TranslatedCyclerCertificate(
-                            t1, t, head - p1))
+                            t1, t, head - p1)), None
             bucket.append((t, head, now))
     except TypeError:  # unpacking None: the Halt cell, which step t runs
-        steps = t - 1
-    run = FlatRun.resume(m, q, head, bottom,
-                         tape[bottom + origin:top + origin + 1], steps, cells)
-    run.advance(budget)
-    return run
+        return Classification("halts", steps=t), (q, sym)
+    return None, None
 
 
 def _pass_certificate(m: MachineTable, budget: int, decider: str):
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    out = _run_deciders(m, budget)
-    if isinstance(out, Classification) and out.decider == decider:
-        return out.certificate
+    verdict = _run_deciders(m, budget)[0]
+    if verdict is not None and verdict.decider == decider:
+        return verdict.certificate
     return None
 
 
@@ -490,7 +490,7 @@ def _derive_right(table, init: int, blank: int, left: tuple):
     return tuple(right), accepted
 
 
-def decide_regular_closure(m: MachineTable, *, probe=None):
+def decide_regular_closure(m: MachineTable):
     """Search for a RegularClosureCertificate, or None.
 
     Left DFAs come from _canonical_dfas, fewest states first, and for each
@@ -499,15 +499,11 @@ def decide_regular_closure(m: MachineTable, *, probe=None):
     tape from the right and the sides are swapped back).  The search
     gives up after _DFA_LIMIT left DFAs.
 
-    Before the search, a concrete run from the blank tape must last
-    _PROBE_STEPS steps without halting.  `probe` is a tm.FlatRun of m
-    that has already gone some steps without halting (the run _decide
-    stopped at its budget); the check continues it instead of starting
-    over."""
-    if probe is None:
-        probe = FlatRun(m)
+    Before the search, a tm.FlatRun from the blank tape must last
+    _PROBE_STEPS steps without halting."""
     # a machine observed to halt has no closure certificate; a short
     # concrete run is far cheaper than failing on every left DFA
+    probe = FlatRun(m)
     probe.advance(_PROBE_STEPS)
     if probe.halted:
         return None
@@ -641,18 +637,14 @@ def _escape_verdict(m: MachineTable):
 def _decide(m: MachineTable, budget: int, summary=None):
     """The decider pipeline past the escape check: _run_deciders, then the
     regular-closure search if the run outlasts the budget; anything left
-    is Undecided.  Returns the Classification and, for a halt, the halted
-    tm.FlatRun; a given EnumerationSummary records the verdict and the
-    seconds the pass and the search took."""
+    is Undecided.  Returns the Classification and, for a halt, the
+    halting (state, symbol); a given EnumerationSummary records the
+    verdict and the seconds the pass and the search took."""
     started = time.perf_counter()
-    out = _run_deciders(m, budget)
+    verdict, cell = _run_deciders(m, budget)
     ran = searched = time.perf_counter()
-    if isinstance(out, Classification):
-        verdict = out
-    elif out.halted:
-        verdict = Classification("halts", steps=out.steps)
-    else:
-        closure = decide_regular_closure(m, probe=out)
+    if verdict is None:
+        closure = decide_regular_closure(m)
         searched = time.perf_counter()
         verdict = (Classification("undecided") if closure is None else
                    Classification("nonhalt", decider="escape",
@@ -661,7 +653,7 @@ def _decide(m: MachineTable, budget: int, summary=None):
         summary.decider_pass_seconds += ran - started
         summary.closure_seconds += searched - ran
         summary.record(verdict, m)
-    return verdict, out if verdict.status == "halts" else None
+    return verdict, cell
 
 
 def classify(m: MachineTable, budget: int) -> Classification:
@@ -780,18 +772,17 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
                      for q2 in range(min(top_state + 1, n - 1) + 1))
 
     def recurse(m: MachineTable, top_state: int, top_symbol: int):
-        run = _decide(m, budget, summary)[1]
-        if run is None:
+        verdict, cell = _decide(m, budget, summary)
+        if cell is None:
             return
         # the run halted on a cell not chosen yet: every completion with
         # Halt there (that is `m`) stops at the same step, and the others
         # are the branches.  The run reached the cell, so its state and
         # symbol are already at most the tops.
-        first, tape = run.visited()
-        q, sym = run.state, tape[run.head - first]
+        q, sym = cell
         escapes = _escapes_into(m, q, sym,
                                 range(min(top_state + 1, n - 1) + 1))
-        for tr in branch_options(run.steps == 1, top_state, top_symbol):
+        for tr in branch_options(verdict.steps == 1, top_state, top_symbol):
             escape = escapes[tr.next_state]
             if escape is None:
                 recurse(m.with_cell(q, sym, tr),

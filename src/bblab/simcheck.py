@@ -90,7 +90,7 @@ K = tuple(_H)
 
 # Micro-steps big needs per small step, by key and read symbol.  The
 # (rewind, R) column is defined only for the blank: rewind can only be
-# entered rightward at cell 0, which always holds a blank.
+# entered rightward at cell -1, the separator, which always holds a blank.
 STEP_COSTS = {
     ("mul2_F", R): {"0": 2, "1": 2, "2": 2, "#": 3},
     ("mul2_G", R): {"0": 2, "1": 4, "2": 2, "#": 2},

@@ -230,8 +230,9 @@ def scan_erdos(n_max: int) -> ScanReport:
 
 
 def decode_tape_number(labels: str, blank: str = "#") -> TernaryNumber:
-    """Decode a tape window read from cell 1 upward into the number it
-    holds: digits until the first blank, least-significant first.
+    """Decode a tape window read from cell 0 upward (the first digit right
+    of the separator) into the number it holds: digits until the first
+    blank, least-significant first.
 
     Raises MalformedTape if a non-blank symbol follows the first blank.
     An empty digit run decodes to zero.

@@ -12,8 +12,8 @@ written cells to symbols.  The loops that run many steps share one flat
 compiled table (`compile_cells`) and keep the tape in plain lists.
 `FlatRun` steps one cell at a time on a single list and can stop at any
 step count; `FlatRun.resume` takes over a run from another stepper, as
-`run` and the `search` decider pass do.  Its callers read its head and
-its visited cells (`visited()`), and the list stays private to it.
+`run` does from its chains.  Its callers read its head and its visited
+cells (`visited()`), and the list stays private to it.
 `run` starts on run-length "chains", where a self-loop over a run of
 equal symbols is one macro step, so the bb5 champion halts in a
 fraction of a second.  Where runs of equal symbols are short, as on the
@@ -382,10 +382,12 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
 
 class FlatRun:
     """A run on one flat list of cells, for callers that stop at many step
-    counts and read the tape in between.  It starts from the blank tape,
-    or with `resume` from where another stepper stopped.  Callers drive it
-    with `advance()` and read it through `state`, `steps`, `halted`,
-    `head` and `visited()`; the list layout is private to this class.
+    counts and read the tape in between: `run_trace`, and in `search` the
+    checkpoint verifier and the closure search's halting probe, start it
+    from the blank tape, and `run` resumes it from its chains.  Callers
+    drive it with `advance()` and read it through `state`, `steps`,
+    `halted`, `head` and `visited()`; the list layout is private to this
+    class.
 
     `_tape[i]` holds cell i - `_origin`, and the head is at `_tape[_pos]`.
     Cells never visited hold `_sentinel`, one past the last symbol index,
@@ -403,12 +405,9 @@ class FlatRun:
     # cells kept on either side of the head before a batch of steps
     _MARGIN = 16
 
-    def __init__(self, m: MachineTable, cells: tuple | None = None):
-        """The run of `m` from the blank tape.  `cells` is
-        `compile_cells(m)`, for a caller that has compiled it already."""
-        if cells is None:
-            cells = compile_cells(m)
-        self._cells = tuple(row + (row[m.blank],) for row in cells)
+    def __init__(self, m: MachineTable):
+        """The run of `m` from the blank tape."""
+        self._cells = tuple(row + (row[m.blank],) for row in compile_cells(m))
         self._blank, self._sentinel = m.blank, m.n_symbols
         self._tape = [self._sentinel] * (4 * self._MARGIN + 1)
         self._origin = self._pos = 2 * self._MARGIN
@@ -416,13 +415,11 @@ class FlatRun:
 
     @classmethod
     def resume(cls, m: MachineTable, state: int, head: int, first: int,
-               symbols: list[int], steps: int,
-               cells: tuple | None = None) -> "FlatRun":
+               symbols: list[int], steps: int) -> "FlatRun":
         """The run of `m` that has made `steps` steps without halting and
         stands in `state` with the head at cell `head`.  `symbols` holds
-        its visited cells from cell `first` on; `cells` is as for the
-        constructor."""
-        run = cls(m, cells)
+        its visited cells from cell `first` on."""
+        run = cls(m)
         pad = run._tape[:2 * cls._MARGIN]
         run._tape = pad + symbols + pad
         run._origin = 2 * cls._MARGIN - first

@@ -600,8 +600,7 @@ def test_translated_detector_keeps_long_runs_linear():
     run takes about 0.1 s; a rescan per record takes about 5 s."""
     m = machines.parse_machine(BOUNCER, name="bouncer")
     started = time.perf_counter()
-    run = search._run_deciders(m, 32_000)
-    assert run.steps == 32_000 and not run.halted
+    assert search._run_deciders(m, 32_000) == (None, None)
     assert time.perf_counter() - started < 2.5
 
 
@@ -613,16 +612,12 @@ def test_decider_pass_memory_stays_small():
     m = machines.parse_machine(BOUNCER, name="bouncer")
     tracemalloc.start()
     try:
-        run = search._run_deciders(m, 32_000)
+        out = search._run_deciders(m, 32_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert run.steps == 32_000 and not run.halted
+    assert out == (None, None)
     assert peak < 8 * 2 ** 20
-
-
-def _snapshot(run):
-    return run.state, run.steps, run.halted, run.head, run.visited()
 
 
 @pytest.mark.parametrize("table, budget, steps", [
@@ -631,11 +626,8 @@ def _snapshot(run):
 ])
 def test_decider_pass_compiles_its_table_once(monkeypatch, table, budget,
                                               steps):
-    """The pass hands the rows it compiled to the run it returns, so
-    neither FlatRun.resume nor the constructor compiles them again.  The
-    returned run steps on as one that compiled its own table: a fresh run
-    for the halted pass, and for the other one resumed, as before, from
-    the configuration the pass stopped in."""
+    """The pass compiles the table once, whether it halts or reaches the
+    budget."""
     m = machines.parse_machine(BB4 if table == "bb4" else BOUNCER,
                                name=table)
     calls = []
@@ -647,21 +639,9 @@ def test_decider_pass_compiles_its_table_once(monkeypatch, table, budget,
 
     monkeypatch.setattr(tm, "compile_cells", counted)
     monkeypatch.setattr(search, "compile_cells", counted)
-    run = search._run_deciders(m, budget)
+    verdict, _ = search._run_deciders(m, budget)
     assert calls == [m]
-    assert (run.steps, run.halted) == (steps, steps < budget)
-    if run.halted:
-        other = tm.FlatRun(m)
-        other.advance(budget)
-    else:
-        first, symbols = run.visited()
-        other = tm.FlatRun.resume(m, run.state, run.head, first, symbols,
-                                  run.steps)
-    assert calls == [m, m]  # `other` compiled its own
-    for target in (budget, budget + 1, budget + 300):
-        run.advance(target)
-        other.advance(target)
-        assert _snapshot(run) == _snapshot(other)
+    assert (verdict is None) == (steps == budget)  # the case it names
 
 
 # Eleven (2,3) bouncers that outlast budget 100 and on which none of the
@@ -711,17 +691,13 @@ D 1 -> 0 R A
 """
 
 
-def test_closure_probe_continues_the_bounded_run():
-    """classify hands its stopped run to the closure search, whose halting
-    probe goes on from there: a run past the probe length goes straight
-    to the search, and a halt after the budget but within the probe
-    still blocks a certificate."""
+def test_closure_probe_runs_on_its_own():
+    """The closure search runs its own halting probe from the blank tape,
+    so classify's verdict is the search's alone at any budget: a run past
+    the probe length goes straight to the search, and a halt after the
+    budget but within the probe still blocks a certificate."""
     bouncer = machines.parse_machine(BOUNCER, name="bouncer")
-    probe = search._run_deciders(bouncer, 10)
-    assert probe.steps == 10
-    cert = decide_regular_closure(bouncer, probe=probe)
-    assert probe.steps == search._PROBE_STEPS
-    assert cert == decide_regular_closure(bouncer)
+    cert = decide_regular_closure(bouncer)
     for budget in (10, 5000):
         out = classify(bouncer, budget)
         assert out.decider == "escape" and out.certificate == cert
@@ -953,15 +929,15 @@ def test_enumeration_counters_match_the_calls(monkeypatch, n, k, budget,
     closure = search.decide_regular_closure
 
     def counted_run(m, budget):
-        out = run_deciders(m, budget)
+        verdict, cell = run_deciders(m, budget)
         calls["runs"] += 1
-        calls["steps"] += (out.certificate.t2
-                           if isinstance(out, search.Classification)
-                           else out.steps)
-        return out
+        calls["steps"] += (budget if verdict is None else
+                           verdict.steps if verdict.status == "halts" else
+                           verdict.certificate.t2)
+        return verdict, cell
 
-    def counted_closure(m, **kwargs):
-        cert = closure(m, **kwargs)
+    def counted_closure(m):
+        cert = closure(m)
         calls["searches"] += 1
         calls["decided"] += cert is not None
         return cert

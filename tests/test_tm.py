@@ -369,24 +369,29 @@ _WIDE_BOUNCER = machines.parse_compact("0RB1RD_1RC---_1LA1RC_1LB1LD")
 @example(_BB4, 0, 0, 106)
 @example(_WIDE_BOUNCER, 0, 0, 2000)
 @settings(max_examples=300, deadline=None)
-def test_decider_pass_hands_back_the_run_tm_step_reaches(m, blank, init,
-                                                         budget):
-    """search._run_deciders steps on a list of its own and, when no cycler
-    fires, hands back a FlatRun resumed from it: halted, or at the budget.
-    That run agrees with tm.step's at the same budget, and it goes on
-    like tm.step's.  A cycler verdict comes only where tm.step does not
-    halt by the certificate's t2."""
+def test_decider_pass_verdict_agrees_with_tm_step(m, blank, init, budget):
+    """search._run_deciders steps on a list of its own and returns plain
+    values.  A halt at step t comes with the (state, symbol) tm.step
+    halts on at step t; (None, None) means tm.step is still running at
+    the budget; a cycler verdict comes only where tm.step does not halt
+    by the certificate's t2, which is at most the budget."""
     m = _relabelled(m, blank, init)
-    out = search._run_deciders(m, budget)
-    if isinstance(out, search.Classification):
-        c = _step_to(m, tm.initial_configuration(m), out.certificate.t2)
-        assert out.status == "nonhalt" and not c.halted
-        assert c.step_count == out.certificate.t2 <= budget
-        return
-    c = _step_to(m, tm.initial_configuration(m), budget)
-    _assert_run_is_config(out, c)
-    out.advance(budget + 50)
-    _assert_run_is_config(out, _step_to(m, c, budget + 50))
+    verdict, cell = search._run_deciders(m, budget)
+    c = tm.initial_configuration(m)
+    if verdict is None:
+        assert cell is None
+        _step_to(m, c, budget)
+        assert c.step_count == budget and not c.halted
+    elif verdict.status == "halts":
+        _step_to(m, c, verdict.steps - 1)
+        assert not c.halted and cell == (c.state, c.read())
+        tm.step(m, c)
+        assert c.halted and c.step_count == verdict.steps <= budget
+    else:
+        assert verdict.status == "nonhalt" and cell is None
+        _step_to(m, c, verdict.certificate.t2)
+        assert not c.halted
+        assert c.step_count == verdict.certificate.t2 <= budget
 
 
 def test_machine_table_validation_rejects_bad_indices():
