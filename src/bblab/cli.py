@@ -144,8 +144,7 @@ def cmd_check_sim(args) -> int:
         payload["f"] = f_n
         lines = [f"verified, f({transcript.n_verified})={f_n}"]
     else:
-        payload["mismatch"] = {k: str(v) for k, v in
-                               transcript.mismatch.items()}
+        payload["mismatch"] = transcript.mismatch
         lines = [transcript.summary()]
     payload["stats"] = {"window_runs": transcript.window_runs,
                         "replays": transcript.replays,

@@ -39,12 +39,13 @@ in the order visited as read symbols.  To 10^6 steps this takes 1,139 window run
 and 1,867 sweeps, against 1,141 window runs and 250,315 replays
 without sweeps.
 
-The transcript goes into two bytearray buffers, one byte per step each
-for keys and read symbols.  Replays queue their records, which are
-written out at each sweep, at a mismatch and at the end.  A step's cost
-follows from its key and read symbol, and small's move from the next
-key, so the int64 arrays `f` and `heads` are built from the two buffers
-at the end.
+The transcript is one append-only bytearray log of (key, read symbol)
+byte pairs, one per step: a replay appends its cached record, a sweep
+its stretch interleaved with its key, and a step taken alone its two
+bytes.  The int8 arrays `keys` and `sigmas` are views of the log's even
+and odd bytes.  A step's cost follows from its key and read symbol, and
+small's move from the next key, so the int64 arrays `f` and `heads` are
+built from the log at the end.
 """
 
 from __future__ import annotations
@@ -261,12 +262,11 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         micro-steps it costs from the state and cell the maps give, on the
         blocks that encode `cells`, whose first is tape cell `base`.  None
         if big would use a cell beyond those blocks; else (stop, cells,
-        key, p, cost) after the step, where stop is None if the step
-        passes every check, or else (kind, big steps taken, expected,
-        actual)."""
+        key, p) after the step, where stop is None if the step passes
+        every check, or else (kind, big steps taken, expected, actual)."""
         plan = plans[key][cells[p]]
         if plan is None:
-            return ("undefined-cost", 0, None, None), cells, key, p, 0
+            return ("undefined-cost", 0, None, None), cells, key, p
         cost, w, delta, next_key, q2 = plan
         bits = [bit for sym in cells for bit in enc_pairs[sym]]
         bq = h_state[key]
@@ -287,14 +287,14 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                 hi = bp
 
         if w is None and halted_at == cost:
-            return ("both-halted", cost, None, None), cells, key, p, cost
+            return ("both-halted", cost, None, None), cells, key, p
         if w is None or halted_at is not None:
             return (("halting-synchrony", halted_at or cost,
                      "big still running" if w is not None
                      else f"big halts at micro-step {cost}",
                      "big still running" if halted_at is None
                      else f"big halted at micro-step {halted_at}"),
-                    cells, key, p, cost)
+                    cells, key, p)
         if not (0 <= bp < len(bits) and 0 <= p + delta < len(cells)):
             return None
         cells = cells[:]
@@ -323,7 +323,7 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             elif bp != 2 * p + head_offset[next_key]:
                 stop = ("head", cost, 2 * (base + p) + head_offset[next_key],
                         2 * base + bp)
-        return stop, cells, next_key, p, cost
+        return stop, cells, next_key, p
 
     # Per key: its sweep symbols (see the module docstring), and the
     # other symbols, which end a sweep.
@@ -360,28 +360,18 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             sigma = cells[p]
             swept = swept and key == first and sigma in sweep[first]
             rec += bytes((key, sigma))
-            _, cells, key, p, _ = out
+            _, cells, key, p = out
         return (len(rec) // 2, cells, key, p - start, bytes(rec),
                 swept and bool(rec))
 
-    # Transcript buffers: step n's key and read symbol at index n.  Its
-    # cost is cost_of[key * n_symbols + symbol], and small's move is the
-    # direction of key n + 1, so f and heads are their sums, taken at
-    # the end.  Replays leave their records in `pending`, written out at
-    # each sweep, at a mismatch and at the end.
-    n_cap = n_max + 1
-    keys_buf, sig_buf = bytearray(n_cap), bytearray(n_cap)
-    pending = []
+    # The transcript log: step n's key and read symbol at bytes 2n and
+    # 2n + 1.  Its cost is cost_of[key * n_symbols + symbol], and small's
+    # move is the direction of key n + 1, so f and heads are their sums,
+    # taken at the end.
+    log = bytearray()
     cost_of = np.array([0 if plan is None else plan[0]
                         for row in plans for plan in row], np.int64)
     move_of = np.array([1 if d == R else -1 for _, d in K], np.int64)
-
-    def flush(n):
-        """Write the pending records, those of the steps before n."""
-        rec = b"".join(pending)
-        pending.clear()
-        keys_buf[n - len(rec) // 2:n] = rec[0::2]
-        sig_buf[n - len(rec) // 2:n] = rec[1::2]
 
     # One tape for both machines: t[i] is small's symbol at cell
     # i - origin, and big's block i is its encoding.  Between runs
@@ -403,38 +393,44 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     runs = {}
     window_runs = replays = sweeps = 0
 
-    def transcript(status, n_verified, length, recorded, mismatch=None):
-        """The first `length` records, whose first `recorded` are set."""
-        keys, sigmas = (_array(buf, length) for buf in (keys_buf, sig_buf))
-        f, heads = (np.zeros(length, np.int64) for _ in range(2))
+    def transcript(status, n_verified):
+        """The transcript of the records in the log."""
+        records = np.frombuffer(log, np.int8)
+        keys, sigmas = records[0::2], records[1::2]
+        f, heads = (np.zeros(len(keys), np.int64) for _ in range(2))
         # each step's cost and move, looked up in place (mode "clip"
         # writes `out` unbuffered; every index is in range), then summed
-        f[1:recorded] = keys[:recorded - 1]
-        f[1:recorded] *= n_symbols
-        f[1:recorded] += sigmas[:recorded - 1]
-        heads[1:recorded] = keys[1:recorded]
+        f[1:] = keys[:-1]
+        f[1:] *= n_symbols
+        f[1:] += sigmas[:-1]
+        heads[1:] = keys[1:]
         for out, table in ((f, cost_of), (heads, move_of)):
-            table.take(out[1:recorded], mode="clip", out=out[1:recorded])
-            np.cumsum(out[:recorded], out=out[:recorded])
+            table.take(out[1:], mode="clip", out=out[1:])
+            np.cumsum(out, out=out)
         return SimulationTranscript(
             status=status, n_verified=n_verified, f=f, keys=keys,
-            sigmas=sigmas, heads=heads, mismatch=mismatch,
-            window_runs=window_runs, replays=replays, sweeps=sweeps,
+            sigmas=sigmas, heads=heads, window_runs=window_runs,
+            replays=replays, sweeps=sweeps,
             seconds=time.perf_counter() - started)
 
     def fail(n, kind, expected, actual, spent=None):
-        """Mismatch at step n.  `spent` is the big steps that small's step
-        n - 1 took before failing, None when step n was recorded."""
-        out = transcript("mismatch", max(n - 1, 0), n + 1,
-                         n + 1 if spent is None else n)
-        f = out.f[n] if spent is None else out.f[n - 1] + spent
+        """Mismatch at step n, the last record in the log.  `spent` is the
+        big steps that small's step n - 1 took before failing, None when
+        step n was recorded; else step n is left at 0 in every array."""
+        if spent is not None:
+            log.extend(bytes(2))
+        out = transcript("mismatch", max(n - 1, 0))
+        if spent is None:
+            f = out.f[n]
+        else:
+            f = out.f[n - 1] + spent
+            out.f[n] = out.heads[n] = 0
         out.mismatch = {"n": n, "f": int(f), "kind": kind,
                         "expected": expected, "actual": actual}
         return out
 
-    keys_buf[0] = key
-    sig_buf[0] = small.blank
     if big.init != h_state[key]:
+        log += bytes((key, small.blank))
         return fail(0, "state", big.states[h_state[key]],
                     big.states[big.init])
 
@@ -451,31 +447,29 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             # one a run would take past n_max: on its own, on cells wide
             # enough for any step
             x = sp - _REACH
-            run = window_run(key, t[x:sp + _REACH + 1], _REACH, 1)
+            stop, cells, next_key, p = step(key, t[x:sp + _REACH + 1],
+                                            _REACH, x - origin)
+            rec = bytes((key, t[sp]))
+            if stop is not None:
+                kind, spent, expected, actual = stop
+                if kind == "undefined-cost":
+                    raise UndefinedCost(
+                        f"key ({K[key][0]}, {K[key][1]}) reading "
+                        f"{small.symbols[t[sp]]!r} at step {n}")
+                if kind == "unknown-key":
+                    raise UnknownKey(f"{actual} at step {n + 1}")
+                log += rec
+                if kind == "both-halted":
+                    return transcript("both-halted", n)
+                if kind in ("state", "head"):
+                    log += bytes((next_key, cells[p]))
+                    spent = None
+                return fail(n + 1, kind, expected, actual, spent)
+            run = 1, cells, next_key, p - _REACH, rec, t[sp] in sweep[key]
         k, cells, next_key, move, rec, swept = run
-        if not k:
-            flush(n)
-            keys_buf[n] = key
-            sig_buf[n] = t[sp]
-            stop, cells, next_key, p, _ = step(key, cells, _REACH,
-                                               x - origin)
-            kind, spent, expected, actual = stop
-            if kind == "undefined-cost":
-                raise UndefinedCost(
-                    f"key ({K[key][0]}, {K[key][1]}) reading "
-                    f"{small.symbols[t[sp]]!r} at step {n}")
-            if kind == "unknown-key":
-                raise UnknownKey(f"{actual} at step {n + 1}")
-            if kind == "both-halted":
-                return transcript("both-halted", n, n + 1, n + 1)
-            if kind in ("state", "head"):
-                keys_buf[n + 1] = next_key
-                sig_buf[n + 1] = cells[p]
-                spent = None
-            return fail(n + 1, kind, expected, actual, spent)
         replays += 1
         t[x:x + len(cells)] = cells
-        pending.append(rec)
+        log += rec
         n += k
         sp += move
         key = next_key
@@ -505,20 +499,10 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                 stretch = t[sp:end:-1]
             if stretch:
                 sweeps += 1
-                flush(n)
-                m = len(stretch)
-                keys_buf[n:n + m] = key_byte[key] * m
-                sig_buf[n:n + m] = stretch
-                n += m
+                i = len(log)
+                log += key_byte[key] * (2 * len(stretch))
+                log[i + 1::2] = stretch
+                n += len(stretch)
                 sp = end
-    flush(n)
-    keys_buf[n_max] = key
-    sig_buf[n_max] = t[sp]
-    return transcript("verified", n_max, n_cap, n_cap)
-
-
-def _array(buf: bytearray, n: int) -> np.ndarray:
-    """The first n bytes of `buf` as an int8 numpy array, without a copy
-    when that is all of it."""
-    out = np.frombuffer(buf, np.int8)
-    return out if n == len(buf) else out[:n].copy()
+    log += bytes((key, t[sp]))
+    return transcript("verified", n_max)

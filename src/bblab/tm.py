@@ -10,16 +10,16 @@ with `HALT`, which is None, as the compiled tables do.
 `step` executes one transition on a `Configuration`, whose `Tape` maps
 written cells to symbols.  The loops that run many steps share one flat
 compiled table (`compile_cells`) and keep the tape in plain lists.
-`FlatRun` steps one cell at a time on a single list and can stop at any
-step count; `FlatRun.resume` takes over a run from another stepper, as
-`run` does from its chains.  Its callers read its head and its visited
-cells (`visited()`), and the list stays private to it.
+`FlatRun` steps one cell at a time on a single list from the blank tape
+and can stop at any step count.  Its callers read its head and its
+visited cells (`visited()`), and the list stays private to it.
 `run` starts on run-length "chains", where a self-loop over a run of
 equal symbols is one macro step, so the bb5 champion halts in a
 fraction of a second.  Where runs of equal symbols are short, as on the
 power-of-two machine, a chain macro step costs several FlatRun steps
 for little more than one step of progress, so a run whose first few
-hundred macro steps compress poorly goes on in a FlatRun to the end.
+hundred macro steps compress poorly starts over in a FlatRun and runs
+there to the end.
 It returns the final configuration, whose `halted` and `step_count` say
 how the run ended and whose `macro_steps`, `compression` and `handoffs`
 say how it went.  All of them give exactly the configurations `step`
@@ -254,8 +254,9 @@ def _tape(blank: int, extent: list[int], lo: int) -> Tape:
 
 class RunConfiguration(Configuration):
     """The final configuration of `run`, with how the run went:
-    `macro_steps` counts its chain macro steps and its `FlatRun` steps,
-    one each, and `handoffs` is 1 if it moved to `FlatRun`, else 0."""
+    `macro_steps` counts its chain macro steps and the `FlatRun` steps
+    past them, one each, and `handoffs` is 1 if it moved to `FlatRun`,
+    else 0."""
 
     __slots__ = ("macro_steps", "handoffs")
 
@@ -309,9 +310,9 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
     the remaining budget, which covers the endless blank run beyond
     either end of the tape.  The stacks hold exactly the visited cells
     other than the head's, so they fix the touched extent.  If the first
-    _PROBE macro steps average fewer than _RATIO steps each, the run
-    hands itself, as the unpacked stacks, to a FlatRun for the rest of
-    the budget; otherwise it stays on chains to the end.
+    _PROBE macro steps average fewer than _RATIO steps each, a FlatRun
+    from the blank tape re-runs those few steps and runs the rest of the
+    budget; otherwise the run stays on chains to the end.
     """
     if budget < 0:
         raise ValueError("budget must be a natural number")
@@ -367,8 +368,9 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
         if done == budget:
             break
         if macro == _PROBE and done < _RATIO * _PROBE:
-            extent, at = _unpack(left, sym, right)
-            flat = FlatRun.resume(m, state, head, head - at, extent, done)
+            # FlatRun re-runs the fewer than _RATIO * _PROBE steps so far
+            # in well under a millisecond
+            flat = FlatRun(m)
             flat.advance(budget)
             first, extent = flat.visited()
             return RunConfiguration(flat.state, flat.head,
@@ -382,9 +384,9 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
 
 class FlatRun:
     """A run on one flat list of cells, for callers that stop at many step
-    counts and read the tape in between: `run_trace`, and in `search` the
-    checkpoint verifier and the closure search's halting probe, start it
-    from the blank tape, and `run` resumes it from its chains.  Callers
+    counts and read the tape in between: `run_trace`, `run` after a poor
+    probe on chains, and in `search` the checkpoint verifier and the
+    closure search's halting probe.  It starts from the blank tape.  Callers
     drive it with `advance()` and read it through `state`, `steps`,
     `halted`, `head` and `visited()`; the list layout is private to this
     class.
@@ -412,19 +414,6 @@ class FlatRun:
         self._tape = [self._sentinel] * (4 * self._MARGIN + 1)
         self._origin = self._pos = 2 * self._MARGIN
         self.state, self.steps, self.halted = m.init, 0, False
-
-    @classmethod
-    def resume(cls, m: MachineTable, state: int, head: int, first: int,
-               symbols: list[int], steps: int) -> "FlatRun":
-        """The run of `m` that has made `steps` steps without halting and
-        stands in `state` with the head at cell `head`.  `symbols` holds
-        its visited cells from cell `first` on."""
-        run = cls(m)
-        pad = run._tape[:2 * cls._MARGIN]
-        run._tape = pad + symbols + pad
-        run._origin = 2 * cls._MARGIN - first
-        run._pos, run.state, run.steps = run._origin + head, state, steps
-        return run
 
     @property
     def head(self) -> int:

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from bblab import cli, machines, search
+from bblab import cli, machines, search, ternary
+from bblab.tm import R, Transition
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +145,18 @@ def test_scan_json(capsys):
     assert payload["counterexample"] is None
 
 
+def test_scan_counterexample_exits_one(capsys, monkeypatch):
+    """A scan that reports a digit-2-free exponent above 8 has found the
+    anomaly the paper's machine halts on."""
+    def scan_erdos(n_max):
+        return ternary.ScanReport(bound=n_max, free_exponents=[0, 2, 8, 99])
+
+    monkeypatch.setattr(ternary, "scan_erdos", scan_erdos)
+    code, out, _ = run_cli(capsys, "scan", "--max-n", "100")
+    assert code == 1
+    assert "counterexample exponent: 99" in out
+
+
 def test_check_sim(capsys):
     code, out, _ = run_cli(capsys, "check-sim", "--steps", "200")
     assert code == 0
@@ -171,6 +184,24 @@ def test_check_sim_json_counts_sweeps_after_the_existing_keys(capsys):
     assert list(stats) == ["window_runs", "replays", "sweeps",
                            "small_steps_per_s"]
     assert stats["sweeps"] > 0
+
+
+def test_check_sim_mismatch_exits_one_with_typed_fields(capsys,
+                                                         monkeypatch):
+    """m152 with rewind_sim moving right on `a` fails at step 23; the JSON
+    mismatch keeps its ints and strings as they are."""
+    m152 = machines.builtin_m152()
+    q = m152.state_index("rewind_sim")
+    tr = m152.transition(q, 0)
+    bad = m152.with_cell(q, 0, Transition(tr.write, R, tr.next_state))
+    monkeypatch.setattr(machines, "builtin_m152", lambda: bad)
+    code, out, _ = run_cli(capsys, "--format", "json", "check-sim",
+                           "--steps", "100")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "mismatch"
+    assert payload["mismatch"] == {"n": 23, "f": 51, "kind": "head",
+                                   "expected": -1, "actual": 1}
 
 
 def test_enumerate_confirmed(capsys):

@@ -355,6 +355,24 @@ def test_cycler_certificates_need_t1_before_t2(text, cert):
     assert not revalidate_certificate(m, cert)
 
 
+@pytest.mark.parametrize("compact, cert", [
+    ("1RB1LB_1LA0LC_---1LD_1RD0RA", TranslatedCyclerCertificate(1, 3, -2)),
+    ("1LC0RB_0LD1RA_1RA---_0LE0RE_1LA0LE",
+     TranslatedCyclerCertificate(0, 11, -1)),
+    ("1RB1LB_1LA0LC_---1LD_1RD0RA", CyclerCertificate(0, 200)),
+], ids=["t1-not-a-record", "t2-not-a-record", "t2-past-the-halt"])
+def test_cycler_certificates_of_halting_machines_are_rejected(compact, cert):
+    """bb4 halts at step 107 and the other machine at step 13, so no
+    certificate of either may pass.  The translated ones match state,
+    head offset and tape between their ends: only the record check at t1
+    rejects the first, and only the one at t2 the second.  The last
+    reaches past bb4's halt, where the check stops instead of stepping a
+    halted configuration."""
+    m = machines.parse_compact(compact)
+    assert tm.run(m, 1000).halted
+    assert revalidate_certificate(m, cert) is False
+
+
 def _first_repeat(m, budget):
     """Reference cycler: the first (t1, t2) at which the tm.step
     configuration, keyed by state, head and the set of non-blank cells,
@@ -729,6 +747,17 @@ def test_regular_closure_certificate_never_accepts_halting_cell():
                if m.transition(q, s) is HALT}
     assert halting
     assert all((q, s) not in halting for _, q, s, _ in cert.accepted)
+
+
+def test_regular_closure_rejected_where_an_accepted_cell_halts():
+    """Every closure certificate accepts the initial cell (A, 0).  On the
+    bouncer's table with that cell set to Halt, its certificate is
+    rejected, not stepped through the Halt cell."""
+    m = machines.parse_machine(BOUNCER, name="bouncer")
+    cert = decide_regular_closure(m)
+    assert revalidate_certificate(m, cert)
+    halting = m.with_cell(m.init, m.blank, HALT)
+    assert revalidate_certificate(halting, cert) is False
 
 
 @pytest.mark.parametrize("text, malform", [

@@ -201,6 +201,21 @@ def test_halting_at_different_micro_steps_is_detected(big, small):
                             "actual": "big halted at micro-step 1"}
 
 
+def test_machines_halting_together_are_both_halted(big, small):
+    """Small halts at step 4 on check_halt reading #, and big halts at the
+    last micro-step that step costs: the run ends verified, both-halted,
+    with the same transcript as the reference lockstep at every bound."""
+    bad_small = small.with_cell(small.state_index("check_halt"),
+                                small.symbol_index("#"), HALT)
+    bad_big = big.with_cell(big.state_index("check_halt_sim"),
+                            big.symbol_index("b"), HALT)
+    out = verify_simulation(bad_big, bad_small, DEFAULT_ENCODING, 1000)
+    assert (out.status, out.n_verified, out.ok) == ("both-halted", 4, True)
+    assert out.summary() == "both-halted to n = 4, f(4) = 9"
+    for n_max in (3, 4, 5, 2000):
+        _assert_matches_reference(bad_big, bad_small, n_max)
+
+
 def test_small_leaving_the_key_set_raises(big, small):
     """A small machine that enters mul2_F leftward has no big state to
     map to."""

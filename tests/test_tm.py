@@ -327,33 +327,6 @@ def test_flat_run_matches_single_steps(m, stops):
         _assert_run_is_config(run, _step_to(m, c, target))
 
 
-@given(_tables(), st.integers(min_value=0, max_value=3),
-       st.integers(min_value=0, max_value=3),
-       st.integers(min_value=0, max_value=200),
-       st.lists(st.integers(min_value=0, max_value=60), max_size=6))
-@example(_SWEEP_RIGHT, 0, 0, 20, [100])
-@example(_SWEEP_LEFT, 0, 0, 20, [30, 100])
-@example(_BOUNCER, 1, 1, 60, [60, 0, 60])
-@settings(max_examples=200, deadline=None)
-def test_resumed_run_matches_single_steps(m, blank, init, start, strides):
-    """FlatRun.resume from a tm.step configuration, on tables with any
-    blank and initial state, then advanced stride by stride.  The run is
-    resumed at `start` steps, or at the step before a halt that comes
-    sooner, and at once and after each stride it agrees with tm.step's."""
-    m = _relabelled(m, blank, init)
-    c = tm.initial_configuration(m)
-    while c.step_count < start and m.table[c.state][c.read()] is not HALT:
-        tm.step(m, c)
-    run = tm.FlatRun.resume(m, c.state, c.head, c.tape.lo,
-                            list(c.tape.window(c.tape.lo, c.tape.hi)),
-                            c.step_count)
-    _assert_run_is_config(run, c)
-    for count in strides:
-        run.advance(run.steps + count)
-        _step_to(m, c, c.step_count + count)
-        _assert_run_is_config(run, c)
-
-
 # The first machine halts at step 107; the second runs to any budget, and
 # by step 2,000 its tape spans cells -49..26, past the decider pass's
 # first list of 32 cells on both sides.
