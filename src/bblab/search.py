@@ -15,25 +15,31 @@ escape idea generalized from the state graph to tape contents; both
 are tagged "escape" since both prove halting unreachable).  The
 closure search enumerates only the DFA that reads the tape left of the
 head and derives the one for the right side as a least fixpoint, on
-the machine and on its mirror image.  The bounded run steps on a list
-of its own and returns plain values: a verdict, with the (state,
-symbol) of a halt, which is all the enumerator branches on.  The
-closure search's halting probe and the checkpoint verifier step on a
-`tm.FlatRun`, read only through `state`, `steps`, `halted`, `head`,
-`advance()` and `visited()`, so its layout stays inside `tm`.
-`revalidate_certificate` re-checks every certificate independently, on
-`tm.step` for the cyclers.
+the machine and on its mirror image.  The bounded run steps a compiled
+table (`compile_cells`) on a list of its own from a saved run and
+returns plain values: a verdict, and for a halt the run saved before
+the halting step (the fork), whose (state, symbol) is all the
+enumerator branches on.  The closure search's halting probe and the
+checkpoint verifier step on a `tm.FlatRun`, read only through `state`,
+`steps`, `halted`, `head`, `advance()` and `visited()`, so its layout
+stays inside `tm`.  `revalidate_certificate` re-checks every
+certificate independently, on `tm.step` for the cyclers.
 
 Enumeration runs either over the raw space of all (2nk+1)^(nk) tables
-or over a canonical subset built in tree normal form: cells are filled
-lazily in the order the blank-tape run first needs them, new
-states/symbols are introduced lowest-index-first, and the very first
-transition moves right.  A node's cells not chosen yet are Halt, so
-every node is a complete table and the pipeline runs it as is; a run
-that halts on such a cell branches on it, and each branch's table is
-its parent's with that one cell replaced (`MachineTable.with_cell`);
-the escape check runs once per target state of that cell, and the
-branches it settles are never built.
+or over a canonical subset built in tree normal form (Marxen and
+Buntrock, 1990): cells are filled lazily in the order the blank-tape
+run first needs them, new states/symbols are introduced
+lowest-index-first, and the very first transition moves right.  Both
+work on compiled tables; a `MachineTable` is built only for the closure
+search and for a machine the summary keeps.  A node's cells not chosen
+yet are Halt, so every node is a complete table and the pipeline runs
+it as is; a run that halts on such a cell branches on it.  Each
+branch's table is its parent's with that one cell replaced, and its run
+equals its parent's up to the halting step, so it resumes from the
+parent's fork, which it copies and never changes.  The escape check
+runs on the compiled state graph once per target state of that cell,
+and the branches it settles are never built.  The raw enumerator runs
+every table from the blank tape.
 The reduction preserves every halting step count, so maxima are exact;
 raw mode remains available as ground truth.
 """
@@ -45,6 +51,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CheckpointMismatch, SpaceTooLarge, ValidationError
 from .tm import (HALT, L, R, FlatRun, MachineTable, Transition,
@@ -228,21 +235,26 @@ class TranslatedCyclerCertificate:
     offset: int
 
 
+def _escape(cells, init: int):
+    """The escape decider on a compiled table: an EscapeCertificate if no
+    Halt cell is reachable in the state graph from state `init`, or
+    None."""
+    seen = [init]
+    for q in seen:  # breadth first: the list grows while it is read
+        for tr in cells[q]:
+            if tr is None:
+                return None
+            if tr[2] not in seen:
+                seen.append(tr[2])
+    return EscapeCertificate(tuple(sorted(seen)))
+
+
 def decide_escape(m: MachineTable):
     """Certificate that no halting transition is reachable in the state
     graph from the initial state, or None.  Reachability ignores the tape
     (it over-approximates the states the run can enter), so a certificate
     soundly implies the machine never halts."""
-    seen = {m.init}
-    stack = [m.init]
-    while stack:
-        for tr in m.table[stack.pop()]:
-            if tr is HALT:
-                return None
-            if tr.next_state not in seen:
-                seen.add(tr.next_state)
-                stack.append(tr.next_state)
-    return EscapeCertificate(tuple(sorted(seen)))
+    return _escape(compile_cells(m), m.init)
 
 
 @dataclass
@@ -253,14 +265,54 @@ class Classification:
     certificate: object = None
 
 
-def _run_deciders(m: MachineTable, budget: int):
-    """One bounded run from the blank tape, stepping `compile_cells(m)` on
-    a list of its own (cell i at tape[i + origin], blank where never
-    written), with the cycler and the translated cycler checked after
-    every step.  Returns (verdict, cell): a cycler or translated-cycler
+class _SavedRun(NamedTuple):
+    """The whole state of a decider pass before step `t`: the
+    configuration (state, head and the tape list, cell i at
+    tape[i + origin]), the cycler's packed cells and `seen` dict, the
+    head extremes, the reach stacks and the record buckets.  The pass
+    copies the mutable parts before it steps, so one saved run can start
+    any number of passes, and a pass never changes it."""
+    t: int
+    state: int
+    head: int
+    blank: int
+    tape: list
+    origin: int
+    left: int
+    right: int
+    low: int
+    high: int
+    bottom: int
+    top: int
+    seen: dict
+    lows: list
+    highs: list
+    records: dict
+
+    @classmethod
+    @functools.cache
+    def start(cls, init: int, blank: int) -> "_SavedRun":
+        """Before step 1: state `init` on the blank tape, head at cell 0.
+        Every pass copies what it changes, so one saved run per (init,
+        blank) serves them all."""
+        return cls(1, init, 0, blank, [blank] * 32, 16, 0, 0, 0, 0, 0, 0,
+                   {(init, 0, 0, 0): 0}, [], [], {})
+
+    @property
+    def cell(self) -> tuple:
+        """The (state, symbol) that step t runs."""
+        return self.state, self.tape[self.head + self.origin]
+
+
+def _run_deciders(cells, budget: int, saved: _SavedRun):
+    """One bounded run of the compiled table `cells` from `saved` up to
+    step `budget`, with the cycler and the translated cycler checked after
+    every step.  Returns (verdict, fork): a cycler or translated-cycler
     Classification with None; a halt at step t as
-    Classification("halts", steps=t) with the halting (state, symbol);
-    or (None, None) at the budget.
+    Classification("halts", steps=t) with the run saved before step t,
+    whose `cell` is the halting (state, symbol); or (None, None) at the
+    budget.  A table that differs from `cells` only in that Halt cell runs
+    the same steps up to t, so it can resume from the fork.
 
     The cycler keeps the tape as two ints, `right` for cells i >= 0 and
     `left` for cells i < 0, each cell holding symbol ^ blank in `bits`
@@ -281,18 +333,15 @@ def _run_deciders(m: MachineTable, budget: int):
     record can step off the list, which then triples.  An exact repeat
     keeps the head bounded while a translated repeat proves unbounded
     drift, so the two never both fire."""
-    cells = compile_cells(m)
-    bits = (m.n_symbols - 1).bit_length()
-    blank = m.blank
-    tape, origin = [blank] * 32, 16
-    q = m.init
-    left = right = head = low = high = bottom = top = 0
-    seen = {(q, 0, 0, 0): 0}
-    lows, highs = [], []
-    # (direction, state) -> [(t, head, visited cells, the head's last)]
-    records = {}
+    (first, q, head, blank, tape, origin, left, right, low, high, bottom,
+     top, seen, lows, highs, records) = saved
+    tape, seen, lows, highs = tape[:], seen.copy(), lows[:], highs[:]
+    # (direction, state) -> [(t, head, visited cells, the head's last)];
+    # the snapshots are never changed, so the copies share them
+    records = {key: bucket[:] for key, bucket in records.items()}
+    bits = (len(cells[0]) - 1).bit_length()
     try:
-        for t in range(1, budget + 1):
+        for t in range(first, budget + 1):
             p = head + origin
             sym = tape[p]
             w, d, q = cells[q][sym]
@@ -349,14 +398,17 @@ def _run_deciders(m: MachineTable, budget: int):
                             t1, t, head - p1)), None
             bucket.append((t, head, now))
     except TypeError:  # unpacking None: the Halt cell, which step t runs
-        return Classification("halts", steps=t), (q, sym)
+        return Classification("halts", steps=t), _SavedRun(
+            t, q, head, blank, tape, origin, left, right, low, high, bottom,
+            top, seen, lows, highs, records)
     return None, None
 
 
 def _pass_certificate(m: MachineTable, budget: int, decider: str):
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    verdict = _run_deciders(m, budget)[0]
+    verdict = _run_deciders(compile_cells(m), budget,
+                            _SavedRun.start(m.init, m.blank))[0]
     if verdict is not None and verdict.decider == decider:
         return verdict.certificate
     return None
@@ -499,17 +551,13 @@ def decide_regular_closure(m: MachineTable):
     tape from the right and the sides are swapped back).  The search
     gives up after _DFA_LIMIT left DFAs.
 
-    Before the search, a tm.FlatRun from the blank tape must last
-    _PROBE_STEPS steps without halting."""
-    # a machine observed to halt has no closure certificate; a short
-    # concrete run is far cheaper than failing on every left DFA
-    probe = FlatRun(m)
-    probe.advance(_PROBE_STEPS)
-    if probe.halted:
-        return None
+    Once the first left DFA, the one-state one, fails on both sides, a
+    tm.FlatRun from the blank tape must last _PROBE_STEPS steps without
+    halting before the search goes on."""
     table = compile_cells(m)
     mirror = tuple(tuple(None if tr is None else (tr[0], -tr[1], tr[2])
                          for tr in row) for row in table)
+    probed = False
     for left in itertools.islice(_canonical_dfas(m.n_symbols, m.blank),
                                  _DFA_LIMIT):
         found = _derive_right(table, m.init, m.blank, left)
@@ -520,6 +568,15 @@ def decide_regular_closure(m: MachineTable):
             right, accepted = found
             swapped = sorted((r, q, s, l) for l, q, s, r in accepted)
             return RegularClosureCertificate(right, left, tuple(swapped))
+        if not probed:
+            # a machine observed to halt has no closure certificate; a
+            # short concrete run is far cheaper than failing on every
+            # left DFA
+            probe = FlatRun(m)
+            probe.advance(_PROBE_STEPS)
+            if probe.halted:
+                return None
+            probed = True
     return None
 
 
@@ -627,33 +684,19 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
 # classification and enumeration
 
 
-def _escape_verdict(m: MachineTable):
-    """The escape decider's Classification of m, or None."""
-    escape = decide_escape(m)
+def _escape_verdict(cells, init: int):
+    """The escape decider's Classification of a compiled table, or None."""
+    escape = _escape(cells, init)
     return escape and Classification("nonhalt", decider="escape",
                                       certificate=escape)
 
 
-def _decide(m: MachineTable, budget: int, summary=None):
-    """The decider pipeline past the escape check: _run_deciders, then the
-    regular-closure search if the run outlasts the budget; anything left
-    is Undecided.  Returns the Classification and, for a halt, the
-    halting (state, symbol); a given EnumerationSummary records the
-    verdict and the seconds the pass and the search took."""
-    started = time.perf_counter()
-    verdict, cell = _run_deciders(m, budget)
-    ran = searched = time.perf_counter()
-    if verdict is None:
-        closure = decide_regular_closure(m)
-        searched = time.perf_counter()
-        verdict = (Classification("undecided") if closure is None else
-                   Classification("nonhalt", decider="escape",
-                                  certificate=closure))
-    if summary is not None:
-        summary.decider_pass_seconds += ran - started
-        summary.closure_seconds += searched - ran
-        summary.record(verdict, m)
-    return verdict, cell
+def _closure_verdict(m: MachineTable) -> Classification:
+    """The regular-closure search's Classification of a machine that
+    outlasted the decider pass: nonhalt under "escape", or undecided."""
+    closure = decide_regular_closure(m)
+    return (Classification("undecided") if closure is None else
+            Classification("nonhalt", decider="escape", certificate=closure))
 
 
 def classify(m: MachineTable, budget: int) -> Classification:
@@ -663,7 +706,24 @@ def classify(m: MachineTable, budget: int) -> Classification:
     at this budget."""
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    return _escape_verdict(m) or _decide(m, budget)[0]
+    cells = compile_cells(m)
+    return (_escape_verdict(cells, m.init)
+            or _run_deciders(cells, budget,
+                             _SavedRun.start(m.init, m.blank))[0]
+            or _closure_verdict(m))
+
+
+def _space_table(n: int, k: int, cells) -> MachineTable:
+    """The MachineTable of a compiled table of the n-state, k-symbol
+    enumeration space: symbols "0".."k-1" with blank 0, states "A", "B",
+    ... starting in A."""
+    moves = {-1: L, 1: R}
+    return MachineTable(
+        name=f"tm{n}x{k}", symbols=tuple(str(i) for i in range(k)),
+        blank=0, states=tuple(chr(ord("A") + i) for i in range(n)), init=0,
+        table=tuple(tuple(HALT if tr is None else
+                          Transition(tr[0], moves[tr[1]], tr[2])
+                          for tr in row) for row in cells))
 
 
 @dataclass
@@ -677,11 +737,12 @@ class EnumerationSummary:
         "halts": 0, "escape": 0, "cycler": 0, "translated-cycler": 0,
         "undecided": 0})
     max_steps: int = 0
+    # MachineTables; compiled tables while the enumeration runs
     champions: list = field(default_factory=list)
     undecided: list = field(default_factory=list)
-    # How the pipeline went, read off each verdict: runs of the decider
-    # pass and their steps, closure searches and the verdicts they gave
-    # (counted under "escape"), and the seconds of each; not in to_dict.
+    # How the pipeline went: runs of the decider pass and the steps they
+    # simulated, closure searches and the verdicts they gave (counted
+    # under "escape"), and the seconds of each; not in to_dict.
     decider_pass_runs: int = 0
     decider_pass_steps: int = 0
     closure_searches: int = 0
@@ -695,35 +756,45 @@ class EnumerationSummary:
         left undecided."""
         return self.counts["undecided"] == 0
 
-    def record(self, cls: Classification, table: MachineTable):
-        """Count one verdict.  Every verdict but the state-graph escape
-        comes after a decider pass, which stops at the halting step, at a
-        cycler certificate's t2, or else at the budget, where the closure
-        search runs; its failure is the one undecided verdict."""
+    def record(self, cls: Classification, cells=None, first=None):
+        """Count one verdict on the machine whose compiled table is
+        `cells`, read only where the summary keeps the machine (a champion
+        or an undecided one).  The summary keeps the compiled table, and
+        enumerate_and_classify turns the ones it kept into MachineTables
+        once the enumeration is done.
+
+        `first` is the step the decider pass started at: 1 from the blank
+        tape, the fork's step for a resumed tree-normal-form child, and
+        None where no pass ran (the state-graph escape).  The pass stops
+        at the halting step, at a cycler certificate's t2, or else at the
+        budget, where the closure search runs; its failure is the one
+        undecided verdict.  The pass simulated the steps from `first` up
+        to where it stopped."""
         self.total += 1
-        cert = cls.certificate
-        if not isinstance(cert, EscapeCertificate):
+        if first is not None:
             self.decider_pass_runs += 1
+            cert = cls.certificate
             if cls.status == "halts":
-                self.decider_pass_steps += cls.steps
+                end = cls.steps
             elif cls.decider in ("cycler", "translated-cycler"):
-                self.decider_pass_steps += cert.t2
+                end = cert.t2
             else:
-                self.decider_pass_steps += self.budget
+                end = self.budget
                 self.closure_searches += 1
                 self.closure_decided += cert is not None
+            self.decider_pass_steps += end - first + 1
         if cls.status == "halts":
             self.counts["halts"] += 1
             if cls.steps > self.max_steps:
                 self.max_steps = cls.steps
-                self.champions = [table]
+                self.champions = [cells]
             elif cls.steps == self.max_steps:
-                self.champions.append(table)
+                self.champions.append(cells)
         elif cls.status == "nonhalt":
             self.counts[cls.decider] += 1
         else:
             self.counts["undecided"] += 1
-            self.undecided.append(table)
+            self.undecided.append(cells)
 
     def to_dict(self) -> dict:
         from .machines import serialize_machine
@@ -737,81 +808,93 @@ class EnumerationSummary:
         }
 
 
-def _machine(n: int, k: int) -> MachineTable:
-    """The n-state, k-symbol enumeration table whose cells all halt,
-    starting in state 0 on blank symbol 0.  Every table of the space is
-    derived from it by `MachineTable.with_cell`, which checks only the
-    cell it replaces, so the labels are built and checked once per space
-    and every table shares them."""
-    return MachineTable(name=f"tm{n}x{k}",
-                        symbols=tuple(str(i) for i in range(k)), blank=0,
-                        states=tuple(chr(ord("A") + i) for i in range(n)),
-                        init=0, table=((HALT,) * k,) * n)
+def _decide(cells, budget: int, saved: _SavedRun,
+            summary: EnumerationSummary):
+    """The decider pass on an enumerated compiled table from `saved`,
+    then the regular-closure search on its MachineTable if the run
+    outlasts the budget.  Records the verdict, the pass's steps and the
+    seconds the pass and the search took; returns the verdict and, for a
+    halt, the fork."""
+    started = time.perf_counter()
+    verdict, fork = _run_deciders(cells, budget, saved)
+    ran = searched = time.perf_counter()
+    if verdict is None:
+        verdict = _closure_verdict(_space_table(summary.n, summary.k, cells))
+        searched = time.perf_counter()
+    summary.decider_pass_seconds += ran - started
+    summary.closure_seconds += searched - ran
+    summary.record(verdict, cells, saved.t)
+    return verdict, fork
 
 
-def _escapes_into(m: MachineTable, q: int, sym: int, targets) -> dict:
-    """Per target state q2, the escape verdict on every table that is `m`
-    with its Halt cell (q, sym) replaced by a transition into q2: whatever
-    it writes and wherever it moves, the state graph is m's plus q -> q2."""
-    return {q2: _escape_verdict(m.with_cell(q, sym, Transition(0, R, q2)))
+def _with_cell(cells, q: int, sym: int, tr):
+    """The compiled table `cells` with cell (q, sym) replaced by `tr`."""
+    row = cells[q]
+    return (cells[:q] + (row[:sym] + (tr,) + row[sym + 1:],)
+            + cells[q + 1:])
+
+
+def _escapes_into(cells, q: int, sym: int, targets) -> dict:
+    """Per target state q2, the escape verdict on every table that is
+    `cells` with its Halt cell (q, sym) replaced by a transition into q2:
+    whatever it writes and wherever it moves, the state graph is the
+    parent's plus q -> q2."""
+    return {q2: _escape_verdict(_with_cell(cells, q, sym, (0, 1, q2)), 0)
             for q2 in targets}
 
 
 def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
-    # Branching never chooses Halt, so the HALT cells are exactly the
+    # Branching never chooses Halt, so the Halt cells are exactly the
     # cells not chosen yet, and every node runs as a complete table.
 
     @functools.cache
     def branch_options(first: bool, top_state: int, top_symbol: int):
-        """The transitions a cell not chosen yet may take, given the
-        highest state and symbol the chosen cells use (or 0)."""
-        moves = (R,) if first else (L, R)
-        return tuple(Transition(w, move, q2)
+        """The compiled transitions a cell not chosen yet may take, given
+        the highest state and symbol the chosen cells use (or 0)."""
+        moves = (1,) if first else (-1, 1)
+        return tuple((w, d, q2)
                      for w in range(min(top_symbol + 1, k - 1) + 1)
-                     for move in moves
+                     for d in moves
                      for q2 in range(min(top_state + 1, n - 1) + 1))
 
-    def recurse(m: MachineTable, top_state: int, top_symbol: int):
-        verdict, cell = _decide(m, budget, summary)
-        if cell is None:
+    def recurse(cells, saved: _SavedRun, top_state: int, top_symbol: int):
+        verdict, fork = _decide(cells, budget, saved, summary)
+        if fork is None:
             return
         # the run halted on a cell not chosen yet: every completion with
-        # Halt there (that is `m`) stops at the same step, and the others
-        # are the branches.  The run reached the cell, so its state and
-        # symbol are already at most the tops.
-        q, sym = cell
-        escapes = _escapes_into(m, q, sym,
+        # Halt there (that is `cells`) stops at the same step, and the
+        # others are the branches, which all resume from the fork.  The
+        # run reached the cell, so its state and symbol are already at
+        # most the tops.
+        q, sym = fork.cell
+        escapes = _escapes_into(cells, q, sym,
                                 range(min(top_state + 1, n - 1) + 1))
         for tr in branch_options(verdict.steps == 1, top_state, top_symbol):
-            escape = escapes[tr.next_state]
+            escape = escapes[tr[2]]
             if escape is None:
-                recurse(m.with_cell(q, sym, tr),
-                        max(top_state, tr.next_state),
-                        max(top_symbol, tr.write))
+                recurse(_with_cell(cells, q, sym, tr), fork,
+                        max(top_state, tr[2]), max(top_symbol, tr[0]))
             else:
-                summary.record(escape, m)  # an escape keeps no table
+                summary.record(escape)  # an escape keeps no table
 
     # the root halts on every cell, so its state graph cannot escape
-    recurse(_machine(n, k), 0, 0)
+    recurse(((None,) * k,) * n, _SavedRun.start(0, 0), 0, 0)
 
 
 def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
-    options = [HALT] + [Transition(w, move, q2) for w in range(k)
-                        for move in (L, R) for q2 in range(n)]
-    cells = [(q, s) for q in range(n) for s in range(k)]
-
-    def fill(m: MachineTable, i: int):
-        # cells before i are chosen, the first one slowest (product order)
-        if i < len(cells):
-            q, s = cells[i]
-            for tr in options:
-                fill(m.with_cell(q, s, tr), i + 1)
-        elif (escape := _escape_verdict(m)) is not None:
-            summary.record(escape, m)
+    # every table runs from the blank tape: nothing is resumed here, so
+    # comparing both enumerators checks the forks
+    options = [None] + [(w, d, q2) for w in range(k) for d in (-1, 1)
+                        for q2 in range(n)]
+    start = _SavedRun.start(0, 0)
+    # cells in row-major order, the first one slowest (product order)
+    for flat in itertools.product(options, repeat=n * k):
+        cells = tuple(flat[q * k:(q + 1) * k] for q in range(n))
+        escape = _escape_verdict(cells, 0)
+        if escape is not None:
+            summary.record(escape)
         else:
-            _decide(m, budget, summary)
-
-    fill(_machine(n, k), 0)
+            _decide(cells, budget, start, summary)
 
 
 def enumerate_and_classify(n: int, k: int, budget: int,
@@ -831,4 +914,8 @@ def enumerate_and_classify(n: int, k: int, budget: int,
         _tnf_enumerate(n, k, budget, summary)
     else:
         _raw_enumerate(n, k, budget, summary)
+    # the summary kept compiled tables while it counted; most champions
+    # were replaced by longer runs, so only the ones reported are built
+    summary.champions = [_space_table(n, k, c) for c in summary.champions]
+    summary.undecided = [_space_table(n, k, c) for c in summary.undecided]
     return summary

@@ -29,7 +29,7 @@ revalidation runs on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import StepAfterHalt, ValidationError
 
@@ -127,22 +127,13 @@ class MachineTable:
 
     def with_cell(self, state: int, symbol: int, tr) -> "MachineTable":
         """Copy of this table with cell (state, symbol) replaced by `tr`, a
-        Transition or HALT, under the same name and labels.  Only the new
-        cell is checked, with the constructor's ValidationError messages:
-        every other cell was checked when this table was built.  The
-        enumerators derive each table of a space from another this way."""
-        if tr is not HALT:
-            self._check_cell(state, symbol, tr)
+        Transition or HALT, under the same name and labels, checked as the
+        constructor checks every table."""
         row = list(self.table[state])
         row[symbol] = tr
         table = list(self.table)
         table[state] = tuple(row)
-        # the one construction that skips __post_init__: all fields but
-        # the table are this table's, and the table differs in one checked
-        # cell
-        child = object.__new__(MachineTable)
-        vars(child).update(vars(self), table=tuple(table))
-        return child
+        return replace(self, table=tuple(table))
 
 
 class Tape:

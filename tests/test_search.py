@@ -611,6 +611,12 @@ def test_regular_closure_decider():
     assert revalidate_certificate(m, cert)
 
 
+def _fresh_pass(m, budget):
+    """The decider pass on `m` from the blank tape."""
+    return search._run_deciders(tm.compile_cells(m), budget,
+                                search._SavedRun.start(m.init, m.blank))
+
+
 def test_translated_detector_keeps_long_runs_linear():
     """Each record's reach comes from one bisect into a stack of the
     excursions between records, pushed only when a record is broken, not
@@ -618,7 +624,7 @@ def test_translated_detector_keeps_long_runs_linear():
     run takes about 0.1 s; a rescan per record takes about 5 s."""
     m = machines.parse_machine(BOUNCER, name="bouncer")
     started = time.perf_counter()
-    assert search._run_deciders(m, 32_000) == (None, None)
+    assert _fresh_pass(m, 32_000) == (None, None)
     assert time.perf_counter() - started < 2.5
 
 
@@ -630,7 +636,7 @@ def test_decider_pass_memory_stays_small():
     m = machines.parse_machine(BOUNCER, name="bouncer")
     tracemalloc.start()
     try:
-        out = search._run_deciders(m, 32_000)
+        out = _fresh_pass(m, 32_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -644,8 +650,9 @@ def test_decider_pass_memory_stays_small():
 ])
 def test_decider_pass_compiles_its_table_once(monkeypatch, table, budget,
                                               steps):
-    """The pass compiles the table once, whether it halts or reaches the
-    budget."""
+    """classify compiles the table once, for the escape check and the
+    pass alike, whether the pass halts or reaches the budget; the closure
+    search, stubbed out here, builds its own from the MachineTable."""
     m = machines.parse_machine(BB4 if table == "bb4" else BOUNCER,
                                name=table)
     calls = []
@@ -657,9 +664,11 @@ def test_decider_pass_compiles_its_table_once(monkeypatch, table, budget,
 
     monkeypatch.setattr(tm, "compile_cells", counted)
     monkeypatch.setattr(search, "compile_cells", counted)
-    verdict, _ = search._run_deciders(m, budget)
+    monkeypatch.setattr(search, "decide_regular_closure", lambda m: None)
+    out = classify(m, budget)
     assert calls == [m]
-    assert (verdict is None) == (steps == budget)  # the case it names
+    # the case it names
+    assert out.status == ("undecided" if steps == budget else "halts")
 
 
 # Eleven (2,3) bouncers that outlast budget 100 and on which none of the
@@ -923,6 +932,9 @@ def test_enumerate_2x2_reduced_and_raw_agree():
 def test_enumerate_2x3_leaves_one_bouncer():
     summary = enumerate_and_classify(2, 3, 100)
     assert (summary.total, summary.max_steps) == (10_897, 38)
+    # the pass resumes each child from its parent's halt; from the blank
+    # tape it took 42,681 steps
+    assert summary.decider_pass_steps == 26_353
     assert summary.counts == {"halts": 909, "escape": 8_049, "cycler": 216,
                               "translated-cycler": 1_722, "undecided": 1}
     assert [m.table for m in summary.undecided] == [
@@ -952,18 +964,20 @@ def test_enumeration_outputs_are_pinned(n, k, budget, reduced, expected):
 def test_enumeration_counters_match_the_calls(monkeypatch, n, k, budget,
                                               reduced):
     """The summary reads its decider-pass and closure counters off the
-    verdicts; they match counts taken by wrapping the calls."""
+    verdicts and the step each pass started at; they match counts taken
+    by wrapping the calls."""
     calls = collections.Counter()
     run_deciders = search._run_deciders
     closure = search.decide_regular_closure
 
-    def counted_run(m, budget):
-        verdict, cell = run_deciders(m, budget)
+    def counted_run(cells, budget, saved):
+        verdict, fork = run_deciders(cells, budget, saved)
         calls["runs"] += 1
-        calls["steps"] += (budget if verdict is None else
-                           verdict.steps if verdict.status == "halts" else
-                           verdict.certificate.t2)
-        return verdict, cell
+        end = (budget if verdict is None else
+               verdict.steps if verdict.status == "halts" else
+               verdict.certificate.t2)
+        calls["steps"] += end - saved.t + 1
+        return verdict, fork
 
     def counted_closure(m):
         cert = closure(m)
@@ -981,26 +995,43 @@ def test_enumeration_counters_match_the_calls(monkeypatch, n, k, budget,
     assert summary.closure_decided <= summary.counts["escape"]
 
 
+@pytest.mark.parametrize("n, k, budget, reduced, steps", [
+    (3, 2, 1000, True, 103_173), (2, 2, 1000, True, 153),
+    (2, 2, 1000, False, 4_281)], ids=["3x2", "2x2", "2x2-raw"])
+def test_decider_pass_steps_are_pinned(n, k, budget, reduced, steps):
+    """The steps the decider pass simulated.  A tree-normal-form child
+    resumes from its parent's halt and counts only the steps from there
+    on; the raw enumerator runs every table from the blank tape.  Run
+    from the blank tape, the two reduced spaces take 128,001 and 257
+    steps.  test_enumerate_2x3_leaves_one_bouncer pins (2,3)."""
+    summary = enumerate_and_classify(n, k, budget, reduced=reduced)
+    assert summary.decider_pass_steps == steps
+
+
 @pytest.mark.parametrize("n, k, budget", [(3, 2, 1000), (2, 3, 100)])
 def test_escapes_per_target_state_match_each_branch(monkeypatch, n, k,
                                                     budget):
     """At every branch point of the tree the escape check runs once per
-    target state; its verdict equals decide_escape on each branch into
-    that state built in full, whatever the branch writes and wherever it
-    moves."""
+    target state on the compiled table; its verdict equals decide_escape
+    on each branch into that state built in full, whatever the branch
+    writes and wherever it moves, and each certificate revalidates on
+    every such branch."""
     branch_points = []
     escapes_into = search._escapes_into
 
-    def kept(m, q, sym, targets):
-        escapes = escapes_into(m, q, sym, targets)
-        branch_points.append((m, q, sym, escapes))
+    def kept(cells, q, sym, targets):
+        escapes = escapes_into(cells, q, sym, targets)
+        branch_points.append((cells, q, sym, escapes))
         return escapes
 
     monkeypatch.setattr(search, "_escapes_into", kept)
     summary = enumerate_and_classify(n, k, budget)
     # every halt is on a cell not chosen yet, so every halting node branches
     assert len(branch_points) == summary.counts["halts"]
-    for m, q, sym, escapes in branch_points:
+    escaped = 0
+    for cells, q, sym, escapes in branch_points:
+        m = search._space_table(n, k, cells)
+        assert m.table[q][sym] is HALT
         for q2, verdict in escapes.items():
             cert = verdict and verdict.certificate
             for w in range(k):
@@ -1010,6 +1041,51 @@ def test_escapes_per_target_state_match_each_branch(monkeypatch, n, k,
                     if cert is not None:
                         assert (verdict.status, verdict.decider) == (
                             "nonhalt", "escape")
+                        assert revalidate_certificate(branch, cert)
+            escaped += cert is not None
+    assert escaped > 0
+
+
+@pytest.mark.parametrize("n, k, budget", [(3, 2, 1000), (2, 3, 100)])
+def test_resumed_children_match_fresh_runs(monkeypatch, n, k, budget):
+    """Every tree-normal-form node that resumes from its parent's fork
+    gives what a pass from the blank tape gives on its whole table: the
+    same verdict (status, steps, decider and certificate) and the same
+    fork, halting cell included.  Run again after the enumeration, each
+    node's children in reverse order, from the forks they shared, they
+    give the same verdicts, so no child changed its fork.  Every verdict
+    the summary records on a table revalidates on that table."""
+    run_deciders = search._run_deciders
+    record = search.EnumerationSummary.record
+    children = collections.defaultdict(list)  # id(fork) -> runs
+    forks = {}
+    checked = collections.Counter()
+
+    def compared(cells, budget, saved):
+        verdict, fork = run_deciders(cells, budget, saved)
+        if saved.t > 1:
+            fresh = run_deciders(cells, budget, search._SavedRun.start(0, 0))
+            assert (verdict, fork) == fresh
+            assert (fork and fork.cell) == (fresh[1] and fresh[1].cell)
+            children[id(saved)].append((cells, verdict, fork))
+            forks[id(saved)] = saved
+            checked["resumed"] += 1
+        return verdict, fork
+
+    def revalidated(summary, cls, cells=None, first=None):
+        if cls.certificate is not None and cells is not None:
+            assert revalidate_certificate(search._space_table(n, k, cells),
+                                          cls.certificate)
+            checked["certificates"] += 1
+        return record(summary, cls, cells, first)
+
+    monkeypatch.setattr(search, "_run_deciders", compared)
+    monkeypatch.setattr(search.EnumerationSummary, "record", revalidated)
+    enumerate_and_classify(n, k, budget)
+    assert checked["resumed"] > 0 and checked["certificates"] > 0
+    for key, runs in children.items():
+        for cells, verdict, fork in reversed(runs):
+            assert run_deciders(cells, budget, forks[key]) == (verdict, fork)
 
 
 def test_enumerate_records_champions():

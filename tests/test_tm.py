@@ -343,13 +343,16 @@ _WIDE_BOUNCER = machines.parse_compact("0RB1RD_1RC---_1LA1RC_1LB1LD")
 @example(_WIDE_BOUNCER, 0, 0, 2000)
 @settings(max_examples=300, deadline=None)
 def test_decider_pass_verdict_agrees_with_tm_step(m, blank, init, budget):
-    """search._run_deciders steps on a list of its own and returns plain
-    values.  A halt at step t comes with the (state, symbol) tm.step
-    halts on at step t; (None, None) means tm.step is still running at
-    the budget; a cycler verdict comes only where tm.step does not halt
-    by the certificate's t2, which is at most the budget."""
+    """search._run_deciders steps the compiled table on a list of its own
+    and returns plain values.  A halt at step t comes with the run saved
+    before step t, whose cell is the (state, symbol) tm.step halts on at
+    step t; (None, None) means tm.step is still running at the budget; a
+    cycler verdict comes only where tm.step does not halt by the
+    certificate's t2, which is at most the budget."""
     m = _relabelled(m, blank, init)
-    verdict, cell = search._run_deciders(m, budget)
+    verdict, fork = search._run_deciders(
+        tm.compile_cells(m), budget, search._SavedRun.start(m.init, m.blank))
+    cell = fork and fork.cell
     c = tm.initial_configuration(m)
     if verdict is None:
         assert cell is None
@@ -358,6 +361,7 @@ def test_decider_pass_verdict_agrees_with_tm_step(m, blank, init, budget):
     elif verdict.status == "halts":
         _step_to(m, c, verdict.steps - 1)
         assert not c.halted and cell == (c.state, c.read())
+        assert (fork.t, fork.head) == (verdict.steps, c.head)
         tm.step(m, c)
         assert c.halted and c.step_count == verdict.steps <= budget
     else:
