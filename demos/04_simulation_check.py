@@ -20,7 +20,6 @@ breaks within a few hundred steps.
 import time
 
 from bblab import machines, simcheck
-from bblab.tm import Transition
 
 big = machines.builtin_m152()
 small = machines.builtin_m54()
@@ -40,8 +39,8 @@ for n in (10, 100, 1000, 10_000):
 # -- fault injection ---------------------------------------------------------
 
 q = big.state_index("rewind_sim")
-tr = big.transition(q, 0)
-bad = big.with_cell(q, 0, Transition(1 - tr.write, tr.move, tr.next_state))
+w, d, q2 = big.transition(q, 0)  # a cell is (write, delta, next state)
+bad = big.with_cell(q, 0, (1 - w, d, q2))
 out = simcheck.verify_simulation(bad, small, simcheck.DEFAULT_ENCODING, 1000)
 print("\nwith one corrupted cell:")
 print(f"  {out.summary()}")

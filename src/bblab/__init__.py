@@ -17,8 +17,7 @@ from .ternary import (ScanReport, TernaryNumber, decode_tape_number,
                       has_digit_two, power_of_two_ternary, powers_of_two,
                       scan_erdos)
 from .simcheck import (DEFAULT_ENCODING, Encoding, SimulationTranscript,
-                       head_map, state_map_h, step_cost, time_scale,
-                       verify_simulation)
+                       head_map, state_map_h, step_cost, verify_simulation)
 from .search import (Classification, CheckpointReport, CyclerCertificate,
                      EnumerationSummary, EscapeCertificate,
                      RegularClosureCertificate, TranslatedCyclerCertificate,

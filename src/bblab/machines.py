@@ -143,8 +143,9 @@ def serialize_machine(m: MachineTable) -> str:
             if tr is HALT:
                 lines.append(f"{state_l} {sym_l} -> halt")
             else:
-                lines.append(f"{state_l} {sym_l} -> {m.symbols[tr.write]} "
-                             f"{tr.move} {m.states[tr.next_state]}")
+                w, d, q2 = tr
+                lines.append(f"{state_l} {sym_l} -> {m.symbols[w]} "
+                             f"{L if d < 0 else R} {m.states[q2]}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,10 +15,10 @@ escape idea generalized from the state graph to tape contents; both
 are tagged "escape" since both prove halting unreachable).  The
 closure search enumerates only the DFA that reads the tape left of the
 head and derives the one for the right side as a least fixpoint, on
-the machine and on its mirror image.  The bounded run steps a compiled
-table (`compile_cells`) on a list of its own from a saved run and
-returns plain values: a verdict, and for a halt the run saved before
-the halting step (the fork), whose (state, symbol) is all the
+the machine and on its mirror image.  The bounded run steps a table's
+(write, delta, next state) cells on a list of its own from a saved run
+and returns plain values: a verdict, and for a halt the run saved
+before the halting step (the fork), whose (state, symbol) is all the
 enumerator branches on.  The closure search's halting probe and the
 checkpoint verifier step on a `tm.FlatRun`, read only through `state`,
 `steps`, `halted`, `head`, `advance()` and `visited()`, so its layout
@@ -30,14 +30,14 @@ or over a canonical subset built in tree normal form (Marxen and
 Buntrock, 1990): cells are filled lazily in the order the blank-tape
 run first needs them, new states/symbols are introduced
 lowest-index-first, and the very first transition moves right.  Both
-work on compiled tables; a `MachineTable` is built only for the closure
-search and for a machine the summary keeps.  A node's cells not chosen
-yet are Halt, so every node is a complete table and the pipeline runs
-it as is; a run that halts on such a cell branches on it.  Each
+work on bare tuples of cells; a `MachineTable` is built only for the
+closure search and for a machine the summary keeps.  A node's cells not
+chosen yet are Halt, so every node is a complete table and the pipeline
+runs it as is; a run that halts on such a cell branches on it.  Each
 branch's table is its parent's with that one cell replaced, and its run
 equals its parent's up to the halting step, so it resumes from the
 parent's fork, which it copies and never changes.  The escape check
-runs on the compiled state graph once per target state of that cell,
+runs on the state graph once per target state of that cell,
 and the branches it settles are never built.  The raw enumerator runs
 every table from the blank tape.
 The reduction preserves every halting step count, so maxima are exact;
@@ -54,8 +54,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import CheckpointMismatch, SpaceTooLarge, ValidationError
-from .tm import (HALT, L, R, FlatRun, MachineTable, Transition,
-                 compile_cells, initial_configuration, step)
+from .tm import (HALT, FlatRun, MachineTable, initial_configuration,
+                 replace_cell, step)
 from . import ternary
 
 _CANDIDATE_GUARD = 10 ** 9
@@ -236,7 +236,7 @@ class TranslatedCyclerCertificate:
 
 
 def _escape(cells, init: int):
-    """The escape decider on a compiled table: an EscapeCertificate if no
+    """The escape decider on a tuple of cells: an EscapeCertificate if no
     Halt cell is reachable in the state graph from state `init`, or
     None."""
     seen = [init]
@@ -254,7 +254,7 @@ def decide_escape(m: MachineTable):
     graph from the initial state, or None.  Reachability ignores the tape
     (it over-approximates the states the run can enter), so a certificate
     soundly implies the machine never halts."""
-    return _escape(compile_cells(m), m.init)
+    return _escape(m.table, m.init)
 
 
 @dataclass
@@ -305,8 +305,8 @@ class _SavedRun(NamedTuple):
 
 
 def _run_deciders(cells, budget: int, saved: _SavedRun):
-    """One bounded run of the compiled table `cells` from `saved` up to
-    step `budget`, with the cycler and the translated cycler checked after
+    """One bounded run of the table `cells` from `saved` up to step
+    `budget`, with the cycler and the translated cycler checked after
     every step.  Returns (verdict, fork): a cycler or translated-cycler
     Classification with None; a halt at step t as
     Classification("halts", steps=t) with the run saved before step t,
@@ -397,7 +397,9 @@ def _run_deciders(cells, budget: int, saved: _SavedRun):
                         certificate=TranslatedCyclerCertificate(
                             t1, t, head - p1)), None
             bucket.append((t, head, now))
-    except TypeError:  # unpacking None: the Halt cell, which step t runs
+    except TypeError:
+        # unpacking None, the Halt cell, which step t runs: a validated
+        # table has int fields only, so nothing else raises it
         return Classification("halts", steps=t), _SavedRun(
             t, q, head, blank, tape, origin, left, right, low, high, bottom,
             top, seen, lows, highs, records)
@@ -407,7 +409,7 @@ def _run_deciders(cells, budget: int, saved: _SavedRun):
 def _pass_certificate(m: MachineTable, budget: int, decider: str):
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    verdict = _run_deciders(compile_cells(m), budget,
+    verdict = _run_deciders(m.table, budget,
                             _SavedRun.start(m.init, m.blank))[0]
     if verdict is not None and verdict.decider == decider:
         return verdict.certificate
@@ -554,7 +556,7 @@ def decide_regular_closure(m: MachineTable):
     Once the first left DFA, the one-state one, fails on both sides, a
     tm.FlatRun from the blank tape must last _PROBE_STEPS steps without
     halting before the search goes on."""
-    table = compile_cells(m)
+    table = m.table
     mirror = tuple(tuple(None if tr is None else (tr[0], -tr[1], tr[2])
                          for tr in row) for row in table)
     probed = False
@@ -606,9 +608,8 @@ def _closure_axioms_hold(m: MachineTable,
     accepted = set(cert.accepted)
     if (0, m.init, m.blank, 0) not in accepted:
         return False
-    table = compile_cells(m)
     for l, q, s, r in accepted:
-        tr = table[q][s]
+        tr = m.table[q][s]
         if tr is None:
             return False  # a halting configuration is accepted
         w, mv, q2 = tr
@@ -640,7 +641,7 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
         return (isinstance(states, tuple)
                 and _indices(states, (m.n_states,) * len(states))
                 and m.init in states
-                and all(tr is not HALT and tr.next_state in states
+                and all(tr is not HALT and tr[2] in states
                         for q in states for tr in m.table[q]))
     if not isinstance(cert, (CyclerCertificate, TranslatedCyclerCertificate)):
         return False
@@ -685,7 +686,7 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
 
 
 def _escape_verdict(cells, init: int):
-    """The escape decider's Classification of a compiled table, or None."""
+    """The escape decider's Classification of a tuple of cells, or None."""
     escape = _escape(cells, init)
     return escape and Classification("nonhalt", decider="escape",
                                       certificate=escape)
@@ -706,24 +707,20 @@ def classify(m: MachineTable, budget: int) -> Classification:
     at this budget."""
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    cells = compile_cells(m)
-    return (_escape_verdict(cells, m.init)
-            or _run_deciders(cells, budget,
+    return (_escape_verdict(m.table, m.init)
+            or _run_deciders(m.table, budget,
                              _SavedRun.start(m.init, m.blank))[0]
             or _closure_verdict(m))
 
 
 def _space_table(n: int, k: int, cells) -> MachineTable:
-    """The MachineTable of a compiled table of the n-state, k-symbol
+    """The MachineTable of a tuple of cells of the n-state, k-symbol
     enumeration space: symbols "0".."k-1" with blank 0, states "A", "B",
     ... starting in A."""
-    moves = {-1: L, 1: R}
     return MachineTable(
         name=f"tm{n}x{k}", symbols=tuple(str(i) for i in range(k)),
         blank=0, states=tuple(chr(ord("A") + i) for i in range(n)), init=0,
-        table=tuple(tuple(HALT if tr is None else
-                          Transition(tr[0], moves[tr[1]], tr[2])
-                          for tr in row) for row in cells))
+        table=cells)
 
 
 @dataclass
@@ -737,7 +734,7 @@ class EnumerationSummary:
         "halts": 0, "escape": 0, "cycler": 0, "translated-cycler": 0,
         "undecided": 0})
     max_steps: int = 0
-    # MachineTables; compiled tables while the enumeration runs
+    # MachineTables; bare tuples of cells while the enumeration runs
     champions: list = field(default_factory=list)
     undecided: list = field(default_factory=list)
     # How the pipeline went: runs of the decider pass and the steps they
@@ -757,9 +754,9 @@ class EnumerationSummary:
         return self.counts["undecided"] == 0
 
     def record(self, cls: Classification, cells=None, first=None):
-        """Count one verdict on the machine whose compiled table is
+        """Count one verdict on the machine whose tuple of cells is
         `cells`, read only where the summary keeps the machine (a champion
-        or an undecided one).  The summary keeps the compiled table, and
+        or an undecided one).  The summary keeps the bare cells, and
         enumerate_and_classify turns the ones it kept into MachineTables
         once the enumeration is done.
 
@@ -810,7 +807,7 @@ class EnumerationSummary:
 
 def _decide(cells, budget: int, saved: _SavedRun,
             summary: EnumerationSummary):
-    """The decider pass on an enumerated compiled table from `saved`,
+    """The decider pass on an enumerated tuple of cells from `saved`,
     then the regular-closure search on its MachineTable if the run
     outlasts the budget.  Records the verdict, the pass's steps and the
     seconds the pass and the search took; returns the verdict and, for a
@@ -827,19 +824,12 @@ def _decide(cells, budget: int, saved: _SavedRun,
     return verdict, fork
 
 
-def _with_cell(cells, q: int, sym: int, tr):
-    """The compiled table `cells` with cell (q, sym) replaced by `tr`."""
-    row = cells[q]
-    return (cells[:q] + (row[:sym] + (tr,) + row[sym + 1:],)
-            + cells[q + 1:])
-
-
 def _escapes_into(cells, q: int, sym: int, targets) -> dict:
     """Per target state q2, the escape verdict on every table that is
     `cells` with its Halt cell (q, sym) replaced by a transition into q2:
     whatever it writes and wherever it moves, the state graph is the
     parent's plus q -> q2."""
-    return {q2: _escape_verdict(_with_cell(cells, q, sym, (0, 1, q2)), 0)
+    return {q2: _escape_verdict(replace_cell(cells, q, sym, (0, 1, q2)), 0)
             for q2 in targets}
 
 
@@ -849,7 +839,7 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
 
     @functools.cache
     def branch_options(first: bool, top_state: int, top_symbol: int):
-        """The compiled transitions a cell not chosen yet may take, given
+        """The transitions a cell not chosen yet may take, given
         the highest state and symbol the chosen cells use (or 0)."""
         moves = (1,) if first else (-1, 1)
         return tuple((w, d, q2)
@@ -872,7 +862,7 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
         for tr in branch_options(verdict.steps == 1, top_state, top_symbol):
             escape = escapes[tr[2]]
             if escape is None:
-                recurse(_with_cell(cells, q, sym, tr), fork,
+                recurse(replace_cell(cells, q, sym, tr), fork,
                         max(top_state, tr[2]), max(top_symbol, tr[0]))
             else:
                 summary.record(escape)  # an escape keeps no table
@@ -914,7 +904,7 @@ def enumerate_and_classify(n: int, k: int, budget: int,
         _tnf_enumerate(n, k, budget, summary)
     else:
         _raw_enumerate(n, k, budget, summary)
-    # the summary kept compiled tables while it counted; most champions
+    # the summary kept bare cells while it counted; most champions
     # were replaced by longer runs, so only the ones reported are built
     summary.champions = [_space_table(n, k, c) for c in summary.champions]
     summary.undecided = [_space_table(n, k, c) for c in summary.undecided]

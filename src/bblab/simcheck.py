@@ -11,10 +11,11 @@ small cell, and the machines halt in sync.  It executes big itself
 rather than trusting the accumulated time-scale, so any off-by-one drift
 is caught immediately with a precise location.
 
-Both machines step on `tm.compile_cells` tables over one shared tape:
-cell i holds small's symbol; big's block is its encoding.  That holds
-after every step that passes the checks, being the very law they
-verify, so each step builds big's blocks from small's cells afresh.
+Both machines step on their tables' (write, delta, next state) cells
+over one shared tape: cell i holds small's symbol; big's block is its
+encoding.  That holds after every step that passes the checks, being
+the very law they verify, so each step builds big's blocks from small's
+cells afresh.
 While the maps hold, big's state and head follow from small's key and
 head, so the steps both machines take on a few cells, with every check
 they make, are a pure function of the key and those cells (the
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, UndefinedCost, UnknownKey, ValidationError
-from .tm import L, R, MachineTable, compile_cells
+from .tm import L, R, MachineTable
 
 BLOCK = 2
 
@@ -189,10 +190,6 @@ class SimulationTranscript:
                 f"expected {m['expected']!r}, got {m['actual']!r}")
 
 
-def time_scale(transcript: SimulationTranscript, n: int) -> int:
-    return transcript.time_scale(n)
-
-
 def verify_simulation(big: MachineTable, small: MachineTable,
                       enc: Encoding = DEFAULT_ENCODING,
                       n_max: int = 1000) -> SimulationTranscript:
@@ -238,14 +235,13 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         head_offset.append(head_map(0, d))
     # plans[key][sigma]: (cost, write, delta, next key, next state) of
     # small's step, write None when small halts; None without a cost
-    s_cells = compile_cells(small)
     plans = []
     for code, (state_name, d) in enumerate(K):
         q = small.state_index(state_name)
         costs = {small.symbol_index(sym): c
                  for sym, c in STEP_COSTS[(state_name, d)].items()}
         row = []
-        for sigma, cell in enumerate(s_cells[q]):
+        for sigma, cell in enumerate(small.table[q]):
             if sigma not in costs:
                 row.append(None)
             elif cell is None:
@@ -255,7 +251,7 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                 row.append((costs[sigma], w, delta,
                             key_code.get((q2, R if delta > 0 else L)), q2))
         plans.append(row)
-    b_cells = compile_cells(big)
+    b_cells = big.table
 
     def step(key, cells, p, base=0):
         """Small's step from `key` with its head on cells[p], and the big

@@ -4,12 +4,16 @@ Machines have a bi-infinite tape indexed by integers, a finite symbol
 alphabet with one designated blank, and per-(state, symbol) transitions
 that either halt or write a symbol, move the head one cell, and change
 state.  The step count of a halting run includes the final Halt
-instruction as one executed transition.  A table marks that instruction
-with `HALT`, which is None, as the compiled tables do.
+instruction as one executed transition.
+
+A table has one cell format, the one every stepping loop runs on: a
+cell is `HALT` (None) or the plain tuple (write, delta, next state)
+with delta -1 or +1.  `Transition` builds such a cell from an "L"/"R"
+move label, and `replace_cell` copies a table with one cell replaced.
 
 `step` executes one transition on a `Configuration`, whose `Tape` maps
-written cells to symbols.  The loops that run many steps share one flat
-compiled table (`compile_cells`) and keep the tape in plain lists.
+written cells to symbols.  The loops that run many steps read the table
+as it is and keep the tape in plain lists.
 `FlatRun` steps one cell at a time on a single list from the blank tape
 and can stop at any step count.  Its callers read its head and its
 visited cells (`visited()`), and the list stays private to it.
@@ -36,31 +40,39 @@ from .errors import StepAfterHalt, ValidationError
 L = "L"
 R = "R"
 
-_MOVE_DELTA = {L: -1, R: 1}
-
-
-# the halting instruction, in source tables and compiled ones alike
+# the halting instruction
 HALT = None
 
 
-@dataclass(frozen=True)
-class Transition:
-    """Write `write`, move the head in direction `move`, enter `next_state`.
+def Transition(write: int, move: str, next_state: int) -> tuple:
+    """The cell that writes `write`, moves the head in direction `move`,
+    'L' or 'R', and enters `next_state`: the plain tuple (write, delta,
+    next_state) with delta -1 for L and +1 for R.  Raises ValidationError
+    on any other move."""
+    if move == R:
+        return (write, 1, next_state)
+    if move == L:
+        return (write, -1, next_state)
+    raise ValidationError(f"bad move {move!r}")
 
-    All three fields use indices into the owning table, except `move`
-    which is the character 'L' or 'R'.
-    """
 
-    write: int
-    move: str
-    next_state: int
+def replace_cell(table: tuple, state: int, symbol: int, tr) -> tuple:
+    """`table`, a tuple of row tuples, with cell (state, symbol) replaced
+    by `tr`."""
+    row = table[state]
+    return (table[:state] + (row[:symbol] + (tr,) + row[symbol + 1:],)
+            + table[state + 1:])
 
 
 @dataclass(frozen=True)
 class MachineTable:
     """Immutable n-state, k-symbol transition table.
 
-    `table[state][symbol]` is either a Transition or HALT (None).
+    `table[state][symbol]` is either HALT (None) or the tuple (write,
+    delta, next state) of ints, with delta -1 or +1; the table and its
+    rows are tuples too.  The stepping loops rely on this: an exact tuple
+    unpacks on CPython's fast path, and with int fields only, the only
+    TypeError a step can raise is the one unpacking None.
     `symbols` and `states` carry display labels in declaration order;
     `blank` and `init` are indices.
     """
@@ -82,26 +94,26 @@ class MachineTable:
             raise ValidationError("blank symbol index out of range")
         if not 0 <= self.init < n:
             raise ValidationError("initial state index out of range")
-        if len(self.table) != n:
-            raise ValidationError("table must have one row per state")
+        if type(self.table) is not tuple or len(self.table) != n:
+            raise ValidationError("table must be a tuple of one row per state")
         for q, row in enumerate(self.table):
-            if len(row) != k:
+            if type(row) is not tuple or len(row) != k:
                 raise ValidationError(
-                    f"state {self.states[q]}: expected {k} cells, got {len(row)}"
-                )
+                    f"state {self.states[q]}: expected a tuple of {k} cells")
             for s, tr in enumerate(row):
                 if tr is not HALT:
                     self._check_cell(q, s, tr)
 
     def _check_cell(self, q: int, s: int, tr: object) -> None:
         """Raise ValidationError unless `tr`, not HALT, fits cell (q, s)."""
-        if not isinstance(tr, Transition):
-            problem = " is not a Transition or Halt"
-        elif not 0 <= tr.write < len(self.symbols):
+        if not (type(tr) is tuple and len(tr) == 3
+                and all(type(v) is int for v in tr)):
+            problem = " is not a (write, delta, next state) tuple of ints"
+        elif not 0 <= tr[0] < len(self.symbols):
             problem = ": write symbol out of range"
-        elif tr.move not in (L, R):
-            problem = f": bad move {tr.move!r}"
-        elif not 0 <= tr.next_state < len(self.states):
+        elif tr[1] not in (-1, 1):
+            problem = f": bad move {tr[1]!r}"
+        elif not 0 <= tr[2] < len(self.states):
             problem = ": next state out of range"
         else:
             return
@@ -127,13 +139,10 @@ class MachineTable:
 
     def with_cell(self, state: int, symbol: int, tr) -> "MachineTable":
         """Copy of this table with cell (state, symbol) replaced by `tr`, a
-        Transition or HALT, under the same name and labels, checked as the
+        cell or HALT, under the same name and labels, checked as the
         constructor checks every table."""
-        row = list(self.table[state])
-        row[symbol] = tr
-        table = list(self.table)
-        table[state] = tuple(row)
-        return replace(self, table=tuple(table))
+        return replace(self, table=replace_cell(self.table, state, symbol,
+                                                tr))
 
 
 class Tape:
@@ -212,26 +221,11 @@ def step(m: MachineTable, c: Configuration) -> Configuration:
     if tr is HALT:
         c.halted = True
         return c
-    c.tape.write(c.head, tr.write)
-    c.head += _MOVE_DELTA[tr.move]
+    w, d, c.state = tr
+    c.tape.write(c.head, w)
+    c.head += d
     c.tape.touch(c.head)
-    c.state = tr.next_state
     return c
-
-
-def compile_cells(m: MachineTable) -> tuple:
-    """The flat compiled table every stepping loop runs on: per state, per
-    symbol, (write, delta, next state) with delta -1 or +1, or None for
-    Halt."""
-    rows = []
-    for row in m.table:
-        cells = []
-        for tr in row:
-            cells.append(None if tr is HALT else
-                         (tr.write, 1 if tr.move == R else -1,
-                          tr.next_state))
-        rows.append(tuple(cells))
-    return tuple(rows)
 
 
 def _tape(blank: int, extent: list[int], lo: int) -> Tape:
@@ -313,7 +307,7 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
     # per cell: (write, behind, ahead, delta, next state), None for Halt
     cells = [[None if c is None else
               (c[0], *((left, right) if c[1] > 0 else (right, left)), *c[1:])
-              for c in row] for row in compile_cells(m)]
+              for c in row] for row in m.table]
     state, sym, head, done, halted = m.init, blank, 0, 0, False
     macro = 0
     for macro in range(1, budget + 1):
@@ -400,7 +394,7 @@ class FlatRun:
 
     def __init__(self, m: MachineTable):
         """The run of `m` from the blank tape."""
-        self._cells = tuple(row + (row[m.blank],) for row in compile_cells(m))
+        self._cells = tuple(row + (row[m.blank],) for row in m.table)
         self._blank, self._sentinel = m.blank, m.n_symbols
         self._tape = [self._sentinel] * (4 * self._MARGIN + 1)
         self._origin = self._pos = 2 * self._MARGIN
@@ -436,7 +430,9 @@ class FlatRun:
                 for i in range(n):
                     tape[p], d, q = cells[q][tape[p]]
                     p += d
-            except TypeError:  # unpacking None: the Halt cell, one step
+            except TypeError:
+                # unpacking None, the Halt cell, one step: a validated
+                # table has int fields only, so nothing else raises it
                 done += i + 1
                 self.halted = True
             else:

@@ -192,8 +192,8 @@ def test_check_sim_mismatch_exits_one_with_typed_fields(capsys,
     mismatch keeps its ints and strings as they are."""
     m152 = machines.builtin_m152()
     q = m152.state_index("rewind_sim")
-    tr = m152.transition(q, 0)
-    bad = m152.with_cell(q, 0, Transition(tr.write, R, tr.next_state))
+    w, _, q2 = m152.transition(q, 0)
+    bad = m152.with_cell(q, 0, Transition(w, R, q2))
     monkeypatch.setattr(machines, "builtin_m152", lambda: bad)
     code, out, _ = run_cli(capsys, "--format", "json", "check-sim",
                            "--steps", "100")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bblab import machines, tm
+from bblab import machines, search, tm
 from bblab.errors import ParseError, ValidationError
 from bblab.machines import (BUILTIN_NAMES, builtin, parse_compact,
                             parse_machine, serialize_machine)
@@ -30,8 +30,7 @@ def test_parse_good_machine():
     assert m.blank == 3
     assert m.states == ("go", "stop")
     assert m.init == 0
-    tr = m.transition(0, 1)
-    assert (tr.write, tr.move, tr.next_state) == (2, "L", 1)
+    assert m.transition(0, 1) == tm.Transition(2, "L", 1) == (2, -1, 1)
     assert m.transition(0, 2) is tm.HALT
 
 
@@ -117,6 +116,21 @@ def test_parse_compact_rejects_bad_rows():
         parse_compact("1RB1LZ_1RA1RA")       # unknown state letter
     with pytest.raises(ValidationError):
         parse_compact("1UB1LA_1RA1RA")       # bad move
+
+
+def test_cells_are_exact_tuples():
+    """Every cell the steppers read is None or an exact tuple (write,
+    delta, next state) with delta -1 or +1: CPython unpacks an exact tuple
+    on its fast path and a tuple subclass on the generic one."""
+    tables = [builtin(name) for name in BUILTIN_NAMES]
+    tables.append(parse_compact("1RB1LC_1RC1RB_1RD0LE_1LA1LD_---0LA"))
+    tables += search.enumerate_and_classify(2, 2, 100).champions
+    for m in tables:
+        for row in m.table:
+            assert type(row) is tuple
+            for tr in row:
+                assert tr is None or (type(tr) is tuple and len(tr) == 3
+                                      and tr[1] in (-1, 1)), (m.name, tr)
 
 
 def test_builtin_lookup():

@@ -229,8 +229,7 @@ def _reversed_alphabet(m):
     k = m.n_symbols
 
     def rename(tr):
-        return tr if tr is HALT else Transition(k - 1 - tr.write, tr.move,
-                                                tr.next_state)
+        return tr if tr is HALT else (k - 1 - tr[0], tr[1], tr[2])
 
     table = tuple(tuple(map(rename, reversed(row))) for row in m.table)
     return tm.MachineTable(m.name, m.symbols[::-1], k - 1 - m.blank,
@@ -613,7 +612,7 @@ def test_regular_closure_decider():
 
 def _fresh_pass(m, budget):
     """The decider pass on `m` from the blank tape."""
-    return search._run_deciders(tm.compile_cells(m), budget,
+    return search._run_deciders(m.table, budget,
                                 search._SavedRun.start(m.init, m.blank))
 
 
@@ -642,33 +641,6 @@ def test_decider_pass_memory_stays_small():
         tracemalloc.stop()
     assert out == (None, None)
     assert peak < 8 * 2 ** 20
-
-
-@pytest.mark.parametrize("table, budget, steps", [
-    ("bb4", 1000, 107),          # halts within the budget
-    ("bouncer", 500, 500),       # reaches the budget
-])
-def test_decider_pass_compiles_its_table_once(monkeypatch, table, budget,
-                                              steps):
-    """classify compiles the table once, for the escape check and the
-    pass alike, whether the pass halts or reaches the budget; the closure
-    search, stubbed out here, builds its own from the MachineTable."""
-    m = machines.parse_machine(BB4 if table == "bb4" else BOUNCER,
-                               name=table)
-    calls = []
-    compile_cells = tm.compile_cells
-
-    def counted(machine):
-        calls.append(machine)
-        return compile_cells(machine)
-
-    monkeypatch.setattr(tm, "compile_cells", counted)
-    monkeypatch.setattr(search, "compile_cells", counted)
-    monkeypatch.setattr(search, "decide_regular_closure", lambda m: None)
-    out = classify(m, budget)
-    assert calls == [m]
-    # the case it names
-    assert out.status == ("undecided" if steps == budget else "halts")
 
 
 # Eleven (2,3) bouncers that outlast budget 100 and on which none of the
@@ -1012,7 +984,7 @@ def test_decider_pass_steps_are_pinned(n, k, budget, reduced, steps):
 def test_escapes_per_target_state_match_each_branch(monkeypatch, n, k,
                                                     budget):
     """At every branch point of the tree the escape check runs once per
-    target state on the compiled table; its verdict equals decide_escape
+    target state on the parent's cells; its verdict equals decide_escape
     on each branch into that state built in full, whatever the branch
     writes and wherever it moves, and each certificate revalidates on
     every such branch."""

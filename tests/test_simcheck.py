@@ -73,7 +73,6 @@ def test_time_scale_values(transcript):
     assert transcript.time_scale(16) == 35
     assert transcript.time_scale(17) == 38
     assert transcript.time_scale(333) == 741
-    assert simcheck.time_scale(transcript, 5) == 10
 
 
 def test_time_scale_is_strictly_increasing(transcript):
@@ -139,9 +138,8 @@ def test_encoding_label_a_machine_lacks_is_rejected(big, small, words):
 def test_corrupted_big_cell_is_detected(big, small):
     """Misdirecting an exercised transition derails the coupling quickly."""
     q = big.state_index("rewind_sim")
-    tr = big.transition(q, 0)
-    bad = big.with_cell(q, 0, Transition(1 - tr.write, tr.move,
-                                         tr.next_state))
+    w, d, q2 = big.transition(q, 0)
+    bad = big.with_cell(q, 0, (1 - w, d, q2))
     out = verify_simulation(bad, small, DEFAULT_ENCODING, 1000)
     assert not out.ok
     assert out.status == "mismatch"
@@ -154,9 +152,8 @@ def test_corrupted_big_cell_is_detected(big, small):
 
 def test_corrupted_next_state_is_detected(big, small):
     q = big.state_index("mul2_F_sim")
-    tr = big.transition(q, 0)
-    bad = big.with_cell(q, 0, Transition(tr.write, tr.move,
-                                         big.state_index("rewind_b")))
+    w, d, _ = big.transition(q, 0)
+    bad = big.with_cell(q, 0, (w, d, big.state_index("rewind_b")))
     out = verify_simulation(bad, small, DEFAULT_ENCODING, 1000)
     assert not out.ok
     assert out.mismatch == {"n": 7, "f": 14, "kind": "tape cell 0",
@@ -285,8 +282,8 @@ def test_a_digit_step_reading_the_block_behind_is_not_swept(big, small):
     neither digit is a sweep symbol.  The step fails at rewind's first
     such digit, step 23, before any sweep, as in the reference."""
     q = big.state_index("rewind_sim")
-    tr = big.transition(q, 0)
-    bad = big.with_cell(q, 0, Transition(tr.write, R, tr.next_state))
+    w, _, q2 = big.transition(q, 0)
+    bad = big.with_cell(q, 0, Transition(w, R, q2))
     for n_max in (22, 23, 2000):
         t = _assert_matches_reference(bad, small, n_max)
         assert t.sweeps == 0
@@ -445,11 +442,9 @@ def test_a_step_leaving_the_window_is_checked_on_wider_cells(big, small):
     small's head in the direction its key entered, so the step ran on
     the wider cells of a step taken alone."""
     q, r = big.state_index("mul2_G_extra"), big.state_index("rewind_a")
-    tq, tr = big.transition(q, 0), big.transition(r, 1)
-    bad = big.with_cell(q, 0, Transition(tq.write, L if tq.move == R else R,
-                                         tq.next_state))
-    bad = bad.with_cell(r, 1, Transition(1 - tr.write, tr.move,
-                                         tr.next_state))
+    (wq, dq, q2), (wr, dr, r2) = big.transition(q, 0), big.transition(r, 1)
+    bad = big.with_cell(q, 0, (wq, -dq, q2))
+    bad = bad.with_cell(r, 1, (1 - wr, dr, r2))
     t = _assert_matches_reference(bad, small, 2000)
     n = t.mismatch["n"]
     assert t.mismatch == {"n": 35, "f": 80, "kind": "tape cell 1",

@@ -343,7 +343,7 @@ _WIDE_BOUNCER = machines.parse_compact("0RB1RD_1RC---_1LA1RC_1LB1LD")
 @example(_WIDE_BOUNCER, 0, 0, 2000)
 @settings(max_examples=300, deadline=None)
 def test_decider_pass_verdict_agrees_with_tm_step(m, blank, init, budget):
-    """search._run_deciders steps the compiled table on a list of its own
+    """search._run_deciders steps the table's cells on a list of its own
     and returns plain values.  A halt at step t comes with the run saved
     before step t, whose cell is the (state, symbol) tm.step halts on at
     step t; (None, None) means tm.step is still running at the budget; a
@@ -351,7 +351,7 @@ def test_decider_pass_verdict_agrees_with_tm_step(m, blank, init, budget):
     certificate's t2, which is at most the budget."""
     m = _relabelled(m, blank, init)
     verdict, fork = search._run_deciders(
-        tm.compile_cells(m), budget, search._SavedRun.start(m.init, m.blank))
+        m.table, budget, search._SavedRun.start(m.init, m.blank))
     cell = fork and fork.cell
     c = tm.initial_configuration(m)
     if verdict is None:
@@ -417,11 +417,15 @@ def test_with_cell_equals_the_constructed_table(two_stepper, tr):
 
 
 @pytest.mark.parametrize("tr", [(1, R, 0), Transition(2, R, 0),
-                                Transition(-1, R, 0), Transition(0, "U", 0),
-                                Transition(0, R, 2), Transition(0, L, -1)],
+                                Transition(-1, R, 0), (0, 0, 0),
+                                Transition(0, R, 2), Transition(0, L, -1),
+                                (1.0, 1, 0), (0, 1.0, 0), (0, 1, True),
+                                [0, 1, 0]],
                          ids=["not-a-transition", "write-too-big",
                               "write-negative", "bad-move",
-                              "next-state-too-big", "next-state-negative"])
+                              "next-state-too-big", "next-state-negative",
+                              "float-write", "float-delta",
+                              "bool-next-state", "list-cell"])
 def test_with_cell_rejects_a_bad_cell_as_the_constructor_does(two_stepper,
                                                               tr):
     with pytest.raises(ValidationError) as built:
@@ -435,6 +439,16 @@ def test_with_cell_rejects_a_bad_cell_as_the_constructor_does(two_stepper,
     assert two_stepper.transition(1, 0) == Transition(1, L, 0)
 
 
+def test_machine_table_rejects_rows_that_are_not_tuples(two_stepper):
+    """The steppers extend each row with `row + (row[blank],)`, so a list
+    row or table is rejected up front."""
+    rows = two_stepper.table
+    for table in ((list(rows[0]), rows[1]), list(rows)):
+        with pytest.raises(ValidationError):
+            MachineTable(name="bad", symbols=two_stepper.symbols, blank=0,
+                         states=two_stepper.states, init=0, table=table)
+
+
 def test_window_str_uses_symbol_labels(two_stepper):
     c = tm.initial_configuration(two_stepper)
     tm.step(two_stepper, c)
@@ -445,10 +459,14 @@ def test_window_str_uses_symbol_labels(two_stepper):
 
 def test_moves_are_left_and_right_only():
     assert {L, R} == {"L", "R"}
+    assert (Transition(1, L, 0), Transition(1, R, 0)) == ((1, -1, 0),
+                                                          (1, 1, 0))
+    with pytest.raises(ValidationError):
+        Transition(0, "U", 0)
     with pytest.raises(ValidationError):
         MachineTable(name="bad", symbols=("0", "1"), blank=0,
                      states=("A",), init=0,
-                     table=((Transition(0, "U", 0), HALT),))
+                     table=(((0, 0, 0), HALT),))
 
 
 def test_halt_cells_survive_copying(two_stepper):
