@@ -149,7 +149,8 @@ def cmd_check_sim(args) -> int:
     payload["stats"] = {"window_runs": transcript.window_runs,
                         "replays": transcript.replays,
                         "sweeps": transcript.sweeps,
-                        "small_steps_per_s": transcript.small_steps_per_s}
+                        "small_steps_per_s": transcript.small_steps_per_s,
+                        "compression": transcript.compression}
     _emit(args, payload, lines)
     return 0 if transcript.ok else 1
 

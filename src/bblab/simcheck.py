@@ -36,23 +36,29 @@ step depends on the symbol alone.  After replaying a window run made
 only of sweep steps of one key, the verifier finds (`bytearray.find`)
 where the cells ahead stop holding that key's sweep symbols, and
 records the stretch between at once: the key throughout, and the cells
-in the order visited as read symbols.  To 10^6 steps this takes 1,139 window runs, 128,401 replays
-and 1,867 sweeps, against 1,141 window runs and 250,315 replays
-without sweeps.
+in the order visited as read symbols.  To 10^6 steps this takes 1,139
+window runs, 128,401 replays and 1,867 sweeps, against 1,141 window runs
+and 250,315 replays without sweeps.
 
 The transcript is one append-only bytearray log of (key, read symbol)
-byte pairs, one per step: a replay appends its cached record, a sweep
+byte pairs, 2 bytes a step: a replay appends its cached record, a sweep
 its stretch interleaved with its key, and a step taken alone its two
-bytes.  The int8 arrays `keys` and `sigmas` are views of the log's even
-and odd bytes.  A step's cost follows from its key and read symbol, and
-small's move from the next key, so the int64 arrays `f` and `heads` are
-built from the log at the end.
+bytes.  f(n) at the last verified step is a running total: each cached
+window run carries its cost, a step taken alone adds its own, and a
+sweep adds, for each of its key's sweep symbols, that symbol's cost
+times its count in the stretch.  Small's head there is its place on
+the shared tape.  The int8 arrays `keys` and `sigmas` are views of the
+log's even and odd bytes.  A step's cost follows from its key and read
+symbol, and small's move from the next key, so the int64 arrays `f` and
+`heads`, 8 bytes a step each, are built from the log on first access.
+numpy serves only these four arrays.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,13 +148,22 @@ def step_cost(key: tuple[str, str], symbol: str) -> int:
             "machine entered a combination the proof excludes") from None
 
 
+# Small's head move into each key.
+_MOVES = np.array([1 if d == R else -1 for _, d in K], np.int64)
+
+
 @dataclass
 class SimulationTranscript:
-    """Per-step record of a bounded lockstep verification.
+    """Record of a bounded lockstep verification.
 
-    `f[n]` is the big-machine step paired with small step n; `keys`,
-    `sigmas` and `heads` record k_n (as an index into K), the read symbol
-    index and the small head position for each verified step.
+    `log` holds two bytes per small step n, k_n (as an index into K) and
+    the read symbol index.  `big_steps` is f(n_verified), the big-machine
+    step paired with small step n_verified, and `head` small's head
+    there; the run keeps both as it goes.  `costs[k, sigma]` is the big
+    steps a small step takes.  `keys` and `sigmas` are views of the log,
+    and the per-step arrays `f` and `heads` are built from it on first
+    access.  A mismatch step that was never recorded (`unrecorded`) is 0
+    in every array.
     `window_runs` counts the window runs computed, one per distinct key
     and window met, `replays` the runs applied to the tape, each of one
     or more steps, and `sweeps` the stretches of sweep steps crossed in
@@ -157,11 +172,12 @@ class SimulationTranscript:
 
     status: str  # "verified" | "both-halted" | "mismatch"
     n_verified: int
-    f: np.ndarray
-    keys: np.ndarray
-    sigmas: np.ndarray
-    heads: np.ndarray
+    log: bytearray = field(repr=False)
+    big_steps: int
+    head: int
+    costs: np.ndarray = field(repr=False)
     mismatch: dict | None = None
+    unrecorded: bool = False
     window_runs: int = 0
     replays: int = 0
     sweeps: int = 0
@@ -172,14 +188,54 @@ class SimulationTranscript:
         return self.n_verified / self.seconds if self.seconds else 0.0
 
     @property
+    def compression(self) -> float:
+        """Small steps per replay or sweep; 0.0 for a run of neither."""
+        moves = self.replays + self.sweeps
+        return self.n_verified / moves if moves else 0.0
+
+    @property
     def ok(self) -> bool:
         return self.status in ("verified", "both-halted")
 
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return np.frombuffer(self.log, np.int8)[0::2]
+
+    @cached_property
+    def sigmas(self) -> np.ndarray:
+        return np.frombuffer(self.log, np.int8)[1::2]
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        """f[n]: the big-machine step paired with small step n."""
+        f = np.zeros(len(self.keys), np.int64)
+        f[1:] = self.keys[:-1]
+        f[1:] *= self.costs.shape[1]
+        f[1:] += self.sigmas[:-1]
+        return self._sum_steps(f, self.costs.ravel())
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """heads[n]: small's head at step n."""
+        heads = np.zeros(len(self.keys), np.int64)
+        heads[1:] = self.keys[1:]
+        return self._sum_steps(heads, _MOVES)
+
+    def _sum_steps(self, out, table):
+        """Look each index in out[1:] up in `table` in place (mode "clip"
+        writes `out` unbuffered; every index is in range), and sum."""
+        table.take(out[1:], mode="clip", out=out[1:])
+        np.cumsum(out, out=out)
+        if self.unrecorded:
+            out[-1] = 0
+        return out
+
     def time_scale(self, n: int) -> int:
-        if not 0 <= n < len(self.f):
+        records = len(self.log) // 2
+        if not 0 <= n < records:
             raise OutOfRange(f"step {n} beyond verified range "
-                             f"0..{len(self.f) - 1}")
-        return int(self.f[n])
+                             f"0..{records - 1}")
+        return self.big_steps if n == self.n_verified else int(self.f[n])
 
     def summary(self) -> str:
         if self.ok:
@@ -251,6 +307,8 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                 row.append((costs[sigma], w, delta,
                             key_code.get((q2, R if delta > 0 else L)), q2))
         plans.append(row)
+    costs = np.array([[0 if plan is None else plan[0] for plan in row]
+                      for row in plans], np.int64)
     b_cells = big.table
 
     def step(key, cells, p, base=0):
@@ -321,13 +379,13 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                         2 * base + bp)
         return stop, cells, next_key, p
 
-    # Per key: its sweep symbols (see the module docstring), and the
-    # other symbols, which end a sweep.
+    # Per key: its sweep symbols (see the module docstring) with their
+    # costs, and the other symbols, which end a sweep.
     sweep, stops = [], []
     n_symbols = len(small.symbols)
     for code, row in enumerate(plans):
         ahead = 1 if K[code][1] == R else -1
-        symbols = set()
+        symbols = {}
         for sigma, plan in enumerate(row):
             if plan is None or plan[1] != sigma or plan[3] != code:
                 continue
@@ -337,7 +395,7 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                 if out is None or out[0] is not None:
                     break
             else:
-                symbols.add(sigma)
+                symbols[sigma] = plan[0]
         sweep.append(symbols)
         stops.append([s for s in range(n_symbols) if s not in symbols])
 
@@ -345,10 +403,10 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         """The steps from `key` with small's head on cells[p] while each
         passes every check on `cells` alone, at most `limit` of them:
         (steps, cells, key and small's head movement after them, each
-        step's key and read symbol as two bytes, and whether every step
-        is a sweep step of the first key)."""
+        step's key and read symbol as two bytes, whether every step is a
+        sweep step of the first key, and the big steps they cost)."""
         rec = bytearray()
-        start, first, swept = p, key, True
+        start, first, swept, cost = p, key, True, 0
         while len(rec) < 2 * limit:
             out = step(key, cells, p)
             if out is None or out[0] is not None:
@@ -356,18 +414,16 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             sigma = cells[p]
             swept = swept and key == first and sigma in sweep[first]
             rec += bytes((key, sigma))
+            cost += plans[key][sigma][0]
             _, cells, key, p = out
         return (len(rec) // 2, cells, key, p - start, bytes(rec),
-                swept and bool(rec))
+                swept and bool(rec), cost)
 
     # The transcript log: step n's key and read symbol at bytes 2n and
-    # 2n + 1.  Its cost is cost_of[key * n_symbols + symbol], and small's
-    # move is the direction of key n + 1, so f and heads are their sums,
-    # taken at the end.
+    # 2n + 1.  `big_steps` sums the costs of the steps before the last
+    # record.
     log = bytearray()
-    cost_of = np.array([0 if plan is None else plan[0]
-                        for row in plans for plan in row], np.int64)
-    move_of = np.array([1 if d == R else -1 for _, d in K], np.int64)
+    big_steps = 0
 
     # One tape for both machines: t[i] is small's symbol at cell
     # i - origin, and big's block i is its encoding.  Between runs
@@ -389,46 +445,21 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     runs = {}
     window_runs = replays = sweeps = 0
 
-    def transcript(status, n_verified):
-        """The transcript of the records in the log."""
-        records = np.frombuffer(log, np.int8)
-        keys, sigmas = records[0::2], records[1::2]
-        f, heads = (np.zeros(len(keys), np.int64) for _ in range(2))
-        # each step's cost and move, looked up in place (mode "clip"
-        # writes `out` unbuffered; every index is in range), then summed
-        f[1:] = keys[:-1]
-        f[1:] *= n_symbols
-        f[1:] += sigmas[:-1]
-        heads[1:] = keys[1:]
-        for out, table in ((f, cost_of), (heads, move_of)):
-            table.take(out[1:], mode="clip", out=out[1:])
-            np.cumsum(out, out=out)
+    def transcript(status, n_verified, head, mismatch=None,
+                   unrecorded=False):
         return SimulationTranscript(
-            status=status, n_verified=n_verified, f=f, keys=keys,
-            sigmas=sigmas, heads=heads, window_runs=window_runs,
+            status=status, n_verified=n_verified, log=log,
+            big_steps=big_steps, head=head, costs=costs, mismatch=mismatch,
+            unrecorded=unrecorded, window_runs=window_runs,
             replays=replays, sweeps=sweeps,
             seconds=time.perf_counter() - started)
 
-    def fail(n, kind, expected, actual, spent=None):
-        """Mismatch at step n, the last record in the log.  `spent` is the
-        big steps that small's step n - 1 took before failing, None when
-        step n was recorded; else step n is left at 0 in every array."""
-        if spent is not None:
-            log.extend(bytes(2))
-        out = transcript("mismatch", max(n - 1, 0))
-        if spent is None:
-            f = out.f[n]
-        else:
-            f = out.f[n - 1] + spent
-            out.f[n] = out.heads[n] = 0
-        out.mismatch = {"n": n, "f": int(f), "kind": kind,
-                        "expected": expected, "actual": actual}
-        return out
-
     if big.init != h_state[key]:
         log += bytes((key, small.blank))
-        return fail(0, "state", big.states[h_state[key]],
-                    big.states[big.init])
+        return transcript("mismatch", 0, 0, {
+            "n": 0, "f": 0, "kind": "state",
+            "expected": big.states[h_state[key]],
+            "actual": big.states[big.init]})
 
     n = 0
     while n < n_max:
@@ -456,14 +487,20 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                     raise UnknownKey(f"{actual} at step {n + 1}")
                 log += rec
                 if kind == "both-halted":
-                    return transcript("both-halted", n)
-                if kind in ("state", "head"):
-                    log += bytes((next_key, cells[p]))
-                    spent = None
-                return fail(n + 1, kind, expected, actual, spent)
-            run = 1, cells, next_key, p - _REACH, rec, t[sp] in sweep[key]
-        k, cells, next_key, move, rec, swept = run
+                    return transcript("both-halted", n, sp - origin)
+                # a state or head mismatch is found at step n + 1 itself;
+                # any other ends step n before there is a step n + 1
+                recorded = kind in ("state", "head")
+                log += bytes((next_key, cells[p])) if recorded else bytes(2)
+                return transcript("mismatch", n, sp - origin, {
+                    "n": n + 1, "f": big_steps + spent, "kind": kind,
+                    "expected": expected, "actual": actual},
+                    unrecorded=not recorded)
+            run = (1, cells, next_key, p - _REACH, rec, t[sp] in sweep[key],
+                   plans[key][t[sp]][0])
+        k, cells, next_key, move, rec, swept, cost = run
         replays += 1
+        big_steps += cost
         t[x:x + len(cells)] = cells
         log += rec
         n += k
@@ -498,7 +535,9 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                 i = len(log)
                 log += key_byte[key] * (2 * len(stretch))
                 log[i + 1::2] = stretch
+                for s, cost in sweep[key].items():
+                    big_steps += cost * stretch.count(s)
                 n += len(stretch)
                 sp = end
     log += bytes((key, t[sp]))
-    return transcript("verified", n_max)
+    return transcript("verified", n_max, sp - origin)

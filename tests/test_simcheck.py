@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,11 @@ def test_transcript_records_per_step_data(transcript):
     assert transcript.heads[0] == 0
 
 
+# Digest of f, keys, sigmas and heads to n = 10^5.
+_PINNED_DIGEST = ("fb0adef623e821d5a359b766c22fce69"
+                  "f2bdc5e8390da9609d0e0d6c56bf9c2d")
+
+
 def _digest(t):
     h = hashlib.sha256()
     for a in (t.f, t.keys, t.sigmas, t.heads):
@@ -249,16 +255,36 @@ def test_transcript_arrays_are_pinned(long_transcript):
     assert t.status == "verified" and t.n_verified == 100_000
     assert [a.dtype for a in (t.f, t.keys, t.sigmas, t.heads)] == [
         np.int64, np.int8, np.int8, np.int64]
-    assert _digest(t) == ("fb0adef623e821d5a359b766c22fce69"
-                          "f2bdc5e8390da9609d0e0d6c56bf9c2d")
+    assert _digest(t) == _PINNED_DIGEST
+
+
+def test_a_transcript_builds_its_int64_arrays_on_first_access(big, small):
+    """To n = 10^5 the verification allocates at most 1 MiB at its peak
+    (0.46-0.48 MiB, with a 2-byte-a-step log; 2.04 MiB when f and heads
+    were built with every run).  f(n_verified), the summary and small's head
+    come from running totals, and `f` and `heads`, built when first read,
+    give the pinned digest."""
+    tracemalloc.start()
+    try:
+        t = verify_simulation(big, small, DEFAULT_ENCODING, 100_000)
+        assert t.summary() == "verified to n = 100000, f(100000) = 217198"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not {"f", "heads"} & vars(t).keys()
+    assert (t.big_steps, t.head) == (217198, 116)
+    assert _digest(t) == _PINNED_DIGEST
 
 
 def test_window_runs_replays_and_sweeps_are_pinned(long_transcript):
     """To n = 10^5 the verifier computes 1,007 window runs and replays
     13,600; the 458 sweeps take the rest of each rewind and find_2 pass
-    (1,056 window runs and 25,097 replays without sweeps)."""
+    (1,056 window runs and 25,097 replays without sweeps), 7.11 small
+    steps per replay or sweep."""
     t = long_transcript
     assert (t.window_runs, t.replays, t.sweeps) == (1007, 13600, 458)
+    assert t.compression == 100_000 / 14_058
 
 
 def test_a_sweep_cut_short_by_n_max_agrees_with_the_reference(big, small):
@@ -410,6 +436,14 @@ def _assert_matches_reference(big, small, n_max):
                                                                 n_max)
     assert (t.status, t.n_verified, t.mismatch) == (status, n_verified,
                                                     mismatch)
+    # the running totals, and the range of time_scale
+    f, heads = arrays[0], arrays[3]
+    assert t.time_scale(n_verified) == f[n_verified]
+    assert t.head == heads[n_verified]
+    for n in (-1, len(f)):
+        with pytest.raises(OutOfRange, match=rf"^step {n} beyond verified "
+                                             rf"range 0\.\.{len(f) - 1}$"):
+            t.time_scale(n)
     for got, want in zip((t.f, t.keys, t.sigmas, t.heads), arrays):
         assert got.tolist() == want
     return t
