@@ -150,7 +150,8 @@ def cmd_check_sim(args) -> int:
                         "replays": transcript.replays,
                         "sweeps": transcript.sweeps,
                         "small_steps_per_s": transcript.small_steps_per_s,
-                        "compression": transcript.compression}
+                        "compression": transcript.compression,
+                        "passes": transcript.passes}
     _emit(args, payload, lines)
     return 0 if transcript.ok else 1
 

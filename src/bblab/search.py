@@ -132,9 +132,12 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     rewind = m54.state_index("rewind")
     blank = m54.blank
     run = FlatRun(m54)
-    # symbol index -> its digit character, "x" (no base-3 digit) otherwise
+    # symbol index -> its digit character, "x" (no base-3 digit) otherwise,
+    # also as a bytes.translate table when every index fits a byte
     numeral = [label if label in ("0", "1", "2") else "x"
                for label in m54.symbols]
+    table = (None if len(numeral) > 256
+             else "".join(numeral).encode().ljust(256, b"x"))
     powers = ternary.power_of_two_lengths()
     for n in range(n_max + 1):
         power, length = next(powers)
@@ -155,7 +158,10 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
         end = sep + 1 + length
         digits = cells[sep + 1:end]
         digits += [blank] * (length - len(digits))
-        text = "".join([numeral[s] for s in digits])
+        if table is None:
+            text = "".join([numeral[s] for s in digits])
+        else:
+            text = bytes(digits).translate(table).decode()
         if "x" in text or ternary.lsf_to_int(text) != power:
             expected = ternary.TernaryNumber.from_int(power).lsf_str()
             for i, (d, sym) in enumerate(zip(expected, digits),

@@ -26,31 +26,42 @@ meets the same cells again.  A step that would leave the window, fail a
 check or halt goes alone through the same step function, on cells wide
 enough for any step, which reports the mismatch.
 
-Half of the 4-symbol machine's steps are passes over the digits that
-rewrite each digit and keep the key, so the verifier also collapses
-such a pass into one bulk step.  A key's sweep symbols are those whose
-step writes the symbol back and keeps the key, and which the step
-function, run once per call on the symbol beside each possible
-neighbour ahead and with no cell behind, passes with every check: that
-step depends on the symbol alone.  After replaying a window run made
-only of sweep steps of one key, the verifier finds (`bytearray.find`)
-where the cells ahead stop holding that key's sweep symbols, and
-records the stretch between at once: the key throughout, and the cells
-in the order visited as read symbols.  To 10^6 steps this takes 1,139
-window runs, 128,401 replays and 1,867 sweeps, against 1,141 window runs
-and 250,315 replays without sweeps.
+All but about 1% of the 4-symbol machine's steps are passes over the
+digits, so the verifier also crosses such a pass in bulk.  A key's pass
+steps are the (key, symbol) steps that move the way the key entered, to
+a key entered the same way, and which the step function, run once per
+call on the symbol beside each possible neighbour ahead and with no cell
+behind, passes with every check: such a step depends on the symbol
+alone.  A pass from a key runs over the symbols that are pass steps of
+every key its pass steps reach, and `bytearray.find` locates the first
+other symbol, where it ends.  For rewind, and for the doubling keys
+mul2_F and mul2_G, that is the blank; find_2 reaches check_halt, which
+has no pass steps, so it takes no pass.  Where a key writes each of its
+pass symbols back and keeps itself, as rewind does, the stretch is a
+sweep, recorded at once: the key throughout, and the cells in the order
+visited as read symbols.  The doubling passes rewrite every digit and
+switch between two keys, so they are crossed `C` cells at a time: each
+chunk is looked up in a per-key table of crossings (the cells written,
+the log record, the key after and the cost), each built from the pass
+steps when first met.  After each replay the verifier takes the pass
+from small's head if the symbol there continues one.  To 10^6 steps
+this takes 114 window runs and 4,333 replays (8,847 steps), 1,249
+sweeps (493,207 steps) and 1,257 passes (497,946 steps), against 1,139
+window runs, 128,401 replays and 1,867 sweeps with `W` = 5 and no
+passes.
 
 The transcript is one append-only bytearray log of (key, read symbol)
 byte pairs, 2 bytes a step: a replay appends its cached record, a sweep
-its stretch interleaved with its key, and a step taken alone its two
-bytes.  f(n) at the last verified step is a running total: each cached
-window run carries its cost, a step taken alone adds its own, and a
-sweep adds, for each of its key's sweep symbols, that symbol's cost
-times its count in the stretch.  Small's head there is its place on
-the shared tape.  The int8 arrays `keys` and `sigmas` are views of the
-log's even and odd bytes.  A step's cost follows from its key and read
-symbol, and small's move from the next key, so the int64 arrays `f` and
-`heads`, 8 bytes a step each, are built from the log on first access.
+its stretch interleaved with its key, a pass its chunks' records, and a
+step taken alone its two bytes.  f(n) at the last verified step is a
+running total: each cached window run and each chunk crossing carries
+its cost, a step taken alone adds its own, and a sweep adds, for each
+of its key's pass symbols, that symbol's cost times its count in the
+stretch.  Small's head there is its place on the shared tape.  The int8
+arrays `keys` and `sigmas` are views of the log's even and odd bytes.
+A step's cost follows from its key and read symbol, and small's move
+from the next key, so the int64 arrays `f` and `heads`, 8 bytes a step
+each, are built from the log on first access.
 numpy serves only these four arrays.
 """
 
@@ -108,13 +119,19 @@ STEP_COSTS = {
     ("rewind", R): {"#": 2},
 }
 
-# Cells in a window run.  To 10^6 steps of m54 (2-vCPU Xeon, Python
-# 3.11, CPU time, best of 3 in each of 5 processes) W = 5 took 1,139
-# window runs, 128,401 replays and 1,867 sweeps in 0.10-0.11 s.  W = 4
-# took 0.12-0.21 s (169,294 replays), W = 6 0.11-0.13 s with 2,882
-# window runs, and W = 8 meets so many distinct windows (15,326 runs)
-# that it took 0.37-0.44 s.
-W = 5
+# Cells in a window run.  With passes, window runs take only the steps
+# between passes and sweeps.  `bblab check-sim` for 5, 16, 333 and 10^6
+# steps, in one fresh process (2-vCPU Xeon, Python 3.11, CPU time, 10
+# processes each, median and range) took 61 ms (56-102) with W = 4 (114
+# window runs and 4,333 replays to 10^6), 66 ms (59-106) with W = 5
+# (270 and 4,093) and 73 ms (63-105) with W = 6 (594 and 3,954).
+W = 4
+
+# Cells a pass crosses at a time.  Measured as for W (8 processes each,
+# fastest run): C = 6 took 61 ms, building 1,745 crossings to 10^6;
+# C = 5 68 ms, C = 7 69 ms (4,842 crossings) and C = 8 110 ms (13,594),
+# as the crossings met grow as 3^C.
+C = 6
 
 # Cells a single step can use on either side of small's head: big starts
 # at 2i or 2i + 1 and moves at most one cell per micro-step.
@@ -152,6 +169,27 @@ def step_cost(key: tuple[str, str], symbol: str) -> int:
 _MOVES = np.array([1 if d == R else -1 for _, d in K], np.int64)
 
 
+class _Crossings(dict):
+    """Passes from one key, by the cells crossed in the order visited:
+    (the cells written, each step's key and read symbol as two bytes,
+    the key after them, and the big steps they cost), each computed from
+    `pass_steps[key][symbol]`, (write, next key, cost), when first met."""
+
+    def __init__(self, pass_steps, key):
+        self.pass_steps, self.key = pass_steps, key
+
+    def __missing__(self, cells):
+        key, written, rec, cost = self.key, bytearray(), bytearray(), 0
+        for sigma in cells:
+            w, next_key, c = self.pass_steps[key][sigma]
+            written.append(w)
+            rec += bytes((key, sigma))
+            cost += c
+            key = next_key
+        self[cells] = crossing = bytes(written), bytes(rec), key, cost
+        return crossing
+
+
 @dataclass
 class SimulationTranscript:
     """Record of a bounded lockstep verification.
@@ -166,8 +204,9 @@ class SimulationTranscript:
     in every array.
     `window_runs` counts the window runs computed, one per distinct key
     and window met, `replays` the runs applied to the tape, each of one
-    or more steps, and `sweeps` the stretches of sweep steps crossed in
-    one bulk step each.
+    or more steps, `sweeps` the stretches of sweep steps crossed in one
+    bulk step each, and `passes` the stretches of pass steps crossed in
+    chunks of `C` cells.
     """
 
     status: str  # "verified" | "both-halted" | "mismatch"
@@ -181,6 +220,7 @@ class SimulationTranscript:
     window_runs: int = 0
     replays: int = 0
     sweeps: int = 0
+    passes: int = 0
     seconds: float = 0.0  # wall time of the verification
 
     @property
@@ -189,8 +229,8 @@ class SimulationTranscript:
 
     @property
     def compression(self) -> float:
-        """Small steps per replay or sweep; 0.0 for a run of neither."""
-        moves = self.replays + self.sweeps
+        """Small steps per replay, sweep or pass; 0.0 for a run of none."""
+        moves = self.replays + self.sweeps + self.passes
         return self.n_verified / moves if moves else 0.0
 
     @property
@@ -379,45 +419,62 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                         2 * base + bp)
         return stop, cells, next_key, p
 
-    # Per key: its sweep symbols (see the module docstring) with their
-    # costs, and the other symbols, which end a sweep.
-    sweep, stops = [], []
+    # Per key: its pass steps, sigma -> (write, next key, cost).  A pass
+    # step moves the way the key entered, to a key entered the same way,
+    # and the step function, run on the symbol beside each possible
+    # neighbour ahead and with no cell behind, passes it with every check:
+    # the step depends on the symbol alone.
     n_symbols = len(small.symbols)
+    ahead = [1 if d == R else -1 for _, d in K]
+    pass_steps = []
     for code, row in enumerate(plans):
-        ahead = 1 if K[code][1] == R else -1
-        symbols = {}
+        steps = {}
         for sigma, plan in enumerate(row):
-            if plan is None or plan[1] != sigma or plan[3] != code:
+            if plan is None or plan[2] != ahead[code]:
                 continue
             for nu in range(n_symbols):
-                cells = bytearray((sigma, nu)[::ahead])
-                out = step(code, cells, 0 if ahead > 0 else 1)
+                cells = bytearray((sigma, nu)[::ahead[code]])
+                out = step(code, cells, 0 if ahead[code] > 0 else 1)
                 if out is None or out[0] is not None:
                     break
             else:
-                symbols[sigma] = plan[0]
-        sweep.append(symbols)
-        stops.append([s for s in range(n_symbols) if s not in symbols])
+                steps[sigma] = plan[1], plan[3], plan[0]
+        pass_steps.append(steps)
+    # A pass from a key crosses the symbols that are pass steps of every
+    # key its pass steps reach; `ends[key]` holds the other symbols.  A
+    # key whose pass steps all write the symbol back and keep the key
+    # sweeps: its pass is crossed at once.
+    ends, sweeping = [], []
+    for code in range(len(K)):
+        reach, todo = set(), [code]
+        while todo:
+            k = todo.pop()
+            if k not in reach:
+                reach.add(k)
+                todo += [k2 for _, k2, _ in pass_steps[k].values()]
+        ends.append(bytes(s for s in range(n_symbols)
+                          if any(s not in pass_steps[k] for k in reach)))
+        sweeping.append(reach == {code} and all(
+            w == s for s, (w, _, _) in pass_steps[code].items()))
+
+    crossings = [_Crossings(pass_steps, code) for code in range(len(K))]
 
     def window_run(key, cells, p, limit):
         """The steps from `key` with small's head on cells[p] while each
         passes every check on `cells` alone, at most `limit` of them:
         (steps, cells, key and small's head movement after them, each
-        step's key and read symbol as two bytes, whether every step is a
-        sweep step of the first key, and the big steps they cost)."""
+        step's key and read symbol as two bytes, and the big steps they
+        cost)."""
         rec = bytearray()
-        start, first, swept, cost = p, key, True, 0
+        start, cost = p, 0
         while len(rec) < 2 * limit:
             out = step(key, cells, p)
             if out is None or out[0] is not None:
                 break
-            sigma = cells[p]
-            swept = swept and key == first and sigma in sweep[first]
-            rec += bytes((key, sigma))
-            cost += plans[key][sigma][0]
+            rec += bytes((key, cells[p]))
+            cost += plans[key][cells[p]][0]
             _, cells, key, p = out
-        return (len(rec) // 2, cells, key, p - start, bytes(rec),
-                swept and bool(rec), cost)
+        return len(rec) // 2, cells, key, p - start, bytes(rec), cost
 
     # The transcript log: step n's key and read symbol at bytes 2n and
     # 2n + 1.  `big_steps` sums the costs of the steps before the last
@@ -443,7 +500,7 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     lead = [0 if d == R else W - 1 for _, d in K]
     key_byte = [bytes((code,)) for code in range(len(K))]
     runs = {}
-    window_runs = replays = sweeps = 0
+    window_runs = replays = sweeps = passes = 0
 
     def transcript(status, n_verified, head, mismatch=None,
                    unrecorded=False):
@@ -451,7 +508,7 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             status=status, n_verified=n_verified, log=log,
             big_steps=big_steps, head=head, costs=costs, mismatch=mismatch,
             unrecorded=unrecorded, window_runs=window_runs,
-            replays=replays, sweeps=sweeps,
+            replays=replays, sweeps=sweeps, passes=passes,
             seconds=time.perf_counter() - started)
 
     if big.init != h_state[key]:
@@ -496,9 +553,9 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                     "n": n + 1, "f": big_steps + spent, "kind": kind,
                     "expected": expected, "actual": actual},
                     unrecorded=not recorded)
-            run = (1, cells, next_key, p - _REACH, rec, t[sp] in sweep[key],
+            run = (1, cells, next_key, p - _REACH, rec,
                    plans[key][t[sp]][0])
-        k, cells, next_key, move, rec, swept, cost = run
+        k, cells, next_key, move, rec, cost = run
         replays += 1
         big_steps += cost
         t[x:x + len(cells)] = cells
@@ -514,30 +571,44 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                 sp += grow
             else:
                 t.extend(bytes([small.blank]) * grow)
-        if swept:
-            # the rest of the pass: the cells ahead that hold the key's
-            # sweep symbols, within n_max steps and the margin; `end` is
-            # small's head after them
-            if move > 0:
-                end = min(sp + n_max - n, len(t) - margin - 1)
-                for s in stops[key]:
-                    j = t.find(s, sp, end)
-                    if j >= 0:
-                        end = j
-                stretch = t[sp:end]
-            else:
-                end = max(sp - n_max + n, margin)
-                for s in stops[key]:
-                    end = max(t.rfind(s, end, sp + 1), end)
-                stretch = t[sp:end:-1]
-            if stretch:
-                sweeps += 1
-                i = len(log)
-                log += key_byte[key] * (2 * len(stretch))
-                log[i + 1::2] = stretch
-                for s, cost in sweep[key].items():
-                    big_steps += cost * stretch.count(s)
-                n += len(stretch)
-                sp = end
+        if t[sp] in ends[key]:
+            continue
+        # a pass: the cells ahead up to the first of the key's `ends`,
+        # within n_max steps and the margin; `end` is small's head after
+        # them
+        d = ahead[key]
+        if d > 0:
+            end = min(sp + n_max - n, len(t) - margin - 1)
+            for s in ends[key]:
+                j = t.find(s, sp, end)
+                if j >= 0:
+                    end = j
+        else:
+            end = max(sp - n_max + n, margin)
+            for s in ends[key]:
+                end = max(t.rfind(s, end, sp + 1), end)
+        stretch = bytes(t[sp:end:d])  # in the order visited
+        if not stretch:
+            continue
+        if sweeping[key]:
+            # the key throughout, and the cells as read symbols
+            sweeps += 1
+            i = len(log)
+            log += key_byte[key] * (2 * len(stretch))
+            log[i + 1::2] = stretch
+            for s, (_, _, cost) in pass_steps[key].items():
+                big_steps += cost * stretch.count(s)
+        else:
+            # C cells at a time
+            passes += 1
+            written = []
+            for i in range(0, len(stretch), C):
+                cells, rec, key, cost = crossings[key][stretch[i:i + C]]
+                written.append(cells)
+                log += rec
+                big_steps += cost
+            t[sp:end:d] = b"".join(written)
+        n += len(stretch)
+        sp = end
     log += bytes((key, t[sp]))
     return transcript("verified", n_max, sp - origin)

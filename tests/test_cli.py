@@ -182,10 +182,11 @@ def test_check_sim_json_counts_sweeps_after_the_existing_keys(capsys):
     assert code == 0
     stats = json.loads(out)["stats"]
     assert list(stats) == ["window_runs", "replays", "sweeps",
-                           "small_steps_per_s", "compression"]
+                           "small_steps_per_s", "compression", "passes"]
     assert stats["sweeps"] > 0
-    assert stats["compression"] == 100_000 / (stats["replays"]
-                                              + stats["sweeps"])
+    assert stats["passes"] > 0
+    assert stats["compression"] == 100_000 / (
+        stats["replays"] + stats["sweeps"] + stats["passes"])
 
 
 def test_check_sim_mismatch_exits_one_with_typed_fields(capsys,

@@ -260,10 +260,11 @@ def test_transcript_arrays_are_pinned(long_transcript):
 
 def test_a_transcript_builds_its_int64_arrays_on_first_access(big, small):
     """To n = 10^5 the verification allocates at most 1 MiB at its peak
-    (0.46-0.48 MiB, with a 2-byte-a-step log; 2.04 MiB when f and heads
-    were built with every run).  f(n_verified), the summary and small's head
-    come from running totals, and `f` and `heads`, built when first read,
-    give the pinned digest."""
+    (0.62 MiB, with a 2-byte-a-step log and the doubling passes' chunk
+    crossings; 0.475 MiB before doubling passes were crossed in chunks,
+    2.04 MiB when f and heads were built with every run).  f(n_verified),
+    the summary and small's head come from running totals, and `f` and
+    `heads`, built when first read, give the pinned digest."""
     tracemalloc.start()
     try:
         t = verify_simulation(big, small, DEFAULT_ENCODING, 100_000)
@@ -278,27 +279,47 @@ def test_a_transcript_builds_its_int64_arrays_on_first_access(big, small):
 
 
 def test_window_runs_replays_and_sweeps_are_pinned(long_transcript):
-    """To n = 10^5 the verifier computes 1,007 window runs and replays
-    13,600; the 458 sweeps take the rest of each rewind and find_2 pass
-    (1,056 window runs and 25,097 replays without sweeps), 7.11 small
-    steps per replay or sweep."""
+    """To n = 10^5 the verifier computes 106 window runs and replays
+    1,344; the 388 sweeps take the rest of each rewind pass, and the 396
+    passes the digits of each doubling (1,007 window runs, 13,600
+    replays and 458 sweeps of W = 5 windows without passes), 46.99 small
+    steps per replay, sweep or pass."""
     t = long_transcript
-    assert (t.window_runs, t.replays, t.sweeps) == (1007, 13600, 458)
-    assert t.compression == 100_000 / 14_058
+    assert (t.window_runs, t.replays, t.sweeps, t.passes) == (106, 1344,
+                                                              388, 396)
+    assert t.compression == 100_000 / 2_128
 
 
 def test_a_sweep_cut_short_by_n_max_agrees_with_the_reference(big, small):
     """Steps 9,923 to 9,999 are one rewind pass.  Its sweep takes steps
-    9,930 to 9,998 and stops at the blank that step 9,999 reads.  Each
+    9,924 to 9,998 and stops at the blank that step 9,999 reads.  Each
     bound in between cuts the sweep short: one sweep more than to step
-    9,930, and the same verdict and transcript as the reference
+    9,924, and the same verdict and transcript as the reference
     lockstep."""
     rewind = K.index(("rewind", L))
-    start = verify_simulation(big, small, DEFAULT_ENCODING, 9930)
-    for n_max in (9931, 9950, 9975, 9998):
+    start = verify_simulation(big, small, DEFAULT_ENCODING, 9924)
+    for n_max in (9925, 9950, 9975, 9998):
         t = _assert_matches_reference(big, small, n_max)
         assert set(t.keys[9923:].tolist()) == {rewind}
         assert t.sweeps == start.sweeps + 1
+
+
+def test_a_doubling_pass_cut_short_by_n_max_agrees_with_the_reference(
+        big, small):
+    """Steps 10,000 to 10,077 read the 78 digits of 2^123 in mul2_F and
+    mul2_G, doubling it, and step 10,078 reads the blank after them.  One
+    pass takes steps 10,000 to 10,076, where the tape's margin cuts it.
+    Each bound in between cuts the pass short, at a multiple of
+    `simcheck.C` steps or between two: one pass more than to step 10,000,
+    and the same verdict and transcript as the reference lockstep."""
+    doubling = {K.index(("mul2_F", R)), K.index(("mul2_G", R))}
+    start = verify_simulation(big, small, DEFAULT_ENCODING, 10_000)
+    assert simcheck.C == 6
+    for n_max in (10_001, 10_020, 10_048, 10_076):
+        t = _assert_matches_reference(big, small, n_max)
+        assert set(t.keys[10_000:].tolist()) == doubling
+        assert t.passes == start.passes + 1
+        assert (t.replays, t.sweeps) == (start.replays, start.sweeps)
 
 
 def test_a_digit_step_reading_the_block_behind_is_not_swept(big, small):
@@ -340,26 +361,49 @@ def test_transcript_agrees_with_independent_runs(big, small,
             assert got == word, (n, j)
 
 
+def _corruptions(big):
+    """The 1800 machines that differ from big in one cell."""
+    options = [HALT] + [Transition(w, d, q) for w in range(2) for d in (L, R)
+                        for q in range(big.n_states)]
+    for q in range(big.n_states):
+        for s in range(2):
+            for alt in options:
+                if alt != big.transition(q, s):
+                    yield big.with_cell(q, s, alt)
+
+
 def test_every_big_corruption_gives_the_pinned_verdict(big, small):
     """Status, mismatch and transcript digest for each of the 1800 one-cell
     corruptions of big at n_max = 300, pinned to the values the earlier
     numpy-scalar implementation gave."""
-    options = [HALT] + [Transition(w, d, q) for w in range(2) for d in (L, R)
-                        for q in range(big.n_states)]
     verdicts = []
-    for q in range(big.n_states):
-        for s in range(2):
-            for alt in options:
-                if alt == big.transition(q, s):
-                    continue
-                t = verify_simulation(big.with_cell(q, s, alt), small,
-                                      DEFAULT_ENCODING, 300)
-                verdicts.append([t.status, t.n_verified, repr(t.mismatch),
-                                 _digest(t)])
+    for bad in _corruptions(big):
+        t = verify_simulation(bad, small, DEFAULT_ENCODING, 300)
+        verdicts.append([t.status, t.n_verified, repr(t.mismatch),
+                         _digest(t)])
     assert len(verdicts) == 1800
     digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
     assert digest == ("b7e09105fb095a5500a151740624479d"
                       "529ca25ba2e20fac7e7189dc99295a1a")
+
+
+def test_every_big_corruption_to_20000_steps_gives_the_pinned_verdict(
+        big, small):
+    """Status, n_verified, mismatch, log digest, f(n_verified) and small's
+    head for each of the 1800 one-cell corruptions of big at n_max =
+    20,000, far enough for the runs that verify to cross doubling passes
+    of over a hundred digits.  Pinned to the values the verifier gave
+    before it crossed doubling passes in bulk."""
+    verdicts = []
+    for bad in _corruptions(big):
+        t = verify_simulation(bad, small, DEFAULT_ENCODING, 20_000)
+        verdicts.append([t.status, t.n_verified, repr(t.mismatch),
+                         hashlib.sha256(t.log).hexdigest(), t.big_steps,
+                         t.head])
+    assert len(verdicts) == 1800
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == ("f8ba62a9bb099971a16b79eba6e85753"
+                      "5c47385713dafe2c7a841ae2cab6f07f")
 
 
 def _reference_lockstep(big, small, n_max):
