@@ -46,7 +46,6 @@ raw mode remains available as ground truth.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import time
@@ -334,11 +333,19 @@ def _run_deciders(cells, budget: int, saved: _SavedRun):
     record costs at most two comparisons.  A record pushes that value,
     times its direction, onto its stack after popping the entries it
     undercuts, so the first entry after step t1 holds the farthest
-    excursion since t1: one bisect.  Only a record copies the visited
+    excursion since t1.  The bucket of earlier records and the stack are
+    both in step order, so one forward walk of the stack per record
+    finds every earlier record's reach.  Only a record copies the visited
     cells, [bottom, top], turned so that its head comes last, and only a
-    record can step off the list, which then triples.  An exact repeat
-    keeps the head bounded while a translated repeat proves unbounded
-    drift, so the two never both fire."""
+    record can step off the list, which then triples.  A pair is
+    rejected on its window's far-end cell before any slice is built, and
+    blank padding is built only when the window reaches past the earlier
+    snapshot.  An exact repeat keeps the head bounded while a translated
+    repeat proves unbounded drift, so the two never both fire.
+
+    A step reads its cell into `tr` before unpacking it, so a TypeError
+    with `tr` None is the Halt cell that step t runs, and any other
+    TypeError is raised."""
     (first, q, head, blank, tape, origin, left, right, low, high, bottom,
      top, seen, lows, highs, records) = saved
     tape, seen, lows, highs = tape[:], seen.copy(), lows[:], highs[:]
@@ -346,11 +353,13 @@ def _run_deciders(cells, budget: int, saved: _SavedRun):
     # the snapshots are never changed, so the copies share them
     records = {key: bucket[:] for key, bucket in records.items()}
     bits = (len(cells[0]) - 1).bit_length()
+    tr = ()
     try:
         for t in range(first, budget + 1):
             p = head + origin
             sym = tape[p]
-            w, d, q = cells[q][sym]
+            tr = cells[q][sym]
+            w, d, q = tr
             if w != sym:
                 tape[p] = w
                 if head >= 0:
@@ -389,23 +398,33 @@ def _run_deciders(cells, budget: int, saved: _SavedRun):
             if d < 0:
                 now.reverse()
             bucket = records.setdefault((d, q), [])
+            i = 0
             for t1, p1, snap in bucket:
                 # the window runs from the reach to the record head, the
                 # last cell of snap and of now; cells before snap were
-                # unvisited, so blank, at t1
-                reach = stack[bisect.bisect_left(stack, (t1 + 1,))][1]
-                width = max(0, d * p1 - reach)
-                earlier = snap[-width - 1:]
-                earlier[:0] = [blank] * (width + 1 - len(earlier))
-                if earlier == now[-width - 1:]:
+                # unvisited, so blank, at t1.  The reach lies within the
+                # visited cells, so the window fits in now.
+                while stack[i][0] <= t1:
+                    i += 1
+                span = d * p1 - stack[i][1] + 1
+                if span < 1:
+                    span = 1
+                # most pairs already differ at the window's far end
+                inside = span <= len(snap)
+                if now[-span] != (snap[-span] if inside else blank):
+                    continue
+                earlier = (snap[-span:] if inside else
+                           [blank] * (span - len(snap)) + snap)
+                if earlier == now[-span:]:
                     return Classification(
                         "nonhalt", decider="translated-cycler",
                         certificate=TranslatedCyclerCertificate(
                             t1, t, head - p1)), None
             bucket.append((t, head, now))
     except TypeError:
-        # unpacking None, the Halt cell, which step t runs: a validated
-        # table has int fields only, so nothing else raises it
+        if tr is not None:
+            raise
+        # unpacking None, the Halt cell, which step t runs
         return Classification("halts", steps=t), _SavedRun(
             t, q, head, blank, tape, origin, left, right, low, high, bottom,
             top, seen, lows, highs, records)
@@ -883,9 +902,10 @@ def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
     options = [None] + [(w, d, q2) for w in range(k) for d in (-1, 1)
                         for q2 in range(n)]
     start = _SavedRun.start(0, 0)
-    # cells in row-major order, the first one slowest (product order)
-    for flat in itertools.product(options, repeat=n * k):
-        cells = tuple(flat[q * k:(q + 1) * k] for q in range(n))
+    # cells in row-major order, the first one slowest (product order);
+    # the inner product's (2nk+1)^k rows are built once and shared
+    rows = itertools.product(options, repeat=k)
+    for cells in itertools.product(rows, repeat=n):
         escape = _escape_verdict(cells, 0)
         if escape is not None:
             summary.record(escape)

@@ -560,6 +560,25 @@ def test_translated_cycler_pads_past_a_snapshot_with_a_wide_blank(d):
     assert cert == decide_translated_cycler(narrow, 60)
 
 
+def test_translated_cycler_checks_the_padding_past_a_snapshot():
+    """At step 17 this (3,2) machine breaks a right record in state B, as
+    at step 1, two cells further right.  The window reaches from cell -2
+    to the record cell 1 at step 1, past the cells 0 and 1 visited then,
+    and it agrees with the one at step 17 at the far end (cell 0) and on
+    those visited cells (cells 2 and 3).  But cell 1, which faces a padded
+    blank, holds a 1 at step 17, so the pair is no certificate, and the
+    machine outlasts 1000 steps with none."""
+    m = machines.parse_compact("0RB0LA_0LC1RA_1LA---")
+    c = tm.initial_configuration(m)
+    for _ in range(17):
+        tm.step(m, c)
+    assert (c.state, c.head) == (1, 3)
+    assert [c.tape.read(i) for i in range(4)] == [0, 1, 0, 0]
+    assert not revalidate_certificate(m, TranslatedCyclerCertificate(1, 17, 2))
+    assert _first_translated_repeat(m, 1000) is None
+    assert _fresh_pass(m, 1000) == (None, None)
+
+
 def _restricted_growth(cells, size: int, k: int, blank: int) -> bool:
     """Reference for the canonical-DFA rule on a row-major table: blank
     maps state 0 to itself, each cell names at most the one state not
@@ -617,14 +636,29 @@ def _fresh_pass(m, budget):
 
 
 def test_translated_detector_keeps_long_runs_linear():
-    """Each record's reach comes from one bisect into a stack of the
-    excursions between records, pushed only when a record is broken, not
-    from a rescan of the steps since the record.  On a 2-core Xeon this
-    run takes about 0.1 s; a rescan per record takes about 5 s."""
+    """Each record's reach comes from one forward walk per record of a
+    stack of the excursions between records, pushed only when a record
+    is broken, not from a rescan of the steps since the record.  On a
+    2-core Xeon this run takes about 0.1 s; a rescan per record takes
+    about 5 s."""
     m = machines.parse_machine(BOUNCER, name="bouncer")
     started = time.perf_counter()
     assert _fresh_pass(m, 32_000) == (None, None)
     assert time.perf_counter() - started < 2.5
+
+
+def test_decider_pass_raises_a_type_error_off_the_halt_cell():
+    """Only unpacking a Halt cell means "halts": a cell whose next state
+    is not an int raises its TypeError at the step that indexes with it,
+    step 2 here, instead of passing for a halt."""
+    cells = (((1, 1, "B"), (1, -1, 0)), ((1, -1, 0), None))
+    with pytest.raises(TypeError):
+        search._run_deciders(cells, 100, search._SavedRun.start(0, 0))
+    cells = (((1, 1, 1), (1, -1, 0)), ((1, -1, 0), None))
+    verdict, fork = search._run_deciders(cells, 100,
+                                         search._SavedRun.start(0, 0))
+    assert verdict == search.Classification("halts", steps=5)
+    assert fork.cell == (1, 1)
 
 
 def test_decider_pass_memory_stays_small():
