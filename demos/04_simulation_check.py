@@ -4,16 +4,16 @@
 Each 4-symbol cell is a block of two binary cells; the verifier runs
 both machines in lockstep, advancing the big machine by the tabulated
 step cost of each small step and checking state, head, and tape
-coupling at every step.  Both machines share one tape, so the steps
-they take on the four cells from the small head on, in the direction
-it last moved, depend only on the small machine's state, that direction
-and those cells: the verifier runs such a window once, checking every
-step, and replays it from a cache whenever it meets the window again.
-It crosses the passes over the digits in bulk.  A rewind pass writes
+coupling at every step.  Both machines share one tape, so the step
+they take depends only on the small machine's state, the direction it
+last moved and the cells within reach of its head: the verifier takes
+such a step once, checking it, and replays it from a memo whenever it
+meets the same state, direction and cells again.  It crosses the
+passes over the digits in bulk.  A rewind pass writes
 every digit back, so it is recorded in one step, a sweep.  A doubling
 pass rewrites every digit, so it is crossed six cells at a time, each
-chunk's steps looked up in a cache.  The demo prints how many windows
-it ran and replayed and how many sweeps and passes it took.  It also
+chunk's steps looked up in a cache.  The demo prints how many steps it
+computed and replayed and how many sweeps and passes it took.  It also
 demonstrates fault detection: corrupt one transition of the big table
 and the coupling breaks within a few hundred steps.
 """
@@ -28,7 +28,7 @@ small = machines.builtin_m54()
 started = time.perf_counter()
 t = simcheck.verify_simulation(big, small, simcheck.DEFAULT_ENCODING, 10_000)
 print(f"{t.summary()}  ({time.perf_counter() - started:.2f}s)")
-print(f"{t.window_runs} window runs, {t.replays} replays, "
+print(f"{t.window_runs} steps computed, {t.replays} replayed, "
       f"{t.sweeps} sweeps, {t.passes} passes")
 print(f"time scale: f(5)={t.time_scale(5)}, f(16)={t.time_scale(16)}, "
       f"f(333)={t.time_scale(333)}")

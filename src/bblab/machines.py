@@ -32,6 +32,7 @@ def parse_machine(src: str, name: str = "machine") -> MachineTable:
     blank_label = None
     states = None
     init_label = None
+    declared = set()
     cells: dict[tuple[str, str], object] = {}
 
     for line_no, raw in enumerate(src.splitlines(), start=1):
@@ -41,6 +42,9 @@ def parse_machine(src: str, name: str = "machine") -> MachineTable:
         tokens = line.split()
         head = tokens[0]
         if head in ("symbols:", "blank:", "states:", "init:"):
+            if head in declared:
+                raise ParseError(line_no, f"repeated {head} declaration")
+            declared.add(head)
             value = tokens[1:]
             if head == "symbols:":
                 symbols = value

@@ -17,14 +17,12 @@ encoding.  That holds after every step that passes the checks, being
 the very law they verify, so each step builds big's blocks from small's
 cells afresh.
 While the maps hold, big's state and head follow from small's key and
-head, so the steps both machines take on a few cells, with every check
-they make, are a pure function of the key and those cells (the
-macro-step idea of Marxen & Buntrock).  The verifier takes such a
-window run once, from small's head over the next `W` cells in the
-direction the key entered, and replays it from a cache whenever the key
-meets the same cells again.  A step that would leave the window, fail a
-check or halt goes alone through the same step function, on cells wide
-enough for any step, which reports the mismatch.
+head, so the step both machines take, with every check they make, is a
+pure function of the key and the cells within reach of small's head
+(the macro-step idea of Marxen & Buntrock).  The verifier computes each
+such step once and replays it from a memo whenever the key meets the
+same cells again.  A step that fails a check or halts is reported as
+the step function finds it, and never memoised.
 
 All but about 1% of the 4-symbol machine's steps are passes over the
 digits, so the verifier also crosses such a pass in bulk.  A key's pass
@@ -45,20 +43,18 @@ chunk is looked up in a per-key table of crossings (the cells written,
 the log record, the key after and the cost), each built from the pass
 steps when first met.  After each replay the verifier takes the pass
 from small's head if the symbol there continues one.  To 10^6 steps
-this takes 114 window runs and 4,333 replays (8,847 steps), 1,249
-sweeps (493,207 steps) and 1,257 passes (497,946 steps), against 1,139
-window runs, 128,401 replays and 1,867 sweeps with `W` = 5 and no
-passes.
+this takes 203 steps computed and 7,166 replayed, 1,252 sweeps and
+1,257 passes.
 
 The transcript is one append-only bytearray log of (key, read symbol)
-byte pairs, 2 bytes a step: a replay appends its cached record, a sweep
-its stretch interleaved with its key, a pass its chunks' records, and a
-step taken alone its two bytes.  f(n) at the last verified step is a
-running total: each cached window run and each chunk crossing carries
-its cost, a step taken alone adds its own, and a sweep adds, for each
-of its key's pass symbols, that symbol's cost times its count in the
-stretch.  Small's head there is its place on the shared tape.  The int8
-arrays `keys` and `sigmas` are views of the log's even and odd bytes.
+byte pairs, 2 bytes a step: a replay appends its memoised record, a
+sweep its stretch interleaved with its key, and a pass its chunks'
+records.  f(n) at the last verified step is a running total: each
+memoised step and each chunk crossing carries its cost, and a sweep
+adds, for each of its key's pass symbols, that symbol's cost times its
+count in the stretch.  Small's head there is its place on the shared
+tape.  The int8 arrays `keys` and `sigmas` are views of the log's even
+and odd bytes.
 A step's cost follows from its key and read symbol, and small's move
 from the next key, so the int64 arrays `f` and `heads`, 8 bytes a step
 each, are built from the log on first access.
@@ -119,18 +115,11 @@ STEP_COSTS = {
     ("rewind", R): {"#": 2},
 }
 
-# Cells in a window run.  With passes, window runs take only the steps
-# between passes and sweeps.  `bblab check-sim` for 5, 16, 333 and 10^6
-# steps, in one fresh process (2-vCPU Xeon, Python 3.11, CPU time, 10
-# processes each, median and range) took 61 ms (56-102) with W = 4 (114
-# window runs and 4,333 replays to 10^6), 66 ms (59-106) with W = 5
-# (270 and 4,093) and 73 ms (63-105) with W = 6 (594 and 3,954).
-W = 4
-
-# Cells a pass crosses at a time.  Measured as for W (8 processes each,
-# fastest run): C = 6 took 61 ms, building 1,745 crossings to 10^6;
-# C = 5 68 ms, C = 7 69 ms (4,842 crossings) and C = 8 110 ms (13,594),
-# as the crossings met grow as 3^C.
+# Cells a pass crosses at a time.  `bblab check-sim` for 5, 16, 333 and
+# 10^6 steps, in one fresh process (2-vCPU Xeon, Python 3.11, CPU time,
+# 8 processes each, fastest run): C = 6 took 61 ms, building 1,745
+# crossings to 10^6; C = 5 68 ms, C = 7 69 ms (4,842 crossings) and
+# C = 8 110 ms (13,594), as the crossings met grow as 3^C.
 C = 6
 
 # Cells a single step can use on either side of small's head: big starts
@@ -201,12 +190,12 @@ class SimulationTranscript:
     steps a small step takes.  `keys` and `sigmas` are views of the log,
     and the per-step arrays `f` and `heads` are built from it on first
     access.  A mismatch step that was never recorded (`unrecorded`) is 0
-    in every array.
-    `window_runs` counts the window runs computed, one per distinct key
-    and window met, `replays` the runs applied to the tape, each of one
-    or more steps, `sweeps` the stretches of sweep steps crossed in one
-    bulk step each, and `passes` the stretches of pass steps crossed in
-    chunks of `C` cells.
+    in every array and outside `time_scale`'s range.
+    `window_runs` counts the steps computed, one per distinct key and
+    cells within reach of small's head met, `replays` the single steps
+    applied from the memo, `sweeps` the stretches of sweep steps crossed
+    in one bulk step each, and `passes` the stretches of pass steps
+    crossed in chunks of `C` cells.
     """
 
     status: str  # "verified" | "both-halted" | "mismatch"
@@ -271,7 +260,7 @@ class SimulationTranscript:
         return out
 
     def time_scale(self, n: int) -> int:
-        records = len(self.log) // 2
+        records = len(self.log) // 2 - self.unrecorded
         if not 0 <= n < records:
             raise OutOfRange(f"step {n} beyond verified range "
                              f"0..{records - 1}")
@@ -459,23 +448,6 @@ def verify_simulation(big: MachineTable, small: MachineTable,
 
     crossings = [_Crossings(pass_steps, code) for code in range(len(K))]
 
-    def window_run(key, cells, p, limit):
-        """The steps from `key` with small's head on cells[p] while each
-        passes every check on `cells` alone, at most `limit` of them:
-        (steps, cells, key and small's head movement after them, each
-        step's key and read symbol as two bytes, and the big steps they
-        cost)."""
-        rec = bytearray()
-        start, cost = p, 0
-        while len(rec) < 2 * limit:
-            out = step(key, cells, p)
-            if out is None or out[0] is not None:
-                break
-            rec += bytes((key, cells[p]))
-            cost += plans[key][cells[p]][0]
-            _, cells, key, p = out
-        return len(rec) // 2, cells, key, p - start, bytes(rec), cost
-
     # The transcript log: step n's key and read symbol at bytes 2n and
     # 2n + 1.  `big_steps` sums the costs of the steps before the last
     # record.
@@ -483,23 +455,20 @@ def verify_simulation(big: MachineTable, small: MachineTable,
     big_steps = 0
 
     # One tape for both machines: t[i] is small's symbol at cell
-    # i - origin, and big's block i is its encoding.  Between runs
-    # `margin` cells stay on either side of small's head, room for any
-    # window.  At most four symbols have two-cell code words over two
+    # i - origin, and big's block i is its encoding.  Between steps
+    # `_REACH` cells stay on either side of small's head, room for any
+    # step.  At most four symbols have two-cell code words over two
     # symbols, so a cell fits a byte.
-    margin = W + _REACH
-    origin = 2 * margin
+    origin = 2 * _REACH
     t = bytearray([small.blank]) * (2 * origin)
     sp = origin
     key = key_code.get((small.init, R))
     if key is None:
         raise UnknownKey(f"({small.states[small.init]}, {R}) at step 0")
-    # A window starts at small's head and extends the way the key
-    # entered; with the head at its centre a run replays 2.0 steps, not
-    # 4.0, and 10^6 steps took 1.0 s.
-    lead = [0 if d == R else W - 1 for _, d in K]
     key_byte = [bytes((code,)) for code in range(len(K))]
-    runs = {}
+    # memo[key byte + the cells within _REACH of small's head]: (write,
+    # next key, head move, log record, cost) of a step that passed
+    memo = {}
     window_runs = replays = sweeps = passes = 0
 
     def transcript(status, n_verified, head, mismatch=None,
@@ -520,17 +489,10 @@ def verify_simulation(big: MachineTable, small: MachineTable,
 
     n = 0
     while n < n_max:
-        x = sp - lead[key]
-        run = runs.get(key_byte[key] + t[x:x + W])
-        if run is None:
-            window_runs += 1
-            run = runs[key_byte[key] + t[x:x + W]] = window_run(
-                key, t[x:x + W], lead[key], n_max - n)
-        if not 0 < run[0] <= n_max - n:
-            # a step that leaves the window, fails a check or halts, or
-            # one a run would take past n_max: on its own, on cells wide
-            # enough for any step
-            x = sp - _REACH
+        x = sp - _REACH
+        window = key_byte[key] + t[x:sp + _REACH + 1]
+        entry = memo.get(window)
+        if entry is None:
             stop, cells, next_key, p = step(key, t[x:sp + _REACH + 1],
                                             _REACH, x - origin)
             rec = bytes((key, t[sp]))
@@ -553,19 +515,19 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                     "n": n + 1, "f": big_steps + spent, "kind": kind,
                     "expected": expected, "actual": actual},
                     unrecorded=not recorded)
-            run = (1, cells, next_key, p - _REACH, rec,
-                   plans[key][t[sp]][0])
-        k, cells, next_key, move, rec, cost = run
+            window_runs += 1
+            entry = memo[window] = (cells[_REACH], next_key, p - _REACH,
+                                    rec, plans[key][t[sp]][0])
+        w, key, move, rec, cost = entry
         replays += 1
         big_steps += cost
-        t[x:x + len(cells)] = cells
+        t[sp] = w
         log += rec
-        n += k
+        n += 1
         sp += move
-        key = next_key
-        if not margin <= sp < len(t) - margin:
+        if not _REACH <= sp < len(t) - _REACH:
             grow = len(t)
-            if sp < margin:
+            if sp < _REACH:
                 t[:0] = bytes([small.blank]) * grow
                 origin += grow
                 sp += grow
@@ -574,17 +536,17 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         if t[sp] in ends[key]:
             continue
         # a pass: the cells ahead up to the first of the key's `ends`,
-        # within n_max steps and the margin; `end` is small's head after
-        # them
+        # within n_max steps and `_REACH` of the tape's ends; `end` is
+        # small's head after them
         d = ahead[key]
         if d > 0:
-            end = min(sp + n_max - n, len(t) - margin - 1)
+            end = min(sp + n_max - n, len(t) - _REACH - 1)
             for s in ends[key]:
                 j = t.find(s, sp, end)
                 if j >= 0:
                     end = j
         else:
-            end = max(sp - n_max + n, margin)
+            end = max(sp - n_max + n, _REACH)
             for s in ends[key]:
                 end = max(t.rfind(s, end, sp + 1), end)
         stretch = bytes(t[sp:end:d])  # in the order visited

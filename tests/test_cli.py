@@ -120,6 +120,17 @@ def test_malformed_file_is_an_input_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_repeated_declaration_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "twice.tm"
+    path.write_text(machines.serialize_machine(machines.builtin_m54())
+                    + "symbols: 1 0 2 #\n")
+    code, out, err = run_cli(capsys, "run", "--file", str(path),
+                             "--budget", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line ") and "repeated symbols:" in err
+
+
 def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "binary.tm"
     path.write_bytes(b"\xff\xfe\x00bad")

@@ -96,6 +96,18 @@ def test_missing_declarations_rejected():
             parse_machine(GOOD.replace(line + "\n", ""))
 
 
+@pytest.mark.parametrize("line", ["symbols: 1 0 2 #", "blank: 0",
+                                  "states: stop go", "init: stop"])
+def test_repeated_declaration_is_a_parse_error(line):
+    """A second declaration of the same kind is reported at its line,
+    not silently taken over the first."""
+    src = GOOD.replace("go 0 -> 1 R go\n", f"go 0 -> 1 R go\n{line}\n")
+    with pytest.raises(ParseError) as exc:
+        parse_machine(src)
+    assert exc.value.line_no == 6
+    assert exc.value.reason == f"repeated {line.split()[0]} declaration"
+
+
 def test_undeclared_blank_or_init_rejected():
     with pytest.raises(ValidationError):
         parse_machine(GOOD.replace("blank: #", "blank: x"))

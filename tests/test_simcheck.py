@@ -187,6 +187,19 @@ def test_small_halting_without_big_is_detected(big, small):
     assert len(out.f) == 18 and out.f[17] == 0
 
 
+def test_time_scale_stops_before_an_unrecorded_mismatch_step(big, small):
+    """Small halts at step 17 without big, so step 17 is never recorded:
+    its f entry is a 0 placeholder, and time_scale covers 0..16 only."""
+    q = small.state_index("check_halt")
+    bad_small = small.with_cell(q, small.symbol_index("0"), HALT)
+    out = verify_simulation(big, bad_small, DEFAULT_ENCODING, 1000)
+    assert (out.n_verified, out.unrecorded) == (16, True)
+    assert out.time_scale(16) == 35
+    with pytest.raises(OutOfRange, match=r"^step 17 beyond verified range "
+                                         r"0\.\.16$"):
+        out.time_scale(17)
+
+
 def test_halting_at_different_micro_steps_is_detected(big, small):
     """Small halts at step 17 and big halts at the first of the three
     micro-steps that step costs (big step 36)."""
@@ -278,26 +291,29 @@ def test_a_transcript_builds_its_int64_arrays_on_first_access(big, small):
     assert _digest(t) == _PINNED_DIGEST
 
 
-def test_window_runs_replays_and_sweeps_are_pinned(long_transcript):
-    """To n = 10^5 the verifier computes 106 window runs and replays
-    1,344; the 388 sweeps take the rest of each rewind pass, and the 396
-    passes the digits of each doubling (1,007 window runs, 13,600
-    replays and 458 sweeps of W = 5 windows without passes), 46.99 small
-    steps per replay, sweep or pass."""
+def test_window_runs_replays_and_sweeps_are_pinned(big, small,
+                                                  long_transcript):
+    """To n = 10^5 the verifier computes 203 steps and replays 2,221 from
+    its memo; the 391 sweeps take the rest of each rewind pass, and the
+    396 passes the digits of each doubling, 33.24 small steps per
+    replay, sweep or pass.  The memo is full by then: to 10^6 it computes
+    no further step."""
     t = long_transcript
-    assert (t.window_runs, t.replays, t.sweeps, t.passes) == (106, 1344,
-                                                              388, 396)
-    assert t.compression == 100_000 / 2_128
+    assert (t.window_runs, t.replays, t.sweeps, t.passes) == (203, 2221,
+                                                              391, 396)
+    assert t.compression == 100_000 / 3_008
+    longer = verify_simulation(big, small, DEFAULT_ENCODING, 10**6)
+    assert longer.window_runs == t.window_runs
 
 
 def test_a_sweep_cut_short_by_n_max_agrees_with_the_reference(big, small):
     """Steps 9,923 to 9,999 are one rewind pass.  Its sweep takes steps
-    9,924 to 9,998 and stops at the blank that step 9,999 reads.  Each
+    9,923 to 9,998 and stops at the blank that step 9,999 reads.  Each
     bound in between cuts the sweep short: one sweep more than to step
-    9,924, and the same verdict and transcript as the reference
+    9,923, and the same verdict and transcript as the reference
     lockstep."""
     rewind = K.index(("rewind", L))
-    start = verify_simulation(big, small, DEFAULT_ENCODING, 9924)
+    start = verify_simulation(big, small, DEFAULT_ENCODING, 9923)
     for n_max in (9925, 9950, 9975, 9998):
         t = _assert_matches_reference(big, small, n_max)
         assert set(t.keys[9923:].tolist()) == {rewind}
@@ -308,8 +324,8 @@ def test_a_doubling_pass_cut_short_by_n_max_agrees_with_the_reference(
         big, small):
     """Steps 10,000 to 10,077 read the 78 digits of 2^123 in mul2_F and
     mul2_G, doubling it, and step 10,078 reads the blank after them.  One
-    pass takes steps 10,000 to 10,076, where the tape's margin cuts it.
-    Each bound in between cuts the pass short, at a multiple of
+    pass takes steps 10,000 to 10,077 and stops at that blank.  Each
+    bound in between cuts the pass short, at a multiple of
     `simcheck.C` steps or between two: one pass more than to step 10,000,
     and the same verdict and transcript as the reference lockstep."""
     doubling = {K.index(("mul2_F", R)), K.index(("mul2_G", R))}
@@ -480,13 +496,18 @@ def _assert_matches_reference(big, small, n_max):
                                                                 n_max)
     assert (t.status, t.n_verified, t.mismatch) == (status, n_verified,
                                                     mismatch)
-    # the running totals, and the range of time_scale
+    # the running totals, and the range of time_scale, which stops at
+    # n_verified when the mismatch step was never recorded
     f, heads = arrays[0], arrays[3]
     assert t.time_scale(n_verified) == f[n_verified]
     assert t.head == heads[n_verified]
-    for n in (-1, len(f)):
+    unrecorded = mismatch is not None and mismatch["kind"] not in ("state",
+                                                                   "head")
+    assert t.unrecorded == unrecorded
+    last = n_verified if unrecorded else len(f) - 1
+    for n in (-1, last + 1):
         with pytest.raises(OutOfRange, match=rf"^step {n} beyond verified "
-                                             rf"range 0\.\.{len(f) - 1}$"):
+                                             rf"range 0\.\.{last}$"):
             t.time_scale(n)
     for got, want in zip((t.f, t.keys, t.sigmas, t.heads), arrays):
         assert got.tolist() == want
@@ -515,10 +536,10 @@ def test_window_runs_agree_with_a_reference_lockstep(big, small):
 
 
 def test_a_step_leaving_the_window_is_checked_on_wider_cells(big, small):
-    """A corruption whose big head leaves the window of the failing step:
-    the tape cell that fails lies outside the `simcheck.W` cells from
-    small's head in the direction its key entered, so the step ran on
-    the wider cells of a step taken alone."""
+    """A corruption whose big head reaches behind small's head in the
+    failing step: the tape cell that fails lies against the direction
+    small's key entered, within the `simcheck._REACH` cells on either
+    side of small's head that every step runs on."""
     q, r = big.state_index("mul2_G_extra"), big.state_index("rewind_a")
     (wq, dq, q2), (wr, dr, r2) = big.transition(q, 0), big.transition(r, 1)
     bad = big.with_cell(q, 0, (wq, -dq, q2))
@@ -528,10 +549,9 @@ def test_a_step_leaving_the_window_is_checked_on_wider_cells(big, small):
     assert t.mismatch == {"n": 35, "f": 80, "kind": "tape cell 1",
                           "expected": "ab", "actual": "aa"}
     cell = int(t.mismatch["kind"].split()[2])
-    head, entered = int(t.heads[n - 1]), K[t.keys[n - 1]][1]
-    window = (range(head, head + simcheck.W) if entered == R
-              else range(head - simcheck.W + 1, head + 1))
-    assert cell not in window
+    head, key = int(t.heads[n - 1]), K[t.keys[n - 1]]
+    assert (head, key) == (2, ("mul2_G", R))
+    assert head - simcheck._REACH <= cell < head
 
 
 def test_transcripts_are_prefixes_of_longer_ones(big, small):
