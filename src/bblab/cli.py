@@ -118,11 +118,17 @@ def cmd_scan(args) -> int:
     report = ternary.scan_erdos(args.max_n)
     payload = {"command": "scan", **report.to_dict(),
                "elapsed_seconds": report.elapsed_seconds}
+    payload["stats"] = {"exponents_per_s": report.exponents_per_s,
+                        "digit_ops": report.digit_ops,
+                        "deepest_digit": report.deepest_digit}
     lines = [f"scanned exponents 0..{report.bound}",
              "digit-2-free exponents: "
              + " ".join(str(n) for n in report.free_exponents)]
     if report.counterexample is not None:
         lines.append(f"counterexample exponent: {report.counterexample}")
+    lines.append(f"stats: {report.exponents_per_s:,.0f} exponents/s, "
+                 f"{report.digit_ops:,} digit ops, deepest digit tested "
+                 f"{report.deepest_digit}")
     _emit(args, payload, lines)
     return 1 if report.counterexample is not None else 0
 

@@ -31,8 +31,9 @@ a key entered the same way, and which the step function, run once per
 call on the symbol beside each possible neighbour ahead and with no cell
 behind, passes with every check: such a step depends on the symbol
 alone.  A pass from a key runs over the symbols that are pass steps of
-every key its pass steps reach, and `bytearray.find` locates the first
-other symbol, where it ends.  For rewind, and for the doubling keys
+every key its pass steps reach, as `tm.pass_ends` derives for
+`tm.PassRun` too, and `bytearray.find` locates the first other symbol,
+where it ends.  For rewind, and for the doubling keys
 mul2_F and mul2_G, that is the blank; find_2 reaches check_halt, which
 has no pass steps, so it takes no pass.  Where a key writes each of its
 pass symbols back and keeps itself, as rewind does, the stretch is a
@@ -70,7 +71,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OutOfRange, UndefinedCost, UnknownKey, ValidationError
-from .tm import L, R, MachineTable
+from .tm import C, L, R, MachineTable, pass_ends
 
 BLOCK = 2
 
@@ -114,13 +115,6 @@ STEP_COSTS = {
     ("rewind", L): {"0": 2, "1": 2, "2": 2, "#": 3},
     ("rewind", R): {"#": 2},
 }
-
-# Cells a pass crosses at a time.  `bblab check-sim` for 5, 16, 333 and
-# 10^6 steps, in one fresh process (2-vCPU Xeon, Python 3.11, CPU time,
-# 8 processes each, fastest run): C = 6 took 61 ms, building 1,745
-# crossings to 10^6; C = 5 68 ms, C = 7 69 ms (4,842 crossings) and
-# C = 8 110 ms (13,594), as the crossings met grow as 3^C.
-C = 6
 
 # Cells a single step can use on either side of small's head: big starts
 # at 2i or 2i + 1 and moves at most one cell per micro-step.
@@ -429,22 +423,7 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             else:
                 steps[sigma] = plan[1], plan[3], plan[0]
         pass_steps.append(steps)
-    # A pass from a key crosses the symbols that are pass steps of every
-    # key its pass steps reach; `ends[key]` holds the other symbols.  A
-    # key whose pass steps all write the symbol back and keep the key
-    # sweeps: its pass is crossed at once.
-    ends, sweeping = [], []
-    for code in range(len(K)):
-        reach, todo = set(), [code]
-        while todo:
-            k = todo.pop()
-            if k not in reach:
-                reach.add(k)
-                todo += [k2 for _, k2, _ in pass_steps[k].values()]
-        ends.append(bytes(s for s in range(n_symbols)
-                          if any(s not in pass_steps[k] for k in reach)))
-        sweeping.append(reach == {code} and all(
-            w == s for s, (w, _, _) in pass_steps[code].items()))
+    ends, sweeping = pass_ends(pass_steps, n_symbols)
 
     crossings = [_Crossings(pass_steps, code) for code in range(len(K))]
 

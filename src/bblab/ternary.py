@@ -149,14 +149,23 @@ class ScanReport:
     """Outcome of scanning exponents 0..bound for digit-2-free powers.
 
     `digit_ops` counts the ternary digits examined, one per residue class
-    the scan tests.
+    the scan tests, and `deepest_digit` is the highest digit place tested
+    (the least significant digit is place 0).
     """
 
     bound: int
     free_exponents: list[int] = field(default_factory=list)
     digit_lengths: dict[int, int] = field(default_factory=dict)
     digit_ops: int = 0
+    deepest_digit: int = 0
     elapsed_seconds: float = 0.0
+
+    @property
+    def exponents_per_s(self) -> float:
+        """Exponents 0..bound scanned per second; 0.0 if untimed."""
+        if not self.elapsed_seconds:
+            return 0.0
+        return (self.bound + 1) / self.elapsed_seconds
 
     @property
     def counterexample(self) -> int | None:
@@ -198,9 +207,12 @@ def scan_erdos(n_max: int) -> ScanReport:
     threes = [1, 3]          # threes[k] = 3^k
     # (k, n): test digit k of 2^n, whose k low digits hold no 2
     stack = [(0, n) for n in (0, 1) if n <= n_max]
+    ops = deepest = 0
     while stack:
         k, n = stack.pop()
-        report.digit_ops += 1
+        ops += 1
+        if k > deepest:
+            deepest = k
         if pow(2, n, threes[k + 1]) // threes[k] == 2:
             continue
         k += 1
@@ -223,6 +235,7 @@ def scan_erdos(n_max: int) -> ScanReport:
             if len(threes) == k + 1:
                 threes.append(3 * threes[k])
             period *= 3
+    report.digit_ops, report.deepest_digit = ops, deepest
     report.digit_lengths = dict(sorted(lengths.items()))
     report.free_exponents = list(report.digit_lengths)
     report.elapsed_seconds = time.perf_counter() - start

@@ -26,9 +26,18 @@ hundred macro steps compress poorly starts over in a FlatRun and runs
 there to the end.
 It returns the final configuration, whose `halted` and `step_count` say
 how the run ended and whose `macro_steps`, `compression` and `handoffs`
-say how it went.  All of them give exactly the configurations `step`
-gives; `step` stays the independent reference that certificate
-revalidation runs on.
+say how it went.
+`PassRun` has FlatRun's read interface but keeps the tape in a
+bytearray, for tables of at most 256 symbols, and crosses each pass of
+the head in one direction in bulk: a sweep, which leaves the tape as it
+is, with one `bytearray.find`, and any other pass `C` cells at a time.
+`pass_ends` finds where the passes end, for it and for the lockstep
+check in `simcheck`.  The checkpoint verifier runs the power-of-two
+machine on it, whose steps are nearly all such passes; on a table whose
+passes are short it is slower than FlatRun, so `run` and the closure
+search's halting probe keep FlatRun.
+All of them give exactly the configurations `step` gives; `step` stays
+the independent reference that certificate revalidation runs on.
 """
 
 from __future__ import annotations
@@ -370,8 +379,9 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
 class FlatRun:
     """A run on one flat list of cells, for callers that stop at many step
     counts and read the tape in between: `run_trace`, `run` after a poor
-    probe on chains, and in `search` the checkpoint verifier and the
-    closure search's halting probe.  It starts from the blank tape.  Callers
+    probe on chains, and in `search` the closure search's halting probe
+    and the checkpoint verifier on tables of more than 256 symbols, which
+    `PassRun` cannot hold.  It starts from the blank tape.  Callers
     drive it with `advance()` and read it through `state`, `steps`,
     `halted`, `head` and `visited()`; the list layout is private to this
     class.
@@ -456,6 +466,180 @@ class FlatRun:
         return Configuration(self.state, self.head,
                              _tape(self._blank, symbols, first), self.steps,
                              self.halted)
+
+
+# Cells a pass that is not a sweep crosses at a time, in `PassRun` and in
+# `simcheck`'s lockstep check.  `bblab check-sim` for 5, 16, 333 and 10^6
+# steps, in one fresh process (2-vCPU Xeon, Python 3.11, CPU time, 8
+# processes each, fastest run): C = 6 took 61 ms, building 1,745
+# crossings to 10^6; C = 5 68 ms, C = 7 69 ms (4,842 crossings) and
+# C = 8 110 ms (13,594), as the crossings met grow as 3^C.
+C = 6
+
+
+def pass_ends(pass_steps: list[dict],
+              n_symbols: int) -> tuple[list[bytes], list[bool]]:
+    """Where the passes from each key end, and which of them are sweeps.
+
+    `pass_steps[key]` maps each symbol on which a step from `key` goes on
+    with the pass to (write, next key, cost).  A pass from a key crosses
+    the symbols that are pass steps of every key its pass steps reach;
+    `ends[key]` holds the other symbols, as bytes.  `sweeping[key]` says
+    whether the key's pass steps all write the symbol back and keep the
+    key, so that its pass leaves the tape as it is and can be crossed at
+    once."""
+    ends, sweeping = [], []
+    for code, steps in enumerate(pass_steps):
+        reach, todo = set(), [code]
+        while todo:
+            k = todo.pop()
+            if k not in reach:
+                reach.add(k)
+                todo += [k2 for _, k2, _ in pass_steps[k].values()]
+        ends.append(bytes(s for s in range(n_symbols)
+                          if any(s not in pass_steps[k] for k in reach)))
+        sweeping.append(reach == {code} and all(
+            w == s for s, (w, _, _) in steps.items()))
+    return ends, sweeping
+
+
+class _Crossings(dict):
+    """Passes from one key, by the cells crossed in the order visited: the
+    cells written and the key after them, each computed from
+    `pass_steps[key][symbol]`, (write, next key, cost), when first met."""
+
+    def __init__(self, pass_steps, key):
+        self.pass_steps, self.key = pass_steps, key
+
+    def __missing__(self, cells):
+        key, written = self.key, bytearray()
+        for sigma in cells:
+            w, key, _ = self.pass_steps[key][sigma]
+            written.append(w)
+        self[cells] = crossing = bytes(written), key
+        return crossing
+
+
+class PassRun:
+    """A run from the blank tape on a bytearray, for tables of at most 256
+    symbols, that crosses the head's passes in bulk.  It has FlatRun's
+    read interface: `state`, `steps`, `halted`, `head`, `advance()` and
+    `visited()`, which gives the cells as a bytearray.
+
+    A key is a state with the direction the head entered it, and its pass
+    steps are the cells of that state that move the same way again.
+    `pass_ends` gives the symbols where each key's pass ends and whether
+    it is a sweep.  After each single step the run takes the pass from
+    the head if the symbol there goes on with one: `bytearray.find`, or
+    `rfind`, locates its end within the steps left and one cell of the
+    tape's ends.  A sweep, such as the power-of-two machine's rewind,
+    leaves the tape as it is and is crossed at once.  Any other pass,
+    such as its doubling pass, is crossed `C` cells at a time from a
+    per-key table of crossings, each built by stepping the table the
+    first time that chunk is met (the macro steps of Marxen & Buntrock,
+    1990).  Every pass step is one step, so a run stops at exactly its
+    target.  Each single step pays for the test that starts a pass, so
+    on a table whose passes are short this runs slower than FlatRun.
+
+    `_tape[i]` holds cell i - `_origin`, blank where never written, the
+    head is at `_tape[_pos]`, and it has visited `_tape[_lo:_hi + 1]`.
+    Those indices stay at least one cell away from either end of the
+    bytearray, which doubles when a single step reaches an end.
+    """
+
+    __slots__ = ("_cells", "_fill", "_tape", "_origin", "_pos", "_lo", "_hi",
+                 "_ends", "_sweeping", "_crossings", "state", "steps",
+                 "halted")
+
+    def __init__(self, m: MachineTable):
+        """The run of `m` from the blank tape."""
+        if m.n_symbols > 256:
+            raise ValidationError(f"{m.name}: PassRun takes at most 256 "
+                                  f"symbols, not {m.n_symbols}")
+        # key 2q is state q entered moving left, 2q + 1 moving right; per
+        # cell: (write, delta, next state, next key), None for Halt
+        self._cells = tuple(
+            tuple(None if c is None else (*c, 2 * c[2] + (c[1] > 0))
+                  for c in row) for row in m.table)
+        pass_steps = [{s: (c[0], 2 * c[2] + (d > 0), 1)
+                       for s, c in enumerate(row)
+                       if c is not None and c[1] == d}
+                      for row in m.table for d in (-1, 1)]
+        self._ends, self._sweeping = pass_ends(pass_steps, m.n_symbols)
+        self._crossings = [_Crossings(pass_steps, key)
+                           for key in range(len(pass_steps))]
+        self._fill = bytes((m.blank,))
+        self._tape = bytearray(self._fill * 64)
+        self._origin = self._pos = self._lo = self._hi = 32
+        self.state, self.steps, self.halted = m.init, 0, False
+
+    @property
+    def head(self) -> int:
+        """The cell under the head."""
+        return self._pos - self._origin
+
+    def advance(self, target: int) -> None:
+        """Step until `target` steps have run or the machine halts."""
+        t, cells, ends = self._tape, self._cells, self._ends
+        sweeping, crossings = self._sweeping, self._crossings
+        q, p, done, lo, hi = (self.state, self._pos, self.steps, self._lo,
+                              self._hi)
+        while done < target and not self.halted:
+            cell = cells[q][t[p]]
+            if cell is None:
+                done += 1
+                self.halted = True
+                break
+            t[p], d, q, key = cell
+            p += d
+            done += 1
+            if p < lo:
+                lo = p
+                if not p:
+                    grow = len(t)
+                    t[:0] = self._fill * grow
+                    self._origin += grow
+                    p, lo, hi = p + grow, lo + grow, hi + grow
+            elif p > hi:
+                hi = p
+                if p == len(t) - 1:
+                    t += self._fill * len(t)
+            if t[p] in ends[key]:
+                continue
+            # the pass: the cells ahead up to the first of the key's ends;
+            # `end` is the head after them
+            if d > 0:
+                end = min(p + target - done, len(t) - 2)
+                for s in ends[key]:
+                    j = t.find(s, p, end)
+                    if j >= 0:
+                        end = j
+            else:
+                end = max(p - target + done, 1)
+                for s in ends[key]:
+                    end = max(t.rfind(s, end, p + 1), end)
+            n = (end - p) * d
+            if not sweeping[key]:
+                stretch = bytes(t[p:end:d])  # in the order visited
+                written = []
+                for i in range(0, n, C):
+                    w, key = crossings[key][stretch[i:i + C]]
+                    written.append(w)
+                t[p:end:d] = b"".join(written)
+                q = key >> 1
+            p = end
+            done += n
+            if p < lo:
+                lo = p
+            elif p > hi:
+                hi = p
+        self.state, self._pos, self.steps = q, p, done
+        self._lo, self._hi = lo, hi
+
+    def visited(self) -> tuple[int, bytearray]:
+        """(first, symbols): the first visited cell, and a new bytearray of
+        the symbols of the visited cells from there on."""
+        return self._lo - self._origin, self._tape[self._lo:self._hi + 1]
 
 
 def run_trace(m: MachineTable, checkpoints: list[int]) -> list[Configuration]:

@@ -156,6 +156,27 @@ def test_scan_json(capsys):
     assert payload["counterexample"] is None
 
 
+def test_scan_stats_follow_the_existing_keys(capsys):
+    """The scan to 100 reads 70 digits, the deepest at place 11 (the
+    least significant digit is place 0)."""
+    code, out, _ = run_cli(capsys, "--format", "json", "scan",
+                           "--max-n", "100")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["command", "bound", "free_exponents",
+                             "digit_lengths", "digit_ops", "counterexample",
+                             "elapsed_seconds", "stats"]
+    stats = payload["stats"]
+    assert list(stats) == ["exponents_per_s", "digit_ops", "deepest_digit"]
+    assert stats["exponents_per_s"] > 0
+    assert (stats["digit_ops"], stats["deepest_digit"]) == (70, 11)
+    assert payload["digit_ops"] == 70
+    code, out, _ = run_cli(capsys, "scan", "--max-n", "100")
+    assert code == 0
+    assert re.fullmatch(r"stats: [\d,]+ exponents/s, 70 digit ops, "
+                        r"deepest digit tested 11", out.splitlines()[-1])
+
+
 def test_scan_counterexample_exits_one(capsys, monkeypatch):
     """A scan that reports a digit-2-free exponent above 8 has found the
     anomaly the paper's machine halts on."""

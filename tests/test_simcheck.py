@@ -227,6 +227,80 @@ def test_machines_halting_together_are_both_halted(big, small):
         _assert_matches_reference(bad_big, bad_small, n_max)
 
 
+def _configuration(state, head, cells, blank):
+    """A tm.Configuration in `state` with the head at `head` and the tape
+    holding `cells`, a dict of cell -> symbol index, the head cell among
+    its keys."""
+    tape = tm.Tape(blank)
+    tape.cells = dict(cells)
+    tape.lo, tape.hi = min(cells), max(cells)
+    return tm.Configuration(state, head, tape)
+
+
+def _halting_start(small):
+    """m54 in rewind on the separator, cell -1, with counter 2 at cell -2
+    and the number 2 at cell 0: it doubles 2 to 4, "11" in ternary, finds
+    no digit 2, and halts in check_halt on the counter's 2."""
+    two, blank = small.symbol_index("2"), small.blank
+    return {-2: two, -1: blank, 0: two}
+
+
+def test_m54_halts_where_a_power_has_no_digit_2(small):
+    """The paper's halting direction, which no run from the blank tape
+    takes, on a hand-built tape: step 8 executes (check_halt, 2)."""
+    c = _configuration(small.state_index("rewind"), -1,
+                       _halting_start(small), small.blank)
+    while not c.halted:
+        tm.step(small, c)
+    assert (c.step_count, small.states[c.state], c.head) == (
+        8, "check_halt", -2)
+    assert small.symbols[c.read()] == "2"
+
+
+def test_m152_halts_with_m54_at_the_summed_step_costs(big, small):
+    """m152 started from the encoded tape, in rewind_sim at head_map(-1, L),
+    halts in check_halt_a at micro-step 18, the sum of STEP_COSTS along
+    m54's eight keys, on its only Halt cell, (check_halt_a, a).  None of
+    the 60 one-cell corruptions of that cell halts there: each one runs
+    the same 17 micro-steps, reads that cell and goes on."""
+    cells = _halting_start(small)
+    c = _configuration(small.state_index("rewind"), -1, cells, small.blank)
+    keys, direction = [], L
+    while not c.halted:
+        keys.append(((small.states[c.state], direction),
+                     small.symbols[c.read()]))
+        head = c.head
+        tm.step(small, c)
+        direction = R if c.head > head else L
+    cost = sum(step_cost(key, symbol) for key, symbol in keys)
+    assert (len(keys), cost) == (8, 18)
+
+    bits = {2 * i + j: big.symbol_index(DEFAULT_ENCODING.words[
+                small.symbols[s]][j])
+            for i, s in cells.items() for j in range(2)}
+    start = (big.state_index(state_map_h(("rewind", L))), head_map(-1, L),
+             bits)
+    halting = big.state_index("check_halt_a"), big.symbol_index("a")
+    assert [(q, s) for q, row in enumerate(big.table)
+            for s, cell in enumerate(row) if cell is HALT] == [halting]
+    c = _configuration(*start, big.blank)
+    while not c.halted:
+        tm.step(big, c)
+    assert (c.step_count, c.state, c.read()) == (18, *halting)
+
+    corruptions = [Transition(w, move, q) for w in range(2) for move in (L, R)
+                   for q in range(big.n_states)]
+    assert len(corruptions) == 60
+    for tr in corruptions:
+        bad = big.with_cell(*halting, tr)
+        c = _configuration(*start, bad.blank)
+        for _ in range(17):
+            tm.step(bad, c)
+        assert (c.state, c.read()) == halting
+        tm.step(bad, c)
+        assert not c.halted and c.step_count == 18
+
+
 def test_small_leaving_the_key_set_raises(big, small):
     """A small machine that enters mul2_F leftward has no big state to
     map to."""

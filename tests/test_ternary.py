@@ -284,3 +284,14 @@ def test_scan_digit_ops_counts_every_class_to_test_at_every_bound_to_300():
     for n_max in range(301):
         assert scan_erdos(n_max).digit_ops == bisect.bisect_right(
             tested, n_max), n_max
+
+
+def test_scan_deepest_digit_at_every_bound_to_300():
+    # every power 2^n, n <= n_max, is read up to its first digit 2, or to
+    # its last digit if it has none, and no further
+    deepest = 0
+    for n_max in range(301):
+        digits = power_of_two_ternary(n_max).lsf_str()
+        deepest = max(deepest, digits.find("2") if "2" in digits
+                      else len(digits) - 1)
+        assert scan_erdos(n_max).deepest_digit == deepest, n_max

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -295,14 +296,13 @@ def _relabelled(m, blank, init):
 
 
 def _assert_run_is_config(run, c):
-    """A FlatRun agrees with a tm.step configuration: state, steps, halted
-    flag, head, visited cells and configuration."""
+    """A FlatRun or PassRun agrees with a tm.step configuration: state,
+    steps, halted flag, head and visited cells."""
     assert (run.state, run.steps, run.halted, run.head) == (
         c.state, c.step_count, c.halted, c.head)
     first, cells = run.visited()
     assert (first, first + len(cells) - 1) == (c.tape.lo, c.tape.hi)
     assert tuple(cells) == c.tape.window(c.tape.lo, c.tape.hi)
-    _assert_same_config(run.configuration(), c)
 
 
 @given(_tables(),
@@ -325,6 +325,116 @@ def test_flat_run_matches_single_steps(m, stops):
     for target in targets:
         run.advance(target)
         _assert_run_is_config(run, _step_to(m, c, target))
+        _assert_same_config(run.configuration(), c)
+
+
+def _random_pass_table(rng):
+    """A table of 1-5 states and 2-5 symbols with a random blank, initial
+    state and some Halt cells.  Most cells of a row move the way the row
+    leans, and some write their symbol back and keep the state, so that
+    the head makes passes and sweeps."""
+    n, k = rng.randint(1, 5), rng.randint(2, 5)
+    rows = []
+    for q in range(n):
+        lean = rng.choice((-1, 1))
+        row = []
+        for s in range(k):
+            roll = rng.random()
+            if roll < 0.1:
+                row.append(HALT)
+            elif roll < 0.4:
+                row.append((s, lean, q))
+            elif roll < 0.7:
+                row.append((rng.randrange(k), lean, rng.randrange(n)))
+            else:
+                row.append((rng.randrange(k), rng.choice((-1, 1)),
+                            rng.randrange(n)))
+        rows.append(tuple(row))
+    return MachineTable("random", tuple("01234"[:k]), rng.randrange(k),
+                        tuple("ABCDE"[:n]), rng.randrange(n), tuple(rows))
+
+
+def _assert_same_run_state(run, ref):
+    """Two runs with FlatRun's read interface agree: steps, state, halted
+    flag, head and visited cells, so also every cell past them, which
+    both read as blank."""
+    assert (run.steps, run.state, run.halted, run.head) == (
+        ref.steps, ref.state, ref.halted, ref.head)
+    first, cells = run.visited()
+    ref_first, ref_cells = ref.visited()
+    assert (first, list(cells)) == (ref_first, list(ref_cells))
+
+
+def test_pass_run_matches_flat_run_on_random_tables():
+    """PassRun against FlatRun on 2,000 seeded random tables, each
+    advanced through four increasing targets.  The tables lean so that
+    their passes cross many cells: many tables have a key that sweeps and
+    many a pass that is crossed chunk by chunk."""
+    rng = random.Random(27)
+    sweeps = chunked = 0
+    for _ in range(2000):
+        m = _random_pass_table(rng)
+        run, ref = tm.PassRun(m), tm.FlatRun(m)
+        keys = [key for key, ends in enumerate(run._ends)
+                if len(ends) < m.n_symbols]
+        sweeps += any(run._sweeping[key] for key in keys)
+        chunked += not all(run._sweeping[key] for key in keys)
+        for target in sorted(rng.randrange(3000) for _ in range(4)):
+            run.advance(target)
+            ref.advance(target)
+            _assert_same_run_state(run, ref)
+    assert sweeps > 500 and chunked > 500
+
+
+def test_pass_run_matches_single_steps():
+    """PassRun against tm.step on the first 200 of those random tables,
+    at every target, and on tables whose sweeps over the blank grow the
+    tape on either side far past its first 64 cells."""
+    rng = random.Random(27)
+    tables = [(_random_pass_table(rng),
+               sorted(rng.randrange(3000) for _ in range(4)))
+              for _ in range(200)]
+    tables += [(_SWEEP_RIGHT, [0, 1, 31, 32, 100, 5000]),
+               (_SWEEP_LEFT, [1, 2, 33, 34, 5000]),
+               (_BOUNCER, [3, 6, 10, 180, 189, 190, 3000]),
+               (_ZIGZAG, [1, 2, 255, 3000])]
+    for m, targets in tables:
+        run, c = tm.PassRun(m), tm.initial_configuration(m)
+        for target in targets:
+            run.advance(target)
+            _assert_run_is_config(run, _step_to(m, c, target))
+
+
+def test_pass_run_matches_flat_run_on_m54():
+    """m54 at more than 150 targets up to 10^6: the checkpoints s_n for
+    every tenth n to 1000, where a rewind sweep ends on the separator, one
+    step before and after every hundredth, and 40 seeded targets that
+    fall inside the sweeps and the doubling passes."""
+    m = machines.builtin_m54()
+    rng = random.Random(54)
+    targets = {search.checkpoint_steps(n) + i for n in range(0, 1001, 10)
+               for i in ((-1, 0, 1) if n % 100 == 0 else (0,))}
+    targets |= {rng.randrange(10 ** 6) for _ in range(40)} | {10 ** 6}
+    assert len(targets) > 150
+    run, ref = tm.PassRun(m), tm.FlatRun(m)
+    for target in sorted(targets):
+        run.advance(target)
+        ref.advance(target)
+        _assert_same_run_state(run, ref)
+
+
+def test_pass_run_takes_at_most_256_symbols():
+    """A table of 256 symbols runs, here a sweep to the right over its
+    blank, symbol 255; one of 257 symbols is refused."""
+    symbols = tuple(str(i) for i in range(257))
+    with pytest.raises(ValidationError, match="at most 256 symbols"):
+        tm.PassRun(MachineTable("wide", symbols, 0, ("A",), 0,
+                                ((HALT,) * 257,)))
+    run = tm.PassRun(MachineTable("byte", symbols[:256], 255, ("A",), 0,
+                                  ((HALT,) * 255 + ((255, 1, 0),),)))
+    run.advance(1000)
+    assert (run.steps, run.head, run.halted) == (1000, 1000, False)
+    assert run.visited() == (0, bytearray([255]) * 1001)
 
 
 # The first machine halts at step 107; the second runs to any budget, and
