@@ -9,13 +9,14 @@ they take depends only on the small machine's state, the direction it
 last moved and the cells within reach of its head: the verifier takes
 such a step once, checking it, and replays it from a memo whenever it
 meets the same state, direction and cells again.  It crosses the
-passes over the digits in bulk.  A rewind pass writes
-every digit back, so it is recorded in one step, a sweep.  A doubling
-pass rewrites every digit, so it is crossed six cells at a time, each
-chunk's steps looked up in a cache.  The demo prints how many steps it
-computed and replayed and how many sweeps and passes it took.  It also
-demonstrates fault detection: corrupt one transition of the big table
-and the coupling breaks within a few hundred steps.
+passes over the digits in bulk.  A rewind pass writes every digit
+back, so it is recorded in one step, a sweep.  A doubling pass
+rewrites every digit and switches between two states, with a carry
+pending or not, so one integer addition gives the state at every
+digit and the whole pass is crossed at once.  The demo prints how
+many steps it computed and replayed and how many sweeps and passes it
+took.  It also demonstrates fault detection: corrupt one transition of
+the big table and the coupling breaks within a few hundred steps.
 """
 
 import time

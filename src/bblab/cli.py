@@ -158,6 +158,10 @@ def cmd_check_sim(args) -> int:
                         "small_steps_per_s": transcript.small_steps_per_s,
                         "compression": transcript.compression,
                         "passes": transcript.passes}
+    lines.append(f"stats: {transcript.window_runs:,} steps computed, "
+                 f"{transcript.replays:,} replays, {transcript.sweeps:,} "
+                 f"sweeps, {transcript.passes:,} passes, "
+                 f"{transcript.small_steps_per_s:,.0f} small steps/s")
     _emit(args, payload, lines)
     return 0 if transcript.ok else 1
 

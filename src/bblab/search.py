@@ -124,8 +124,8 @@ def verify_checkpoints(m54: MachineTable, n_max: int) -> CheckpointReport:
     of more than 256 symbols.  The len(2^n) cells right of the separator,
     read by `ternary.lsf_to_int` as a least-significant-first digit
     string, must equal 2^n, which Python integers give exactly.  To
-    n = 1000 (634,569 steps) this takes about 0.02 s on a 2-vCPU Xeon
-    with Python 3.11, against 0.044 s on FlatRun.
+    n = 1000 (634,569 steps) this takes 0.016-0.025 s on a 2-vCPU Xeon
+    with Python 3.11, against 0.05-0.08 s on FlatRun.
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")

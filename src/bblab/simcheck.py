@@ -39,23 +39,24 @@ has no pass steps, so it takes no pass.  Where a key writes each of its
 pass symbols back and keeps itself, as rewind does, the stretch is a
 sweep, recorded at once: the key throughout, and the cells in the order
 visited as read symbols.  The doubling passes rewrite every digit and
-switch between two keys, so they are crossed `C` cells at a time: each
-chunk is looked up in a per-key table of crossings (the cells written,
-the log record, the key after and the cost), each built from the pass
-steps when first met.  After each replay the verifier takes the pass
-from small's head if the symbol there continues one.  To 10^6 steps
-this takes 203 steps computed and 7,166 replayed, 1,252 sweeps and
-1,257 passes.
+switch between mul2_F and mul2_G as a carry is pending or not, so
+`tm.CarryPass` crosses each at once: one integer addition gives the key
+at every cell, one `bytes.translate` of the (key, symbol) bytes the
+cells written, another the log records' keys, and one `bytes.count` the
+cost: 2 a cell, 4 for mul2_G on 1.  A key with neither (no corruption of
+the 2-symbol machine makes one) is replayed step by step.  After each
+replay the verifier takes the pass from small's head if the symbol there
+continues one.  To 10^6 steps this takes 203 steps computed and 7,166
+replayed, 1,252 sweeps and 1,257 passes.
 
 The transcript is one append-only bytearray log of (key, read symbol)
-byte pairs, 2 bytes a step: a replay appends its memoised record, a
-sweep its stretch interleaved with its key, and a pass its chunks'
-records.  f(n) at the last verified step is a running total: each
-memoised step and each chunk crossing carries its cost, and a sweep
-adds, for each of its key's pass symbols, that symbol's cost times its
-count in the stretch.  Small's head there is its place on the shared
-tape.  The int8 arrays `keys` and `sigmas` are views of the log's even
-and odd bytes.
+byte pairs, 2 bytes a step: a replay appends its memoised record, and
+a sweep or a pass its stretch interleaved with the key at each cell.
+f(n) at the last verified step is a running total: each memoised step
+carries its cost, a sweep adds each pass symbol's cost times its count,
+and a pass 2 per cell plus 2 for each mul2_G step reading 1.
+Small's head there is its place on the shared tape.  The int8 arrays
+`keys` and `sigmas` are views of the log's even and odd bytes.
 A step's cost follows from its key and read symbol, and small's move
 from the next key, so the int64 arrays `f` and `heads`, 8 bytes a step
 each, are built from the log on first access.
@@ -71,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OutOfRange, UndefinedCost, UnknownKey, ValidationError
-from .tm import C, L, R, MachineTable, pass_ends
+from .tm import L, R, MachineTable, pass_end, pass_ends
 
 BLOCK = 2
 
@@ -152,27 +153,6 @@ def step_cost(key: tuple[str, str], symbol: str) -> int:
 _MOVES = np.array([1 if d == R else -1 for _, d in K], np.int64)
 
 
-class _Crossings(dict):
-    """Passes from one key, by the cells crossed in the order visited:
-    (the cells written, each step's key and read symbol as two bytes,
-    the key after them, and the big steps they cost), each computed from
-    `pass_steps[key][symbol]`, (write, next key, cost), when first met."""
-
-    def __init__(self, pass_steps, key):
-        self.pass_steps, self.key = pass_steps, key
-
-    def __missing__(self, cells):
-        key, written, rec, cost = self.key, bytearray(), bytearray(), 0
-        for sigma in cells:
-            w, next_key, c = self.pass_steps[key][sigma]
-            written.append(w)
-            rec += bytes((key, sigma))
-            cost += c
-            key = next_key
-        self[cells] = crossing = bytes(written), bytes(rec), key, cost
-        return crossing
-
-
 @dataclass
 class SimulationTranscript:
     """Record of a bounded lockstep verification.
@@ -189,7 +169,7 @@ class SimulationTranscript:
     cells within reach of small's head met, `replays` the single steps
     applied from the memo, `sweeps` the stretches of sweep steps crossed
     in one bulk step each, and `passes` the stretches of pass steps
-    crossed in chunks of `C` cells.
+    carry-crossed in one bulk step each.
     """
 
     status: str  # "verified" | "both-halted" | "mismatch"
@@ -423,9 +403,10 @@ def verify_simulation(big: MachineTable, small: MachineTable,
             else:
                 steps[sigma] = plan[1], plan[3], plan[0]
         pass_steps.append(steps)
-    ends, sweeping = pass_ends(pass_steps, n_symbols)
-
-    crossings = [_Crossings(pass_steps, code) for code in range(len(K))]
+    ends, carries = pass_ends(pass_steps, n_symbols)
+    # per CarryPass: a cell byte's key code, by its top bit
+    key_of = {carry: bytes(carry.keys[v >> 7] for v in range(256))
+              for carry in carries if carry}
 
     # The transcript log: step n's key and read symbol at bytes 2n and
     # 2n + 1.  `big_steps` sums the costs of the steps before the last
@@ -515,40 +496,28 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         if t[sp] in ends[key]:
             continue
         # a pass: the cells ahead up to the first of the key's `ends`,
-        # within n_max steps and `_REACH` of the tape's ends; `end` is
-        # small's head after them
+        # within n_max steps and `_REACH` of the tape's ends
         d = ahead[key]
-        if d > 0:
-            end = min(sp + n_max - n, len(t) - _REACH - 1)
-            for s in ends[key]:
-                j = t.find(s, sp, end)
-                if j >= 0:
-                    end = j
-        else:
-            end = max(sp - n_max + n, _REACH)
-            for s in ends[key]:
-                end = max(t.rfind(s, end, sp + 1), end)
+        end = pass_end(t, sp, d, n_max - n, _REACH, ends[key])
         stretch = bytes(t[sp:end:d])  # in the order visited
         if not stretch:
             continue
-        if sweeping[key]:
-            # the key throughout, and the cells as read symbols
+        i = len(log)
+        log += key_byte[key] * (2 * len(stretch))
+        log[i + 1::2] = stretch
+        carry = carries[key]
+        if carry is None:
+            # a sweep: the key throughout, and the cells as read symbols
             sweeps += 1
-            i = len(log)
-            log += key_byte[key] * (2 * len(stretch))
-            log[i + 1::2] = stretch
             for s, (_, _, cost) in pass_steps[key].items():
                 big_steps += cost * stretch.count(s)
         else:
-            # C cells at a time
             passes += 1
-            written = []
-            for i in range(0, len(stretch), C):
-                cells, rec, key, cost = crossings[key][stretch[i:i + C]]
-                written.append(cells)
-                log += rec
-                big_steps += cost
-            t[sp:end:d] = b"".join(written)
+            cells, key = carry.cross(stretch)
+            t[sp:end:d] = cells.translate(carry.write)
+            log[i::2] = cells.translate(key_of[carry])
+            big_steps += carry.base * len(cells) + sum(
+                extra * cells.count(v) for v, extra in carry.extras)
         n += len(stretch)
         sp = end
     log += bytes((key, t[sp]))

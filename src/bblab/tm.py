@@ -30,12 +30,13 @@ say how it went.
 `PassRun` has FlatRun's read interface but keeps the tape in a
 bytearray, for tables of at most 256 symbols, and crosses each pass of
 the head in one direction in bulk: a sweep, which leaves the tape as it
-is, with one `bytearray.find`, and any other pass `C` cells at a time.
-`pass_ends` finds where the passes end, for it and for the lockstep
-check in `simcheck`.  The checkpoint verifier runs the power-of-two
-machine on it, whose steps are nearly all such passes; on a table whose
-passes are short it is slower than FlatRun, so `run` and the closure
-search's halting probe keep FlatRun.
+is, with one `bytearray.find`, and a pass between two keys by one
+integer addition (`CarryPass`).  `pass_ends` finds where the passes
+end and how they are crossed, for it and for the lockstep check in
+`simcheck`.  The checkpoint verifier runs the power-of-two machine on
+it, whose steps are nearly all such passes; on a table whose passes
+are short it is slower than FlatRun, so `run` and the closure search's
+halting probe keep FlatRun.
 All of them give exactly the configurations `step` gives; `step` stays
 the independent reference that certificate revalidation runs on.
 """
@@ -468,27 +469,64 @@ class FlatRun:
                              self.halted)
 
 
-# Cells a pass that is not a sweep crosses at a time, in `PassRun` and in
-# `simcheck`'s lockstep check.  `bblab check-sim` for 5, 16, 333 and 10^6
-# steps, in one fresh process (2-vCPU Xeon, Python 3.11, CPU time, 8
-# processes each, fastest run): C = 6 took 61 ms, building 1,745
-# crossings to 10^6; C = 5 68 ms, C = 7 69 ms (4,842 crossings) and
-# C = 8 110 ms (13,594), as the crossings met grow as 3^C.
-C = 6
+_TOP_BIT = bytes.maketrans(b"01", b"\x00\x80")  # a key bit to the top bit
+
+
+class CarryPass:
+    """The passes from a key a whose pass steps reach at most one other
+    key b (else b is a), each pass symbol keeping the key (a to a, b to
+    b) or resetting it (both to a, or both to b).  With G the bitmask of
+    the cells crossed whose step from a goes to b, and GP of those whose
+    step from b stays at b, the key leaves a cell as b if G, or if GP and
+    it came in as b: an adder's carry, so bit i of (GP + G) ^ GP ^ G is 1
+    where the key at cell i is b (bit-parallel, as Myers, J. ACM 1999).
+    A cell's key and symbol are one byte, the symbol plus 128 for b;
+    `write` maps it to the symbol written (a `bytes.translate` table); a
+    step costs `base` plus the extra that `extras` pairs its byte with."""
+
+    __slots__ = ("keys", "write", "base", "extras", "_g", "_gp")
+
+    def __init__(self, pass_steps: list[dict], a: int, b: int,
+                 symbols: bytes):
+        """Key a's passes over `symbols`, as `pass_ends` finds them."""
+        self.keys = a, b
+        cells = {s + 128 * bit: pass_steps[k][s]
+                 for bit, k in enumerate(self.keys) for s in symbols}
+        self.write = bytes.maketrans(bytes(cells),
+                                     bytes(w for w, _, _ in cells.values()))
+        costs = [cost for _, _, cost in cells.values()]
+        self.base = base = max(costs, key=costs.count, default=0)
+        self.extras = [(v, c - base) for v, c in zip(cells, costs)
+                       if c != base]
+        self._g, self._gp = (bytes.maketrans(symbols, bytes(
+            b"01"[pass_steps[k][s][1] == b] for s in symbols)) for k in (a, b))
+
+    def cross(self, stretch: bytes) -> tuple[bytes, int]:
+        """The (key, symbol) byte of each cell of `stretch`, crossed in the
+        order given from key a, and the key after them."""
+        back = stretch[::-1]  # to ASCII bits below, the last cell highest
+        g = int(back.translate(self._g) or b"0", 2)
+        gp = int(back.translate(self._gp) or b"0", 2)
+        # the key after the pass, then each cell's, the last cell's first
+        bits = f"{(gp + g) ^ gp ^ g:0{len(stretch) + 1}b}"
+        cells = int.from_bytes(bits[1:].encode().translate(_TOP_BIT), "big")
+        cells |= int.from_bytes(stretch, "little")
+        return cells.to_bytes(len(stretch), "little"), self.keys[int(bits[0])]
 
 
 def pass_ends(pass_steps: list[dict],
-              n_symbols: int) -> tuple[list[bytes], list[bool]]:
-    """Where the passes from each key end, and which of them are sweeps.
+              n_symbols: int) -> tuple[list[bytes], list]:
+    """Where the passes from each key end, and how they are crossed.
 
     `pass_steps[key]` maps each symbol on which a step from `key` goes on
     with the pass to (write, next key, cost).  A pass from a key crosses
     the symbols that are pass steps of every key its pass steps reach;
-    `ends[key]` holds the other symbols, as bytes.  `sweeping[key]` says
-    whether the key's pass steps all write the symbol back and keep the
-    key, so that its pass leaves the tape as it is and can be crossed at
-    once."""
-    ends, sweeping = [], []
+    `ends[key]` holds the other symbols, as bytes.  `carries[key]` is
+    None for a sweep, whose pass steps write each symbol back and keep
+    the key, and else the key's `CarryPass`.  A key with neither (its
+    pass steps reach three keys or swap two, or the table has more than
+    128 symbols) ends on every symbol: it takes no pass."""
+    ends, carries = [], []
     for code, steps in enumerate(pass_steps):
         reach, todo = set(), [code]
         while todo:
@@ -496,28 +534,38 @@ def pass_ends(pass_steps: list[dict],
             if k not in reach:
                 reach.add(k)
                 todo += [k2 for _, k2, _ in pass_steps[k].values()]
-        ends.append(bytes(s for s in range(n_symbols)
-                          if any(s not in pass_steps[k] for k in reach)))
-        sweeping.append(reach == {code} and all(
-            w == s for s, (w, _, _) in steps.items()))
-    return ends, sweeping
+        symbols = bytes(s for s in range(n_symbols)
+                        if all(s in pass_steps[k] for k in reach))
+        carry = None
+        if reach != {code} or any(w != s for s, (w, _, _) in steps.items()):
+            b = max(reach - {code}, default=code)
+            # three keys, too many symbols for a byte, or a and b swapped
+            if len(reach) > 2 or n_symbols > 128 or any(
+                    pass_steps[code][s][1] != pass_steps[b][s][1] == code
+                    for s in symbols):
+                symbols = b""
+            else:
+                carry = CarryPass(pass_steps, code, b, symbols)
+        ends.append(bytes(range(n_symbols)).translate(None, symbols))
+        carries.append(carry)
+    return ends, carries
 
 
-class _Crossings(dict):
-    """Passes from one key, by the cells crossed in the order visited: the
-    cells written and the key after them, each computed from
-    `pass_steps[key][symbol]`, (write, next key, cost), when first met."""
-
-    def __init__(self, pass_steps, key):
-        self.pass_steps, self.key = pass_steps, key
-
-    def __missing__(self, cells):
-        key, written = self.key, bytearray()
-        for sigma in cells:
-            w, key, _ = self.pass_steps[key][sigma]
-            written.append(w)
-        self[cells] = crossing = bytes(written), key
-        return crossing
+def pass_end(t: bytearray, p: int, d: int, steps: int, margin: int,
+             ends: bytes) -> int:
+    """Where a pass from t[p] in direction d stops: at the first of `ends`,
+    within `steps` cells, and at least `margin` cells from t's ends."""
+    if d > 0:
+        end = min(p + steps, len(t) - margin - 1)
+        for s in ends:
+            j = t.find(s, p, end)
+            if j >= 0:
+                end = j
+        return end
+    end = max(p - steps, margin)
+    for s in ends:
+        end = max(t.rfind(s, end, p + 1), end)
+    return end
 
 
 class PassRun:
@@ -528,18 +576,15 @@ class PassRun:
 
     A key is a state with the direction the head entered it, and its pass
     steps are the cells of that state that move the same way again.
-    `pass_ends` gives the symbols where each key's pass ends and whether
-    it is a sweep.  After each single step the run takes the pass from
-    the head if the symbol there goes on with one: `bytearray.find`, or
+    After each single step the run takes the pass from the head if the
+    symbol there goes on with one (`pass_ends`): `bytearray.find`, or
     `rfind`, locates its end within the steps left and one cell of the
     tape's ends.  A sweep, such as the power-of-two machine's rewind,
-    leaves the tape as it is and is crossed at once.  Any other pass,
-    such as its doubling pass, is crossed `C` cells at a time from a
-    per-key table of crossings, each built by stepping the table the
-    first time that chunk is met (the macro steps of Marxen & Buntrock,
-    1990).  Every pass step is one step, so a run stops at exactly its
-    target.  Each single step pays for the test that starts a pass, so
-    on a table whose passes are short this runs slower than FlatRun.
+    leaves the tape as it is and is crossed at once, and a pass between
+    two keys, such as its doubling pass, by the key's `CarryPass`.
+    Every pass step is one step, so a run stops at exactly its target.
+    Each single step pays for the test that starts a pass, so on a table
+    whose passes are short this runs slower than FlatRun.
 
     `_tape[i]` holds cell i - `_origin`, blank where never written, the
     head is at `_tape[_pos]`, and it has visited `_tape[_lo:_hi + 1]`.
@@ -548,8 +593,7 @@ class PassRun:
     """
 
     __slots__ = ("_cells", "_fill", "_tape", "_origin", "_pos", "_lo", "_hi",
-                 "_ends", "_sweeping", "_crossings", "state", "steps",
-                 "halted")
+                 "_ends", "_carries", "state", "steps", "halted")
 
     def __init__(self, m: MachineTable):
         """The run of `m` from the blank tape."""
@@ -565,9 +609,7 @@ class PassRun:
                        for s, c in enumerate(row)
                        if c is not None and c[1] == d}
                       for row in m.table for d in (-1, 1)]
-        self._ends, self._sweeping = pass_ends(pass_steps, m.n_symbols)
-        self._crossings = [_Crossings(pass_steps, key)
-                           for key in range(len(pass_steps))]
+        self._ends, self._carries = pass_ends(pass_steps, m.n_symbols)
         self._fill = bytes((m.blank,))
         self._tape = bytearray(self._fill * 64)
         self._origin = self._pos = self._lo = self._hi = 32
@@ -580,8 +622,8 @@ class PassRun:
 
     def advance(self, target: int) -> None:
         """Step until `target` steps have run or the machine halts."""
-        t, cells, ends = self._tape, self._cells, self._ends
-        sweeping, crossings = self._sweeping, self._crossings
+        t, cells, ends, carries = (self._tape, self._cells, self._ends,
+                                   self._carries)
         q, p, done, lo, hi = (self.state, self._pos, self.steps, self._lo,
                               self._hi)
         while done < target and not self.halted:
@@ -606,29 +648,14 @@ class PassRun:
                     t += self._fill * len(t)
             if t[p] in ends[key]:
                 continue
-            # the pass: the cells ahead up to the first of the key's ends;
-            # `end` is the head after them
-            if d > 0:
-                end = min(p + target - done, len(t) - 2)
-                for s in ends[key]:
-                    j = t.find(s, p, end)
-                    if j >= 0:
-                        end = j
-            else:
-                end = max(p - target + done, 1)
-                for s in ends[key]:
-                    end = max(t.rfind(s, end, p + 1), end)
-            n = (end - p) * d
-            if not sweeping[key]:
-                stretch = bytes(t[p:end:d])  # in the order visited
-                written = []
-                for i in range(0, n, C):
-                    w, key = crossings[key][stretch[i:i + C]]
-                    written.append(w)
-                t[p:end:d] = b"".join(written)
+            end = pass_end(t, p, d, target - done, 1, ends[key])
+            carry = carries[key]
+            if carry is not None:
+                crossed, key = carry.cross(t[p:end:d])  # as visited
+                t[p:end:d] = crossed.translate(carry.write)
                 q = key >> 1
+            done += (end - p) * d
             p = end
-            done += n
             if p < lo:
                 lo = p
             elif p > hi:

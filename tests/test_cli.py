@@ -190,9 +190,18 @@ def test_scan_counterexample_exits_one(capsys, monkeypatch):
 
 
 def test_check_sim(capsys):
+    """The text report ends with a stats line of the transcript's counts,
+    as `scan` and `enumerate` do: to 10^5 steps, 203 steps computed,
+    2,221 replays, 391 sweeps and 396 passes."""
     code, out, _ = run_cli(capsys, "check-sim", "--steps", "200")
     assert code == 0
     assert "verified, f(200)=" in out
+    code, out, _ = run_cli(capsys, "check-sim", "--steps", "100000")
+    assert code == 0
+    first, stats = out.splitlines()
+    assert first == "verified, f(100000)=217198"
+    assert re.fullmatch(r"stats: 203 steps computed, 2,221 replays, 391 "
+                        r"sweeps, 396 passes, [\d,]+ small steps/s", stats)
 
 
 def test_check_sim_json(capsys):

@@ -347,9 +347,10 @@ def test_transcript_arrays_are_pinned(long_transcript):
 
 def test_a_transcript_builds_its_int64_arrays_on_first_access(big, small):
     """To n = 10^5 the verification allocates at most 1 MiB at its peak
-    (0.62 MiB, with a 2-byte-a-step log and the doubling passes' chunk
-    crossings; 0.475 MiB before doubling passes were crossed in chunks,
-    2.04 MiB when f and heads were built with every run).  f(n_verified),
+    (0.23-0.25 MiB, with a 2-byte-a-step log and the doubling passes
+    carry-crossed; 0.62 MiB when they were crossed in chunks from a cache
+    of chunk crossings, 0.475 MiB before doubling passes were crossed in
+    bulk, 2.04 MiB when f and heads were built with every run).  f(n_verified),
     the summary and small's head come from running totals, and `f` and
     `heads`, built when first read, give the pinned digest."""
     tracemalloc.start()
@@ -365,8 +366,42 @@ def test_a_transcript_builds_its_int64_arrays_on_first_access(big, small):
     assert _digest(t) == _PINNED_DIGEST
 
 
-def test_window_runs_replays_and_sweeps_are_pinned(big, small,
-                                                  long_transcript):
+@pytest.fixture(scope="module")
+def million_transcript(big, small):
+    return verify_simulation(big, small, DEFAULT_ENCODING, 10**6)
+
+
+def test_the_log_to_a_million_steps_is_pinned(million_transcript):
+    """The log to n = 10^6, 2,000,002 bytes, by its sha256, recorded when
+    doubling passes were crossed in chunks, with f(10^6) and small's head
+    there."""
+    t = million_transcript
+    assert (t.status, len(t.log)) == ("verified", 2_000_002)
+    assert hashlib.sha256(t.log).hexdigest() == (
+        "80078db442cb9ff698b2d90ffc5e8acb933f6089fc8bd90a5f3bb776ccc51145")
+    assert (t.big_steps, t.head) == (2_168_294, 118)
+
+
+def test_the_doubling_passes_are_carry_crossed_from_both_keys(
+        big, small, monkeypatch):
+    """To n = 10^5 each of the 396 passes is one carry crossing, whose
+    cells are stepped from both mul2_F and mul2_G, so losing the carry
+    crossing fails here and not only slows the check down."""
+    crossed, cross = [], tm.CarryPass.cross
+
+    def counted(carry, stretch):
+        cells, key = cross(carry, stretch)
+        crossed.append({carry.keys[v >> 7] for v in cells})
+        return cells, key
+    monkeypatch.setattr(tm.CarryPass, "cross", counted)
+    t = verify_simulation(big, small, DEFAULT_ENCODING, 100_000)
+    assert len(crossed) == t.passes == 396
+    assert set().union(*crossed) == {K.index(("mul2_F", R)),
+                                     K.index(("mul2_G", R))}
+
+
+def test_window_runs_replays_and_sweeps_are_pinned(long_transcript,
+                                                  million_transcript):
     """To n = 10^5 the verifier computes 203 steps and replays 2,221 from
     its memo; the 391 sweeps take the rest of each rewind pass, and the
     396 passes the digits of each doubling, 33.24 small steps per
@@ -376,8 +411,7 @@ def test_window_runs_replays_and_sweeps_are_pinned(big, small,
     assert (t.window_runs, t.replays, t.sweeps, t.passes) == (203, 2221,
                                                               391, 396)
     assert t.compression == 100_000 / 3_008
-    longer = verify_simulation(big, small, DEFAULT_ENCODING, 10**6)
-    assert longer.window_runs == t.window_runs
+    assert million_transcript.window_runs == t.window_runs
 
 
 def test_a_sweep_cut_short_by_n_max_agrees_with_the_reference(big, small):
@@ -399,12 +433,11 @@ def test_a_doubling_pass_cut_short_by_n_max_agrees_with_the_reference(
     """Steps 10,000 to 10,077 read the 78 digits of 2^123 in mul2_F and
     mul2_G, doubling it, and step 10,078 reads the blank after them.  One
     pass takes steps 10,000 to 10,077 and stops at that blank.  Each
-    bound in between cuts the pass short, at a multiple of
-    `simcheck.C` steps or between two: one pass more than to step 10,000,
-    and the same verdict and transcript as the reference lockstep."""
+    bound in between cuts the pass short: one pass more than to step
+    10,000, and the same verdict and transcript as the reference
+    lockstep."""
     doubling = {K.index(("mul2_F", R)), K.index(("mul2_G", R))}
     start = verify_simulation(big, small, DEFAULT_ENCODING, 10_000)
-    assert simcheck.C == 6
     for n_max in (10_001, 10_020, 10_048, 10_076):
         t = _assert_matches_reference(big, small, n_max)
         assert set(t.keys[10_000:].tolist()) == doubling

@@ -369,21 +369,21 @@ def test_pass_run_matches_flat_run_on_random_tables():
     """PassRun against FlatRun on 2,000 seeded random tables, each
     advanced through four increasing targets.  The tables lean so that
     their passes cross many cells: many tables have a key that sweeps and
-    many a pass that is crossed chunk by chunk."""
+    many a pass that is carry-crossed."""
     rng = random.Random(27)
-    sweeps = chunked = 0
+    sweeps = carried = 0
     for _ in range(2000):
         m = _random_pass_table(rng)
         run, ref = tm.PassRun(m), tm.FlatRun(m)
         keys = [key for key, ends in enumerate(run._ends)
                 if len(ends) < m.n_symbols]
-        sweeps += any(run._sweeping[key] for key in keys)
-        chunked += not all(run._sweeping[key] for key in keys)
+        sweeps += any(run._carries[key] is None for key in keys)
+        carried += any(run._carries[key] is not None for key in keys)
         for target in sorted(rng.randrange(3000) for _ in range(4)):
             run.advance(target)
             ref.advance(target)
             _assert_same_run_state(run, ref)
-    assert sweeps > 500 and chunked > 500
+    assert sweeps > 500 and carried > 500
 
 
 def test_pass_run_matches_single_steps():
@@ -435,6 +435,121 @@ def test_pass_run_takes_at_most_256_symbols():
     run.advance(1000)
     assert (run.steps, run.head, run.halted) == (1000, 1000, False)
     assert run.visited() == (0, bytearray([255]) * 1001)
+
+
+def _pass_steps(m, rng):
+    """PassRun's pass steps of `m`, as `tm.pass_ends` takes them, each
+    with a random cost from 1 to 4."""
+    return [{s: (c[0], 2 * c[2] + (d > 0), rng.randint(1, 4))
+             for s, c in enumerate(row) if c is not None and c[1] == d}
+            for row in m.table for d in (-1, 1)]
+
+
+def test_carry_crossing_agrees_with_composed_pass_steps():
+    """Every CarryPass of 100 seeded random tables and of m54, whose two
+    doubling keys each start one, against its pass steps composed one
+    cell at a time.  The stretches are random strings of the key's pass
+    symbols of every length from 0 to 64, and one of 4,400 cells, past
+    the 4,300 digits CPython converts between an int and a string in a
+    base that is not a power of two.  The written cells, the key at each
+    cell, the key after them, the (key, symbol) log records `simcheck`
+    makes of them and their summed cost agree."""
+    rng = random.Random(28)
+    m54 = machines.builtin_m54()
+    doubling = {2 * m54.state_index(q) + 1 for q in ("mul2_F", "mul2_G")}
+    crossed = 0
+    for m in [_random_pass_table(rng) for _ in range(100)] + [m54]:
+        pass_steps = _pass_steps(m, rng)
+        ends, carries = tm.pass_ends(pass_steps, m.n_symbols)
+        keys = {key for key, carry in enumerate(carries)
+                if carry and len(ends[key]) < m.n_symbols}
+        if m is m54:
+            assert keys == doubling
+        for key in keys:
+            carry, crossed = carries[key], crossed + 1
+            assert carry.keys[0] == key
+            symbols = [s for s in range(m.n_symbols) if s not in ends[key]]
+            for n in [*range(65), 4400]:
+                stretch = bytes(rng.choice(symbols) for _ in range(n))
+                k, log, written, cost = key, bytearray(), bytearray(), 0
+                for s in stretch:
+                    w, k2, c = pass_steps[k][s]
+                    log += bytes((k, s))
+                    written.append(w)
+                    cost += c
+                    k = k2
+                cells, after = carry.cross(stretch)
+                assert after == k
+                assert cells.translate(carry.write) == written
+                assert bytes(v & 127 for v in cells) == stretch
+                records = bytearray(2 * n)
+                records[0::2] = bytes(carry.keys[v >> 7] for v in cells)
+                records[1::2] = stretch
+                assert records == log
+                assert carry.base * n + sum(
+                    c * cells.count(v) for v, c in carry.extras) == cost
+    assert crossed > 100
+
+
+# Tables whose pass from (A, R) takes no bulk pass, so PassRun steps it
+# one cell at a time; C sweeps back to the blank left of the digits.  A
+# and B swap on 1 (_SWAP); A, B and D rotate on 1 (_ROTATE); and
+# (A, R) keeps its state, but on 200 symbols, too many for a (key,
+# symbol) byte (_WIDE).
+_SWAP = machines.parse_machine(
+    "symbols: 0 1 2\nblank: 0\nstates: A B C\ninit: A\n"
+    "A 0 -> 1 L C\nA 1 -> 2 R B\nA 2 -> 2 R A\n"
+    "B 0 -> 2 L C\nB 1 -> 1 R A\nB 2 -> 1 R B\n"
+    "C 0 -> 0 R A\nC 1 -> 1 L C\nC 2 -> 2 L C\n", name="swap")
+_ROTATE = machines.parse_machine(
+    "symbols: 0 1 2\nblank: 0\nstates: A B D C\ninit: A\n"
+    "A 0 -> 1 L C\nA 1 -> 2 R B\nA 2 -> 2 R A\n"
+    "B 0 -> 2 L C\nB 1 -> 1 R D\nB 2 -> 1 R B\n"
+    "D 0 -> 1 L C\nD 1 -> 2 R A\nD 2 -> 2 R D\n"
+    "C 0 -> 0 R A\nC 1 -> 1 L C\nC 2 -> 2 L C\n", name="rotate")
+_WIDE = MachineTable(
+    "wide", tuple(str(i) for i in range(200)), 0, ("A", "C"), 0,
+    (((1, -1, 1),) + tuple((s * 67 % 199 + 1, 1, 0) for s in range(1, 200)),
+     ((0, 1, 0),) + tuple((s, -1, 1) for s in range(1, 200))))
+
+
+@pytest.mark.parametrize("m", [_SWAP, _ROTATE, _WIDE],
+                         ids=lambda m: m.name)
+def test_pass_run_single_steps_a_key_without_a_bulk_pass(m):
+    """On each planted table (A, R) has neither a sweep nor a carry
+    crossing and ends on every symbol, and PassRun agrees with FlatRun
+    and with tm.step at every target, the machine's passes growing by a
+    cell each round."""
+    run, flat, c = tm.PassRun(m), tm.FlatRun(m), tm.initial_configuration(m)
+    a_right = 2 * m.state_index("A") + 1
+    assert run._carries[a_right] is None
+    assert len(run._ends[a_right]) == m.n_symbols
+    for target in (1, 2, 7, 100, 1234, 3000):
+        run.advance(target)
+        flat.advance(target)
+        _assert_same_run_state(run, flat)
+        _assert_run_is_config(run, _step_to(m, c, target))
+    assert len(run.visited()[1]) > 50
+
+
+def test_pass_run_carry_crosses_both_of_m54s_doubling_keys(monkeypatch):
+    """To s_100 each of the 100 doublings is one carry crossing, whose
+    cells are stepped from both mul2_F and mul2_G, so losing the carry
+    crossing fails here and not only slows the run down."""
+    m = machines.builtin_m54()
+    doubling = {2 * m.state_index(q) + 1 for q in ("mul2_F", "mul2_G")}
+    crossed, cross = [], tm.CarryPass.cross
+
+    def counted(carry, stretch):
+        cells, key = cross(carry, stretch)
+        crossed.append({carry.keys[v >> 7] for v in cells})
+        return cells, key
+    monkeypatch.setattr(tm.CarryPass, "cross", counted)
+    run = tm.PassRun(m)
+    assert {key for key, carry in enumerate(run._carries) if carry} == (
+        doubling)
+    run.advance(search.checkpoint_steps(100))
+    assert len(crossed) == 100 and set().union(*crossed) == doubling
 
 
 # The first machine halts at step 107; the second runs to any budget, and
