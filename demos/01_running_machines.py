@@ -12,9 +12,9 @@ from bblab import machines, search, tm
 
 def stepper(final):
     """Where a run went: tm.run picks its stepper once, after its first
-    probe on chains."""
+    probe on the pass stepper."""
     return ("handed to the flat stepper after its first probe"
-            if final.handoffs else "on chains throughout")
+            if final.handoffs else "kept on the pass stepper throughout")
 
 # -- the 5-state 2-symbol busy-beaver champion ------------------------------
 
@@ -31,7 +31,7 @@ print(f"tape extent: cells {final.tape.lo}..{final.tape.hi}")
 print(f"compression: {final.compression:.1f} steps per macro step, "
       f"{stepper(final)}")
 
-# -- the power-of-two machine: short runs of equal symbols ------------------
+# -- the power-of-two machine: rewinds and doublings crossed in bulk --------
 
 m54 = machines.builtin_m54()
 s700 = search.checkpoint_steps(700)

@@ -33,28 +33,33 @@ behind, passes with every check: such a step depends on the symbol
 alone.  A pass from a key runs over the symbols that are pass steps of
 every key its pass steps reach, as `tm.pass_ends` derives for
 `tm.PassRun` too, and `bytearray.find` locates the first other symbol,
-where it ends.  For rewind, and for the doubling keys
-mul2_F and mul2_G, that is the blank; find_2 reaches check_halt, which
-has no pass steps, so it takes no pass.  Where a key writes each of its
-pass symbols back and keeps itself, as rewind does, the stretch is a
-sweep, recorded at once: the key throughout, and the cells in the order
-visited as read symbols.  The doubling passes rewrite every digit and
-switch between mul2_F and mul2_G as a carry is pending or not, so
-`tm.CarryPass` crosses each at once: one integer addition gives the key
-at every cell, one `bytes.translate` of the (key, symbol) bytes the
-cells written, another the log records' keys, and one `bytes.count` the
-cost: 2 a cell, 4 for mul2_G on 1.  A key with neither (no corruption of
-the 2-symbol machine makes one) is replayed step by step.  After each
-replay the verifier takes the pass from small's head if the symbol there
-continues one.  To 10^6 steps this takes 203 steps computed and 7,166
-replayed, 1,252 sweeps and 1,257 passes.
+where it ends.  For rewind, and for the doubling keys mul2_F and
+mul2_G, that is the blank.  find_2's pass steps reach three keys,
+rewind and check_halt too, so its pass runs over its own self-loop
+symbols, 0 and 1, and ends on 2 or the blank.  Where a key writes each
+of its pass symbols back and keeps itself, as rewind and find_2 do, the
+stretch is a sweep, recorded at once: the key throughout, and the cells
+in the order visited as read symbols.  The doubling passes rewrite
+every digit and switch between mul2_F and mul2_G as a carry is pending
+or not, so `tm.CarryPass` crosses each at once: one integer addition
+gives the key at every cell, one `bytes.translate` of the (key, symbol)
+bytes the cells written, another the log records' keys, and one
+`bytes.count` the cost: 2 a cell, 4 for mul2_G on 1.  A key with
+neither, such as (rewind, R), whose one pass step enters the doubling,
+is replayed step by step.  After each replay the verifier takes the
+pass from small's head if the symbol there continues one.  To 10^6
+steps this takes 98 steps computed and 4,567 replayed, 2,045 sweeps and
+1,257 passes.
 
 The transcript is one append-only bytearray log of (key, read symbol)
 byte pairs, 2 bytes a step: a replay appends its memoised record, and
 a sweep or a pass its stretch interleaved with the key at each cell.
 f(n) at the last verified step is a running total: each memoised step
-carries its cost, a sweep adds each pass symbol's cost times its count,
-and a pass 2 per cell plus 2 for each mul2_G step reading 1.
+carries its cost, and a sweep or a pass adds its length times its
+commonest step cost plus, for each (key, symbol) byte that costs
+otherwise, the difference times its count (`tm.cost_terms`).  A
+rewind or find_2 sweep costs 2 a cell and needs no count, and a pass 2
+a cell plus 2 for each mul2_G step reading 1.
 Small's head there is its place on the shared tape.  The int8 arrays
 `keys` and `sigmas` are views of the log's even and odd bytes.
 A step's cost follows from its key and read symbol, and small's move
@@ -72,7 +77,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OutOfRange, UndefinedCost, UnknownKey, ValidationError
-from .tm import L, R, MachineTable, pass_end, pass_ends
+from .tm import L, R, MachineTable, cost_terms, pass_end, pass_ends
 
 BLOCK = 2
 
@@ -404,6 +409,10 @@ def verify_simulation(big: MachineTable, small: MachineTable,
                 steps[sigma] = plan[1], plan[3], plan[0]
         pass_steps.append(steps)
     ends, carries = pass_ends(pass_steps, n_symbols)
+    # per key: the (base, extras) cost of a sweep over its pass symbols
+    sweep_costs = [cost_terms({s: cost for s, (_, _, cost) in steps.items()
+                               if s not in ends[code]})
+                   for code, steps in enumerate(pass_steps)]
     # per CarryPass: a cell byte's key code, by its top bit
     key_of = {carry: bytes(carry.keys[v >> 7] for v in range(256))
               for carry in carries if carry}
@@ -509,15 +518,15 @@ def verify_simulation(big: MachineTable, small: MachineTable,
         if carry is None:
             # a sweep: the key throughout, and the cells as read symbols
             sweeps += 1
-            for s, (_, _, cost) in pass_steps[key].items():
-                big_steps += cost * stretch.count(s)
+            cells, (base, extras) = stretch, sweep_costs[key]
         else:
             passes += 1
             cells, key = carry.cross(stretch)
             t[sp:end:d] = cells.translate(carry.write)
             log[i::2] = cells.translate(key_of[carry])
-            big_steps += carry.base * len(cells) + sum(
-                extra * cells.count(v) for v, extra in carry.extras)
+            base, extras = carry.base, carry.extras
+        big_steps += base * len(cells) + sum(
+            extra * cells.count(v) for v, extra in extras)
         n += len(stretch)
         sp = end
     log += bytes((key, t[sp]))

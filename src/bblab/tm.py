@@ -17,26 +17,24 @@ as it is and keep the tape in plain lists.
 `FlatRun` steps one cell at a time on a single list from the blank tape
 and can stop at any step count.  Its callers read its head and its
 visited cells (`visited()`), and the list stays private to it.
-`run` starts on run-length "chains", where a self-loop over a run of
-equal symbols is one macro step, so the bb5 champion halts in a
-fraction of a second.  Where runs of equal symbols are short, as on the
-power-of-two machine, a chain macro step costs several FlatRun steps
-for little more than one step of progress, so a run whose first few
-hundred macro steps compress poorly starts over in a FlatRun and runs
-there to the end.
-It returns the final configuration, whose `halted` and `step_count` say
-how the run ended and whose `macro_steps`, `compression` and `handoffs`
-say how it went.
 `PassRun` has FlatRun's read interface but keeps the tape in a
 bytearray, for tables of at most 256 symbols, and crosses each pass of
 the head in one direction in bulk: a sweep, which leaves the tape as it
 is, with one `bytearray.find`, and a pass between two keys by one
-integer addition (`CarryPass`).  `pass_ends` finds where the passes
-end and how they are crossed, for it and for the lockstep check in
-`simcheck`.  The checkpoint verifier runs the power-of-two machine on
-it, whose steps are nearly all such passes; on a table whose passes
-are short it is slower than FlatRun, so `run` and the closure search's
-halting probe keep FlatRun.
+integer addition (`CarryPass`).  Where a whole pass cannot be crossed
+so, the run of the key's own self-loop symbols still is, as a busy
+beaver's long runs of equal symbols are.  `pass_ends` finds where the
+passes end and how they are crossed, for it and for the lockstep check
+in `simcheck`.
+`run` starts on a PassRun, so the bb5 champion halts and the
+power-of-two machine doubles its numbers in a fraction of a second (a
+table of more than 256 symbols runs on a FlatRun throughout).
+Where passes are short, a PassRun step costs more than a FlatRun step
+for no more progress, so a run whose first few hundred steps take more
+than half as many moves starts over in a FlatRun and runs there to the
+end.  It returns the final configuration, whose `halted` and
+`step_count` say how the run ended and whose `macro_steps`,
+`compression` and `handoffs` say how it went.
 All of them give exactly the configurations `step` gives; `step` stays
 the independent reference that certificate revalidation runs on.
 """
@@ -249,9 +247,9 @@ def _tape(blank: int, extent: list[int], lo: int) -> Tape:
 
 class RunConfiguration(Configuration):
     """The final configuration of `run`, with how the run went:
-    `macro_steps` counts its chain macro steps and the `FlatRun` steps
-    past them, one each, and `handoffs` is 1 if it moved to `FlatRun`,
-    else 0."""
+    `macro_steps` counts its `PassRun` moves, one per single step and one
+    per bulk pass, and the `FlatRun` steps past them, one each, and
+    `handoffs` is 1 if it moved to `FlatRun`, else 0."""
 
     __slots__ = ("macro_steps", "handoffs")
 
@@ -267,28 +265,23 @@ class RunConfiguration(Configuration):
         return self.step_count / self.macro_steps if self.macro_steps else 0.0
 
 
-# How `run` picks its stepper: once, from its first _PROBE macro steps on
-# chains.  Measured on a 2-vCPU Xeon, Python 3.11.7, a chain macro step
-# costs about as much as 10 FlatRun steps.  The bb5 champion's first probe
-# averages 5.3 steps per macro step, and it halts on chains alone in about
-# 0.04 s, within 10% of its time with FlatRun in its phases of 1.0; m54's
-# averages 1.2, and it reaches s_700 on FlatRun in 0.015-0.03 s against
-# 0.15 s on chains alone.
+# How `run` picks its stepper: once, from the moves its first
+# _RATIO * _PROBE steps take on a PassRun.  Measured on a 2-vCPU Xeon,
+# Python 3.11.7, a PassRun move that crosses no pass costs about three
+# FlatRun steps (142-146 against 46-48 ns on m152, whose first probe
+# takes 512 moves).  The bb5 champion's first probe takes 183 moves and
+# m54's 162; both stay on the PassRun, which takes the champion to its
+# halt in 0.016-0.017 s and m54 to s_700 in 0.005 s, against 0.012-0.014
+# s on FlatRun.
 _PROBE = 256
 _RATIO = 2
 
 
-def _unpack(left: list, sym: int, right: list) -> tuple[list[int], int]:
-    """The cells the run-length stacks hold, left to right, with the head
-    cell's `sym` between them, and the head's index among them."""
-    extent = []
-    for s, count in left:
-        extent += [s] * count
-    at = len(extent)
-    extent.append(sym)
-    for s, count in reversed(right):
-        extent += [s] * count
-    return extent, at
+def _final(m: MachineTable, r, moves: int, handoffs: int) -> RunConfiguration:
+    """The RunConfiguration a FlatRun or PassRun `r` of `m` stands at."""
+    first, extent = r.visited()
+    return RunConfiguration(r.state, r.head, _tape(m.blank, extent, first),
+                            r.steps, r.halted, moves, handoffs)
 
 
 def run(m: MachineTable, budget: int) -> RunConfiguration:
@@ -296,96 +289,40 @@ def run(m: MachineTable, budget: int) -> RunConfiguration:
     transitions and return the final configuration.  Deterministic: equal
     budgets give equal results.
 
-    The run starts on chains: the cells left and right of the head are
-    two stacks of [symbol, count] runs, nearest run last, with equal
-    neighbours merged.  A self-loop (q, s) -> (w, d, q) reads s all the
-    way along a run of s ahead of the head, so it executes as one macro
-    step over the head cell and that whole run (Marxen & Buntrock,
-    "Attacking the Busy Beaver 5", 1990).  Every macro step is capped at
-    the remaining budget, which covers the endless blank run beyond
-    either end of the tape.  The stacks hold exactly the visited cells
-    other than the head's, so they fix the touched extent.  If the first
-    _PROBE macro steps average fewer than _RATIO steps each, a FlatRun
-    from the blank tape re-runs those few steps and runs the rest of the
-    budget; otherwise the run stays on chains to the end.
+    The run starts on a PassRun, which crosses sweeps, carry passes and
+    runs of self-loop symbols in one move each.  If its first
+    _RATIO * _PROBE steps take more than _PROBE moves and it has neither
+    halted nor used its budget, a FlatRun from the blank tape re-runs
+    those few steps and runs the rest of the budget; otherwise the run
+    stays on the PassRun to the end.  A table of more than 256 symbols,
+    which PassRun cannot hold, runs on a FlatRun from the start.
     """
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    blank = m.blank
-    left: list[list[int]] = []
-    right: list[list[int]] = []
-    # per cell: (write, behind, ahead, delta, next state), None for Halt
-    cells = [[None if c is None else
-              (c[0], *((left, right) if c[1] > 0 else (right, left)), *c[1:])
-              for c in row] for row in m.table]
-    state, sym, head, done, halted = m.init, blank, 0, 0, False
-    macro = 0
-    for macro in range(1, budget + 1):
-        cell = cells[state][sym]
-        if cell is None:
-            done += 1
-            halted = True
-            break
-        w, behind, ahead, delta, state_next = cell
-        # n: steps in this macro step; past an empty side lies endless blank
-        if state_next != state:
-            n = 1
-        elif ahead:
-            top = ahead[-1]
-            n = top[1] + 1 if top[0] == sym else 1
-            if n > budget - done:
-                n = budget - done
-        else:
-            n = budget - done if sym == blank else 1
-        if behind and behind[-1][0] == w:
-            behind[-1][1] += n
-        else:
-            behind.append([w, n])
-        if n > 1 and ahead:
-            # the head passes over n - 1 cells of the run of `sym` ahead
-            top = ahead[-1]
-            if top[1] == n - 1:
-                ahead.pop()
-            else:
-                top[1] -= n - 1
-        if ahead:
-            top = ahead[-1]
-            sym = top[0]
-            if top[1] == 1:
-                ahead.pop()
-            else:
-                top[1] -= 1
-        else:
-            sym = blank
-        head += delta * n
-        done += n
-        state = state_next
-        if done == budget:
-            break
-        if macro == _PROBE and done < _RATIO * _PROBE:
-            # FlatRun re-runs the fewer than _RATIO * _PROBE steps so far
-            # in well under a millisecond
-            flat = FlatRun(m)
-            flat.advance(budget)
-            first, extent = flat.visited()
-            return RunConfiguration(flat.state, flat.head,
-                                    _tape(blank, extent, first), flat.steps,
-                                    flat.halted, macro + flat.steps - done, 1)
-
-    extent, at = _unpack(left, sym, right)
-    return RunConfiguration(state, head, _tape(blank, extent, head - at),
-                            done, halted, macro, 0)
+    moves = steps = handoffs = 0  # on the PassRun before a hand-off
+    if m.n_symbols <= 256:
+        r = PassRun(m)
+        r.advance(min(budget, _RATIO * _PROBE))
+        if r.moves <= _PROBE or r.halted or r.steps == budget:
+            r.advance(budget)
+            return _final(m, r, r.moves, 0)
+        # FlatRun re-runs the _RATIO * _PROBE steps so far in well under a
+        # millisecond
+        moves, steps, handoffs = r.moves, r.steps, 1
+    flat = FlatRun(m)
+    flat.advance(budget)
+    return _final(m, flat, moves + flat.steps - steps, handoffs)
 
 
 class FlatRun:
     """A run on one flat list of cells, for callers that stop at many step
     counts and read the tape in between: `run_trace`, `run` after a poor
-    probe on chains, and in `search` the closure search's halting probe
-    and the checkpoint verifier on tables of more than 256 symbols, which
-    `PassRun` cannot hold.  It starts from the blank tape.  Callers
-    drive it with `advance()` and read it through `state`, `steps`,
-    `halted`, `head` and `visited()`; the list layout is private to this
-    class.
+    probe on a PassRun, and in `search` the closure search's halting
+    probe; and for `run` and the checkpoint verifier on tables of more
+    than 256 symbols, which `PassRun` cannot hold.  It starts from the
+    blank tape.  Callers drive it with `advance()` and read it through
+    `state`, `steps`, `halted`, `head` and `visited()`; the list layout
+    is private to this class.
 
     `_tape[i]` holds cell i - `_origin`, and the head is at `_tape[_pos]`.
     Cells never visited hold `_sentinel`, one past the last symbol index,
@@ -472,6 +409,17 @@ class FlatRun:
 _TOP_BIT = bytes.maketrans(b"01", b"\x00\x80")  # a key bit to the top bit
 
 
+def cost_terms(costs: dict[int, int]) -> tuple[int, list[tuple[int, int]]]:
+    """(base, extras) for the bytes `costs` maps to step costs: the
+    commonest cost, and each byte that costs otherwise with its extra.  A
+    stretch of those bytes costs base times its length plus each extra
+    times its byte's count, so a stretch whose bytes all cost alike
+    needs no count."""
+    values = list(costs.values())
+    base = max(values, key=values.count, default=0)
+    return base, [(v, c - base) for v, c in costs.items() if c != base]
+
+
 class CarryPass:
     """The passes from a key a whose pass steps reach at most one other
     key b (else b is a), each pass symbol keeping the key (a to a, b to
@@ -482,7 +430,8 @@ class CarryPass:
     where the key at cell i is b (bit-parallel, as Myers, J. ACM 1999).
     A cell's key and symbol are one byte, the symbol plus 128 for b;
     `write` maps it to the symbol written (a `bytes.translate` table); a
-    step costs `base` plus the extra that `extras` pairs its byte with."""
+    step costs `base` plus the extra that `extras` pairs its byte with
+    (`cost_terms`)."""
 
     __slots__ = ("keys", "write", "base", "extras", "_g", "_gp")
 
@@ -494,10 +443,8 @@ class CarryPass:
                  for bit, k in enumerate(self.keys) for s in symbols}
         self.write = bytes.maketrans(bytes(cells),
                                      bytes(w for w, _, _ in cells.values()))
-        costs = [cost for _, _, cost in cells.values()]
-        self.base = base = max(costs, key=costs.count, default=0)
-        self.extras = [(v, c - base) for v, c in zip(cells, costs)
-                       if c != base]
+        self.base, self.extras = cost_terms(
+            {v: cost for v, (_, _, cost) in cells.items()})
         self._g, self._gp = (bytes.maketrans(symbols, bytes(
             b"01"[pass_steps[k][s][1] == b] for s in symbols)) for k in (a, b))
 
@@ -523,9 +470,13 @@ def pass_ends(pass_steps: list[dict],
     the symbols that are pass steps of every key its pass steps reach;
     `ends[key]` holds the other symbols, as bytes.  `carries[key]` is
     None for a sweep, whose pass steps write each symbol back and keep
-    the key, and else the key's `CarryPass`.  A key with neither (its
-    pass steps reach three keys or swap two, or the table has more than
-    128 symbols) ends on every symbol: it takes no pass."""
+    the key, and else the key's `CarryPass`.  Where the whole pass is
+    neither (its pass steps reach three keys or swap two, or no symbol
+    is a pass step of every key they reach), the key's pass runs over
+    its own self-loop symbols only, a sweep if it writes each back and
+    else a CarryPass with b = a.  A table of more than 128 symbols, too
+    many for a (key, symbol) byte, gets sweeps only: a key that would
+    need a CarryPass sweeps the self-loop symbols it writes back."""
     ends, carries = [], []
     for code, steps in enumerate(pass_steps):
         reach, todo = set(), [code]
@@ -536,14 +487,18 @@ def pass_ends(pass_steps: list[dict],
                 todo += [k2 for _, k2, _ in pass_steps[k].values()]
         symbols = bytes(s for s in range(n_symbols)
                         if all(s in pass_steps[k] for k in reach))
+        b = max(reach - {code}, default=code)
+        # three keys, no shared symbol, or a and b swapped
+        if len(reach) > 2 or not symbols or any(
+                pass_steps[code][s][1] != pass_steps[b][s][1] == code
+                for s in symbols):
+            b = code
+            symbols = bytes(s for s, (_, k, _) in steps.items() if k == code)
         carry = None
-        if reach != {code} or any(w != s for s, (w, _, _) in steps.items()):
-            b = max(reach - {code}, default=code)
-            # three keys, too many symbols for a byte, or a and b swapped
-            if len(reach) > 2 or n_symbols > 128 or any(
-                    pass_steps[code][s][1] != pass_steps[b][s][1] == code
-                    for s in symbols):
-                symbols = b""
+        if b != code or any(steps[s][0] != s for s in symbols):
+            if n_symbols > 128:
+                symbols = bytes(s for s, (w, k, _) in steps.items()
+                                if (w, k) == (s, code))
             else:
                 carry = CarryPass(pass_steps, code, b, symbols)
         ends.append(bytes(range(n_symbols)).translate(None, symbols))
@@ -579,12 +534,14 @@ class PassRun:
     After each single step the run takes the pass from the head if the
     symbol there goes on with one (`pass_ends`): `bytearray.find`, or
     `rfind`, locates its end within the steps left and one cell of the
-    tape's ends.  A sweep, such as the power-of-two machine's rewind,
-    leaves the tape as it is and is crossed at once, and a pass between
-    two keys, such as its doubling pass, by the key's `CarryPass`.
+    tape's ends.  A sweep, such as the power-of-two machine's rewind or
+    the bb5 champion's self-loops over its runs of 1s, leaves the tape as
+    it is and is crossed at once, and a pass between two keys, such as
+    the power-of-two machine's doubling pass, by the key's `CarryPass`.
     Every pass step is one step, so a run stops at exactly its target.
-    Each single step pays for the test that starts a pass, so on a table
-    whose passes are short this runs slower than FlatRun.
+    `moves` counts one per single step and one per pass crossed.  Each
+    single step pays for the test that starts a pass, so on a table whose
+    passes are short this runs slower than FlatRun.
 
     `_tape[i]` holds cell i - `_origin`, blank where never written, the
     head is at `_tape[_pos]`, and it has visited `_tape[_lo:_hi + 1]`.
@@ -593,7 +550,7 @@ class PassRun:
     """
 
     __slots__ = ("_cells", "_fill", "_tape", "_origin", "_pos", "_lo", "_hi",
-                 "_ends", "_carries", "state", "steps", "halted")
+                 "_ends", "_carries", "state", "steps", "halted", "moves")
 
     def __init__(self, m: MachineTable):
         """The run of `m` from the blank tape."""
@@ -613,7 +570,7 @@ class PassRun:
         self._fill = bytes((m.blank,))
         self._tape = bytearray(self._fill * 64)
         self._origin = self._pos = self._lo = self._hi = 32
-        self.state, self.steps, self.halted = m.init, 0, False
+        self.state, self.steps, self.halted, self.moves = m.init, 0, False, 0
 
     @property
     def head(self) -> int:
@@ -626,6 +583,7 @@ class PassRun:
                                    self._carries)
         q, p, done, lo, hi = (self.state, self._pos, self.steps, self._lo,
                               self._hi)
+        bulk = 0  # the steps of the passes crossed, less one move each
         while done < target and not self.halted:
             cell = cells[q][t[p]]
             if cell is None:
@@ -649,17 +607,22 @@ class PassRun:
             if t[p] in ends[key]:
                 continue
             end = pass_end(t, p, d, target - done, 1, ends[key])
+            if end == p:
+                continue
             carry = carries[key]
             if carry is not None:
                 crossed, key = carry.cross(t[p:end:d])  # as visited
                 t[p:end:d] = crossed.translate(carry.write)
                 q = key >> 1
-            done += (end - p) * d
+            n = (end - p) * d
+            done += n
+            bulk += n - 1
             p = end
             if p < lo:
                 lo = p
             elif p > hi:
                 hi = p
+        self.moves += done - self.steps - bulk
         self.state, self._pos, self.steps = q, p, done
         self._lo, self._hi = lo, hi
 

@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo, line", [
     ("01_running_machines.py", "halted: True after 47,176,870 steps"),
     ("01_running_machines.py",
-     "compression: 1.00 steps per macro step, handed to the flat stepper "
-     "after its first probe"),
+     "compression: 71.07 steps per macro step, kept on the pass stepper "
+     "throughout"),
     ("02_doubling_transducer.py",
      "all 9840 padded words of up to 9 digits double correctly"),
     ("03_erdos_scan.py", "digit-2-free exponents: [0, 2, 8]"),

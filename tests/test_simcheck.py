@@ -402,15 +402,15 @@ def test_the_doubling_passes_are_carry_crossed_from_both_keys(
 
 def test_window_runs_replays_and_sweeps_are_pinned(long_transcript,
                                                   million_transcript):
-    """To n = 10^5 the verifier computes 203 steps and replays 2,221 from
-    its memo; the 391 sweeps take the rest of each rewind pass, and the
-    396 passes the digits of each doubling, 33.24 small steps per
-    replay, sweep or pass.  The memo is full by then: to 10^6 it computes
-    no further step."""
+    """To n = 10^5 the verifier computes 98 steps and replays 1,441 from
+    its memo; the 641 sweeps take the rest of each rewind pass and
+    find_2's scans over 0 and 1, and the 396 passes the digits of each
+    doubling, 40.36 small steps per replay, sweep or pass.  The memo is
+    full by then: to 10^6 it computes no further step."""
     t = long_transcript
-    assert (t.window_runs, t.replays, t.sweeps, t.passes) == (203, 2221,
-                                                              391, 396)
-    assert t.compression == 100_000 / 3_008
+    assert (t.window_runs, t.replays, t.sweeps, t.passes) == (98, 1441,
+                                                              641, 396)
+    assert t.compression == 100_000 / 2_478
     assert million_transcript.window_runs == t.window_runs
 
 
@@ -445,18 +445,40 @@ def test_a_doubling_pass_cut_short_by_n_max_agrees_with_the_reference(
         assert (t.replays, t.sweeps) == (start.replays, start.sweeps)
 
 
-def test_a_digit_step_reading_the_block_behind_is_not_swept(big, small):
+def test_a_digit_step_reading_the_block_behind_is_not_swept(big, small,
+                                                             monkeypatch):
     """With rewind_sim reading `a` moving right, rewind's step on 0 and 2
     (code words ending in `a`) reads the block behind small's head, and
     on the cells of a sweep check, with no cell behind, big leaves them:
-    neither digit is a sweep symbol.  The step fails at rewind's first
-    such digit, step 23, before any sweep, as in the reference."""
+    neither digit is a sweep symbol, and rewind's passes end on both.
+    The step fails at rewind's first such digit, step 23, before any
+    rewind sweep, as in the reference; the two sweeps before it are
+    find_2's scans over 0 and 1."""
     q = big.state_index("rewind_sim")
     w, _, q2 = big.transition(q, 0)
     bad = big.with_cell(q, 0, Transition(w, R, q2))
+    found, crossed = [], []
+    pass_ends, pass_end = simcheck.pass_ends, simcheck.pass_end
+
+    def found_ends(*args):
+        found.append(pass_ends(*args))
+        return found[-1]
+
+    def crossing_end(t, p, d, steps, margin, ends):
+        end = pass_end(t, p, d, steps, margin, ends)
+        if end != p:
+            crossed.append(ends)
+        return end
+    monkeypatch.setattr(simcheck, "pass_ends", found_ends)
+    monkeypatch.setattr(simcheck, "pass_end", crossing_end)
+    rewind = K.index(("rewind", L))
     for n_max in (22, 23, 2000):
+        crossed.clear()
         t = _assert_matches_reference(bad, small, n_max)
-        assert t.sweeps == 0
+        ends = found[-1][0]
+        assert set(ends[rewind]) == {small.symbol_index(c) for c in "02#"}
+        assert ends[rewind] not in crossed
+        assert (t.sweeps, t.sweeps + t.passes) == (2, len(crossed))
     assert t.mismatch == {"n": 23, "f": 51, "kind": "head",
                           "expected": -1, "actual": 1}
 

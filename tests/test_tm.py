@@ -146,36 +146,54 @@ def _assert_same_config(got, c):
 
 
 def test_fast_and_slow_paths_agree():
-    """The run-length chain stepper behind run() must agree exactly with
-    single-stepping, also when the budget ends inside a chain."""
+    """The PassRun behind run() must agree exactly with single-stepping,
+    also when the budget ends inside a self-loop sweep."""
     m = machines.builtin_bb5_champion()
     c = tm.initial_configuration(m)
-    # The champion chains D over a run of 1s at steps 981..1032 and B at
-    # steps 1035..1087; 1033 and 200_000 end where a chain ends, 1032 one
+    # The champion sweeps D over a run of 1s at steps 981..1032 and B at
+    # steps 1035..1087; 1033 and 200_000 end where a sweep ends, 1032 one
     # step before.
     for budget in (0, 1, 1000, 1032, 1033, 1060, 199_000, 200_000):
         _assert_same_run(tm.run(m, budget), _step_to(m, c, budget))
 
 
 def test_run_picks_its_stepper_once_from_the_first_probe():
-    """_ZIGZAG's first probe averages 1.0 steps per macro step, so the run
-    hands itself to FlatRun after it and stays there; the champion's
-    averages more than _RATIO and m54's less, so the champion never hands
-    off and m54 once."""
+    """_ZIGZAG's first probe takes one PassRun move a step, so a run past
+    it hands itself to FlatRun and stays there, as m152's does; the
+    champion's and m54's first probes average more than _RATIO steps a
+    move, so neither hands off."""
+    probe = tm._RATIO * tm._PROBE
     counts = [tm.run(_ZIGZAG, budget).handoffs
-              for budget in (tm._PROBE, tm._PROBE + 1, 50_000)]
+              for budget in (probe, probe + 1, 50_000)]
     assert counts == [0, 1, 1]
     final = tm.run(_ZIGZAG, 50_000)
     assert (final.macro_steps, final.compression) == (50_000, 1.0)
+    assert tm.run(machines.builtin("m152"), 100_000).handoffs == 1
     assert tm.run(machines.builtin_bb5_champion(), 100_000_000).handoffs == 0
     m54_to_s700 = tm.run(machines.builtin_m54(), search.checkpoint_steps(700))
-    assert m54_to_s700.handoffs == 1
+    assert m54_to_s700.handoffs == 0
+
+
+def test_run_steps_a_table_of_more_than_256_symbols_on_flat_run():
+    """PassRun holds at most 256 symbols, so a table of 257 runs on
+    FlatRun from its first step, one macro step a step, with no
+    hand-off; it agrees with tm.step.  Its head bounces between cells 0
+    and 1, counting each up through all 257 symbols and round again."""
+    k = 257
+    m = MachineTable("wide", tuple(str(i) for i in range(k)), 0, ("A", "B"),
+                     0, tuple(tuple(((s + 1) % k, d, q) for s in range(k))
+                              for d, q in ((1, 1), (-1, 0))))
+    c = tm.initial_configuration(m)
+    for budget in (0, 1, 600, 3000):
+        final = tm.run(m, budget)
+        _assert_same_run(final, _step_to(m, c, budget))
+        assert (final.macro_steps, final.handoffs) == (budget, 0)
 
 
 def test_champion_hand_offs_agree_with_single_steps():
     """The champion's first phase of 1.0 steps per macro step starts near
-    step 99,888, long after its first probe, so the run stays on chains
-    through it.  The budgets end in and around that phase."""
+    step 99,888, long after its first probe, so the run stays on its
+    PassRun through it.  The budgets end in and around that phase."""
     m = machines.builtin_bb5_champion()
     assert [tm.run(m, b).handoffs for b in (100_144, 100_145)] == [0, 0]
     c = tm.initial_configuration(m)
@@ -205,15 +223,16 @@ def test_champion_halts_on_the_same_tape():
 
 
 def test_m54_checkpoints_agree_with_run_trace():
-    """m54 at s_n for n in {0, 1, 8, 100, 700}: at s_100 and s_700 the run
-    has handed itself to FlatRun, once."""
+    """m54 at s_n for n in {0, 1, 8, 100, 700}: the run stays on its
+    PassRun, which crosses the rewinds and doublings in bulk, over 50
+    steps a move by s_700."""
     m = machines.builtin_m54()
     budgets = [search.checkpoint_steps(n) for n in (0, 1, 8, 100, 700)]
     for budget, snap in zip(budgets, tm.run_trace(m, budgets)):
         final = tm.run(m, budget)
         _assert_same_config(final, snap)
-        assert final.macro_steps <= budget
-    assert final.handoffs == 1 and final.compression < 2
+        assert final.macro_steps <= budget and final.handoffs == 0
+    assert final.compression > 50
 
 
 @st.composite
@@ -239,16 +258,17 @@ _SWEEP_LEFT = machines.parse_machine(
     "symbols: 0 1\nblank: 0\nstates: A B\ninit: A\n"
     "A 0 -> 1 R B\nA 1 -> halt\nB 0 -> 0 L B\nB 1 -> 1 L B\n",
     name="sweep-left")
-# Sweeps a growing run of 1s; its chains end at steps 3, 6, 10, ..., 190.
+# Sweeps a growing run of 1s; its sweeps end at steps 3, 6, 10, ..., 190.
 _BOUNCER = machines.parse_machine(
     "symbols: 0 1\nblank: 0\nstates: A B\ninit: A\n"
     "A 0 -> 1 L B\nA 1 -> 1 R A\nB 0 -> 1 R A\nB 1 -> 1 L B\n",
     name="bouncer")
 
 
-# No transition keeps its state, so its first probe on chains reads 1.0
-# steps per macro step and hands the run to FlatRun at step _PROBE.  Its
-# tape grows on both sides and holds all three symbols.
+# No transition keeps its state and no two keys share a pass symbol, so
+# PassRun crosses no pass: its first probe takes one move a step, and a
+# run past step _RATIO * _PROBE hands itself to FlatRun there.  Its tape
+# grows on both sides and holds all three symbols.
 _ZIGZAG = machines.parse_machine(
     "symbols: 0 1 2\nblank: 0\nstates: A B\ninit: A\n"
     "A 0 -> 2 L B\nA 1 -> 0 R B\nA 2 -> 1 R B\n"
@@ -257,10 +277,10 @@ _ZIGZAG = machines.parse_machine(
 
 @given(_tables(), st.integers(min_value=0, max_value=3000),
        st.lists(st.integers(min_value=0, max_value=3000), max_size=6))
-@example(_ZIGZAG, tm._PROBE - 1, [])
-@example(_ZIGZAG, tm._PROBE, [tm._PROBE - 1])
-@example(_ZIGZAG, tm._PROBE + 1, [tm._PROBE])
-@example(_ZIGZAG, 3000, [tm._PROBE + 1, 3000])
+@example(_ZIGZAG, tm._RATIO * tm._PROBE - 1, [])
+@example(_ZIGZAG, tm._RATIO * tm._PROBE, [tm._RATIO * tm._PROBE - 1])
+@example(_ZIGZAG, tm._RATIO * tm._PROBE + 1, [tm._RATIO * tm._PROBE])
+@example(_ZIGZAG, 3000, [tm._RATIO * tm._PROBE + 1, 3000])
 @example(_SWEEP_RIGHT, 0, [0])
 @example(_SWEEP_RIGHT, 2500, [1, 2, 2, 2500])
 @example(_SWEEP_LEFT, 2500, [17, 40, 1000, 2500])
@@ -271,7 +291,7 @@ _ZIGZAG = machines.parse_machine(
 @example(_BOUNCER, 200, list(range(1, 201)))
 @settings(max_examples=300, deadline=None)
 def test_run_matches_single_steps(m, budget, checkpoints):
-    """run (on chains, then FlatRun if its first probe compresses poorly)
+    """run (on a PassRun, then FlatRun if its first probe compresses poorly)
     at `budget`, and run_trace (the flat-list stepper) at sorted
     `checkpoints`, against single steps.  Consecutive checkpoints 1, 2, 3,
     ... advance the flat-list stepper one step at a time.  The _ZIGZAG
@@ -491,25 +511,43 @@ def test_carry_crossing_agrees_with_composed_pass_steps():
     assert crossed > 100
 
 
-# Tables whose pass from (A, R) takes no bulk pass, so PassRun steps it
-# one cell at a time; C sweeps back to the blank left of the digits.  A
-# and B swap on 1 (_SWAP); A, B and D rotate on 1 (_ROTATE); and
-# (A, R) keeps its state, but on 200 symbols, too many for a (key,
+def test_cost_terms_sum_a_stretch_as_its_step_costs():
+    """A stretch costs base times its length plus each extra times its
+    byte's count, as the lockstep check costs sweeps and carry passes;
+    bytes that all cost alike leave no extra to count."""
+    rng = random.Random(29)
+    for _ in range(200):
+        costs = {v: rng.randint(1, 4)
+                 for v in rng.sample(range(256), rng.randint(1, 6))}
+        base, extras = tm.cost_terms(costs)
+        stretch = bytes(rng.choice(list(costs)) for _ in range(50))
+        assert base * len(stretch) + sum(
+            extra * stretch.count(v) for v, extra in extras) == sum(
+            costs[v] for v in stretch)
+    assert tm.cost_terms({0: 2, 1: 2, 2: 2}) == (2, [])
+    assert tm.cost_terms({}) == (0, [])
+
+
+# Tables whose pass from (A, R) takes no bulk pass and has no self-loop
+# symbol to fall back on, so PassRun steps it one cell at a time; C
+# sweeps back to the blank left of the digits.  A and B swap on 1
+# (_SWAP); A, B and D rotate on 1 (_ROTATE); and (A, R) keeps its state
+# but writes every symbol anew, on 200 symbols, too many for a (key,
 # symbol) byte (_WIDE).
 _SWAP = machines.parse_machine(
     "symbols: 0 1 2\nblank: 0\nstates: A B C\ninit: A\n"
-    "A 0 -> 1 L C\nA 1 -> 2 R B\nA 2 -> 2 R A\n"
+    "A 0 -> 1 L C\nA 1 -> 2 R B\nA 2 -> 2 R B\n"
     "B 0 -> 2 L C\nB 1 -> 1 R A\nB 2 -> 1 R B\n"
     "C 0 -> 0 R A\nC 1 -> 1 L C\nC 2 -> 2 L C\n", name="swap")
 _ROTATE = machines.parse_machine(
     "symbols: 0 1 2\nblank: 0\nstates: A B D C\ninit: A\n"
-    "A 0 -> 1 L C\nA 1 -> 2 R B\nA 2 -> 2 R A\n"
+    "A 0 -> 1 L C\nA 1 -> 2 R B\nA 2 -> 2 R B\n"
     "B 0 -> 2 L C\nB 1 -> 1 R D\nB 2 -> 1 R B\n"
     "D 0 -> 1 L C\nD 1 -> 2 R A\nD 2 -> 2 R D\n"
     "C 0 -> 0 R A\nC 1 -> 1 L C\nC 2 -> 2 L C\n", name="rotate")
 _WIDE = MachineTable(
     "wide", tuple(str(i) for i in range(200)), 0, ("A", "C"), 0,
-    (((1, -1, 1),) + tuple((s * 67 % 199 + 1, 1, 0) for s in range(1, 200)),
+    (((1, -1, 1),) + tuple((s % 199 + 1, 1, 0) for s in range(1, 200)),
      ((0, 1, 0),) + tuple((s, -1, 1) for s in range(1, 200))))
 
 
@@ -530,6 +568,53 @@ def test_pass_run_single_steps_a_key_without_a_bulk_pass(m):
         _assert_same_run_state(run, flat)
         _assert_run_is_config(run, _step_to(m, c, target))
     assert len(run.visited()[1]) > 50
+
+
+# Shaped like the bb5 champion's D: the pass from (D, L) reaches B and C
+# as well, so it is not crossed whole, but D's write-back self-loop on 1
+# sweeps; A sweeps right over the same growing run of 1s.
+_THREE_KEYS = machines.parse_machine(
+    "symbols: 0 1\nblank: 0\nstates: A B C D\ninit: A\n"
+    "A 0 -> 1 L D\nA 1 -> 1 R A\nB 0 -> 1 R A\nB 1 -> 1 L C\n"
+    "C 0 -> 0 R A\nC 1 -> 1 L D\nD 0 -> 1 L B\nD 1 -> 1 L D\n",
+    name="three-keys")
+
+
+def test_pass_run_sweeps_the_self_loop_of_a_key_reaching_three_keys():
+    """(D, L) ends exactly on its symbols that are not self-loops, the
+    blank, and sweeps the rest; PassRun agrees with FlatRun and with
+    tm.step at every target, crossing each run of 1s in one move."""
+    m = _THREE_KEYS
+    run, flat, c = tm.PassRun(m), tm.FlatRun(m), tm.initial_configuration(m)
+    d_left = 2 * m.state_index("D")
+    assert (run._ends[d_left], run._carries[d_left]) == (b"\x00", None)
+    for target in (1, 2, 7, 100, 1234, 3000):
+        run.advance(target)
+        flat.advance(target)
+        _assert_same_run_state(run, flat)
+        _assert_run_is_config(run, _step_to(m, c, target))
+    assert len(run.visited()[1]) > 50 and run.moves < 200
+
+
+def test_pass_run_sweeps_only_write_backs_past_128_symbols():
+    """On 200 symbols (A, R) keeps its state on every symbol but the
+    blank and writes each anew but 3, which 3 * 67 % 199 + 1 writes back:
+    too many symbols for a carry crossing, so (A, R) sweeps 3 alone, and
+    PassRun agrees with FlatRun and with tm.step."""
+    m = MachineTable(
+        "wide-3", tuple(str(i) for i in range(200)), 0, ("A", "C"), 0,
+        (((1, -1, 1),) + tuple((s * 67 % 199 + 1, 1, 0)
+                               for s in range(1, 200)),
+         ((0, 1, 0),) + tuple((s, -1, 1) for s in range(1, 200))))
+    run, flat, c = tm.PassRun(m), tm.FlatRun(m), tm.initial_configuration(m)
+    a_right = 2 * m.state_index("A") + 1
+    assert run._carries[a_right] is None
+    assert run._ends[a_right] == bytes(s for s in range(200) if s != 3)
+    for target in (1, 2, 7, 100, 1234, 3000):
+        run.advance(target)
+        flat.advance(target)
+        _assert_same_run_state(run, flat)
+        _assert_run_is_config(run, _step_to(m, c, target))
 
 
 def test_pass_run_carry_crosses_both_of_m54s_doubling_keys(monkeypatch):
