@@ -10,6 +10,7 @@ only non-deterministic output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -167,6 +168,13 @@ def cmd_check_sim(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # opened before the enumeration, so that a bad path fails at once
+    with (open(args.undecided_out, "w") if args.undecided_out
+          else contextlib.nullcontext()) as out:
+        return _enumerate(args, out)
+
+
+def _enumerate(args, out) -> int:
     started = time.perf_counter()
     summary = search.enumerate_and_classify(args.n, args.k, args.budget,
                                             reduced=not args.raw)
@@ -199,12 +207,11 @@ def cmd_enumerate(args) -> int:
         "confirmed" if summary.confirmed else "NOT confirmed "
         "(undecided machines remain)",
     ]
-    if summary.undecided and args.undecided_out:
-        with open(args.undecided_out, "w") as fh:
-            for m in summary.undecided:
-                fh.write(machines.serialize_machine(m))
-                fh.write("\n")
-        lines.append(f"undecided machines written to {args.undecided_out}")
+    if out is not None:  # written even when empty, never left stale
+        for m in summary.undecided:
+            out.write(machines.serialize_machine(m) + "\n")
+        lines.append(f"{len(summary.undecided)} undecided machines written "
+                     f"to {args.undecided_out}")
         payload["undecided_path"] = args.undecided_out
     _emit(args, payload, lines)
     return 0 if summary.confirmed else 1
@@ -252,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enumerate the full raw space instead of the "
                              "canonical subset")
     p_enum.add_argument("--undecided-out", metavar="PATH",
-                        help="write undecided machines to this file")
+                        help="write the undecided machines to this "
+                             "file, empty if none remain")
     p_enum.set_defaults(func=cmd_enumerate)
     return parser
 

@@ -3,48 +3,44 @@ plus the checkpoint schedule of the power-of-two machine.
 
 One decider pipeline serves `classify` and both enumerators, cheapest
 first: the escape decider (no halting transition is reachable in the
-state graph); then a single bounded run that checks the cycler (exact
-configuration repeat, keyed by the state, the head and the non-blank
-cells packed into two ints) and the translated cycler (recurring
-record-breaking configuration shifted by a rigid offset, which copies
-the tape only when the head breaks a record) after every step; and
-finally, for machines that outlast the budget, the regular-closure
+state graph); then one bounded run, the decider pass, that checks the
+cycler (exact configuration repeat, keyed by the state, the head and
+the non-blank cells packed into two ints) and the translated cycler
+(recurring record-breaking configuration shifted by a rigid offset,
+which copies the tape only when the head breaks a record) after every
+step; and, for machines that outlast the budget, the regular-closure
 decider (a regular set of configurations that contains the initial
-one, is closed under stepping, and excludes every halting one — the
-escape idea generalized from the state graph to tape contents; both
-are tagged "escape" since both prove halting unreachable).  The
-closure search enumerates only the DFA that reads the tape left of the
-head and derives the one for the right side as a least fixpoint, on
-the machine and on its mirror image.  The bounded run steps a table's
-(write, delta, next state) cells on a list of its own from a saved run
-and returns plain values: a verdict, and for a halt the run saved
-before the halting step (the fork), whose (state, symbol) is all the
-enumerator branches on.  The closure search's halting probe steps on a
-`tm.FlatRun`.  The checkpoint verifier runs on a `tm.PassRun`, which
-crosses the power-of-two machine's sweeps and doubling passes in bulk,
-or on a FlatRun for a table of more than 256 symbols.  Both are read
-only through `state`, `steps`, `halted`, `head`, `advance()` and
-`visited()`, so their layouts stay inside `tm`.
-`revalidate_certificate` re-checks every
-certificate independently, on `tm.step` for the cyclers.
+one, is closed under stepping and excludes every halting one; tagged
+"escape" too, since both prove halting unreachable).  The closure
+search enumerates only the DFA that reads the tape left of the head and
+derives the right one as a least fixpoint, on the machine and on its
+mirror image; its halting probe steps on a `tm.FlatRun`.  The pass steps
+a table's (write, delta, next state) cells on a list of its own from a
+saved run and returns plain values: a verdict tuple, which `_classified`
+turns into a Classification and certificate for `classify` and the
+cycler deciders, and for a halt the run saved before the halting step
+(the fork).  `revalidate_certificate` re-checks every certificate
+independently, on `tm.step` for the cyclers.  The checkpoint verifier
+runs on a `tm.PassRun`, which crosses the power-of-two machine's sweeps
+and doubling passes in bulk (on a FlatRun past 256 symbols), read only
+through `state`, `steps`, `halted`, `head`, `advance()` and `visited()`.
 
-Enumeration runs either over the raw space of all (2nk+1)^(nk) tables
-or over a canonical subset built in tree normal form (Marxen and
-Buntrock, 1990): cells are filled lazily in the order the blank-tape
-run first needs them, new states/symbols are introduced
-lowest-index-first, and the very first transition moves right.  Both
-work on bare tuples of cells; a `MachineTable` is built only for the
-closure search and for a machine the summary keeps.  A node's cells not
-chosen yet are Halt, so every node is a complete table and the pipeline
-runs it as is; a run that halts on such a cell branches on it.  Each
-branch's table is its parent's with that one cell replaced, and its run
-equals its parent's up to the halting step, so it resumes from the
-parent's fork, which it copies and never changes.  The escape check
-runs on the state graph once per target state of that cell,
-and the branches it settles are never built.  The raw enumerator runs
-every table from the blank tape.
-The reduction preserves every halting step count, so maxima are exact;
-raw mode remains available as ground truth.
+Enumeration runs over the raw space of all (2nk+1)^(nk) tables or over
+a canonical subset in tree normal form (Marxen and Buntrock, 1990):
+cells are filled lazily in the order the blank-tape run first needs
+them, new states/symbols come lowest-index-first, and the first
+transition moves right.  Both step bare tuples of cells and count the
+pass's plain verdicts, building no certificate; a `MachineTable` is
+built only for the closure search and for a machine the summary keeps.
+A node's cells not chosen yet are Halt, so every node is a complete
+table; a run that halts on such a cell branches on it, and each branch
+(its parent's table with that cell replaced) resumes from the parent's
+fork, which it copies and never changes.  The state-graph escape check
+runs once per target state of that cell, and the branches into an
+escaping target are counted in one step, never built.  The raw
+enumerator runs every table from the blank tape.  The reduction
+preserves every halting step count, so maxima are exact; raw mode
+remains available as ground truth.
 """
 
 from __future__ import annotations
@@ -250,9 +246,8 @@ class TranslatedCyclerCertificate:
 
 
 def _escape(cells, init: int):
-    """The escape decider on a tuple of cells: an EscapeCertificate if no
-    Halt cell is reachable in the state graph from state `init`, or
-    None."""
+    """The states reachable from state `init` in the state graph of a
+    tuple of cells, as a list, or None if a Halt cell is reachable."""
     seen = [init]
     for q in seen:  # breadth first: the list grows while it is read
         for tr in cells[q]:
@@ -260,7 +255,7 @@ def _escape(cells, init: int):
                 return None
             if tr[2] not in seen:
                 seen.append(tr[2])
-    return EscapeCertificate(tuple(sorted(seen)))
+    return seen
 
 
 def decide_escape(m: MachineTable):
@@ -268,7 +263,8 @@ def decide_escape(m: MachineTable):
     graph from the initial state, or None.  Reachability ignores the tape
     (it over-approximates the states the run can enter), so a certificate
     soundly implies the machine never halts."""
-    return _escape(m.table, m.init)
+    seen = _escape(m.table, m.init)
+    return seen and EscapeCertificate(tuple(sorted(seen)))
 
 
 @dataclass
@@ -277,6 +273,18 @@ class Classification:
     steps: int | None = None
     decider: str | None = None
     certificate: object = None
+
+
+def _classified(verdict) -> Classification | None:
+    """The Classification, certificate included, of a decider pass's
+    plain verdict (see _run_deciders), or None at the budget."""
+    if verdict is None:
+        return None
+    if verdict[0] == "halts":
+        return Classification("halts", steps=verdict[1])
+    cert = (CyclerCertificate if verdict[0] == "cycler" else
+            TranslatedCyclerCertificate)(*verdict[1:])
+    return Classification("nonhalt", decider=verdict[0], certificate=cert)
 
 
 class _SavedRun(NamedTuple):
@@ -321,12 +329,14 @@ class _SavedRun(NamedTuple):
 def _run_deciders(cells, budget: int, saved: _SavedRun):
     """One bounded run of the table `cells` from `saved` up to step
     `budget`, with the cycler and the translated cycler checked after
-    every step.  Returns (verdict, fork): a cycler or translated-cycler
-    Classification with None; a halt at step t as
-    Classification("halts", steps=t) with the run saved before step t,
-    whose `cell` is the halting (state, symbol); or (None, None) at the
-    budget.  A table that differs from `cells` only in that Halt cell runs
-    the same steps up to t, so it can resume from the fork.
+    every step.  Returns (verdict, fork), with the verdict a plain tuple
+    that `_classified` turns into a Classification: ("cycler", t1, t2) or
+    ("translated-cycler", t1, t2, offset), the fields of their
+    certificates, with None; a halt at step t as ("halts", t) with the
+    run saved before step t, whose `cell` is the halting (state, symbol);
+    or (None, None) at the budget.  A table that differs from `cells`
+    only in that Halt cell runs the same steps up to t, so it can resume
+    from the fork.
 
     The cycler keeps the tape as two ints, `right` for cells i >= 0 and
     `left` for cells i < 0, each cell holding symbol ^ blank in `bits`
@@ -378,9 +388,7 @@ def _run_deciders(cells, budget: int, saved: _SavedRun):
             head += d
             t1 = seen.setdefault((q, head, left, right), t)
             if t1 != t:
-                return Classification(
-                    "nonhalt", decider="cycler",
-                    certificate=CyclerCertificate(t1, t)), None
+                return ("cycler", t1, t), None
             if d > 0:
                 if head <= high:
                     continue
@@ -425,16 +433,13 @@ def _run_deciders(cells, budget: int, saved: _SavedRun):
                 earlier = (snap[-span:] if inside else
                            [blank] * (span - len(snap)) + snap)
                 if earlier == now[-span:]:
-                    return Classification(
-                        "nonhalt", decider="translated-cycler",
-                        certificate=TranslatedCyclerCertificate(
-                            t1, t, head - p1)), None
+                    return ("translated-cycler", t1, t, head - p1), None
             bucket.append((t, head, now))
     except TypeError:
         if tr is not None:
             raise
         # unpacking None, the Halt cell, which step t runs
-        return Classification("halts", steps=t), _SavedRun(
+        return ("halts", t), _SavedRun(
             t, q, head, blank, tape, origin, left, right, low, high, bottom,
             top, seen, lows, highs, records)
     return None, None
@@ -443,9 +448,9 @@ def _run_deciders(cells, budget: int, saved: _SavedRun):
 def _pass_certificate(m: MachineTable, budget: int, decider: str):
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    verdict = _run_deciders(m.table, budget,
-                            _SavedRun.start(m.init, m.blank))[0]
-    if verdict is not None and verdict.decider == decider:
+    verdict = _classified(_run_deciders(m.table, budget,
+                                        _SavedRun.start(m.init, m.blank))[0])
+    if verdict and verdict.decider == decider:
         return verdict.certificate
     return None
 
@@ -719,21 +724,6 @@ def revalidate_certificate(m: MachineTable, cert) -> bool:
 # classification and enumeration
 
 
-def _escape_verdict(cells, init: int):
-    """The escape decider's Classification of a tuple of cells, or None."""
-    escape = _escape(cells, init)
-    return escape and Classification("nonhalt", decider="escape",
-                                      certificate=escape)
-
-
-def _closure_verdict(m: MachineTable) -> Classification:
-    """The regular-closure search's Classification of a machine that
-    outlasted the decider pass: nonhalt under "escape", or undecided."""
-    closure = decide_regular_closure(m)
-    return (Classification("undecided") if closure is None else
-            Classification("nonhalt", decider="escape", certificate=closure))
-
-
 def classify(m: MachineTable, budget: int) -> Classification:
     """Cheapest decider first: the static escape check, one bounded run
     checking the cycler and the translated cycler after every step, then
@@ -741,10 +731,18 @@ def classify(m: MachineTable, budget: int) -> Classification:
     at this budget."""
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    return (_escape_verdict(m.table, m.init)
-            or _run_deciders(m.table, budget,
-                             _SavedRun.start(m.init, m.blank))[0]
-            or _closure_verdict(m))
+    seen = _escape(m.table, m.init)
+    if seen is not None:
+        cert = EscapeCertificate(tuple(sorted(seen)))
+    else:
+        verdict = _run_deciders(m.table, budget,
+                                _SavedRun.start(m.init, m.blank))[0]
+        if verdict is not None:
+            return _classified(verdict)
+        cert = decide_regular_closure(m)
+        if cert is None:
+            return Classification("undecided")
+    return Classification("nonhalt", decider="escape", certificate=cert)
 
 
 def _space_table(n: int, k: int, cells) -> MachineTable:
@@ -763,7 +761,6 @@ class EnumerationSummary:
     k: int
     budget: int
     reduced: bool
-    total: int = 0
     counts: dict = field(default_factory=lambda: {
         "halts": 0, "escape": 0, "cycler": 0, "translated-cycler": 0,
         "undecided": 0})
@@ -782,49 +779,39 @@ class EnumerationSummary:
     closure_seconds: float = 0.0
 
     @property
+    def total(self) -> int:
+        return sum(self.counts.values())  # the machines classified
+
+    @property
     def confirmed(self) -> bool:
         """The reported maximum is a proven BB value only when nothing was
         left undecided."""
         return self.counts["undecided"] == 0
 
-    def record(self, cls: Classification, cells=None, first=None):
-        """Count one verdict on the machine whose tuple of cells is
-        `cells`, read only where the summary keeps the machine (a champion
-        or an undecided one).  The summary keeps the bare cells, and
-        enumerate_and_classify turns the ones it kept into MachineTables
-        once the enumeration is done.
-
-        `first` is the step the decider pass started at: 1 from the blank
-        tape, the fork's step for a resumed tree-normal-form child, and
-        None where no pass ran (the state-graph escape).  The pass stops
-        at the halting step, at a cycler certificate's t2, or else at the
-        budget, where the closure search runs; its failure is the one
-        undecided verdict.  The pass simulated the steps from `first` up
-        to where it stopped."""
-        self.total += 1
-        if first is not None:
-            self.decider_pass_runs += 1
-            cert = cls.certificate
-            if cls.status == "halts":
-                end = cls.steps
-            elif cls.decider in ("cycler", "translated-cycler"):
-                end = cert.t2
-            else:
-                end = self.budget
-                self.closure_searches += 1
-                self.closure_decided += cert is not None
-            self.decider_pass_steps += end - first + 1
-        if cls.status == "halts":
-            self.counts["halts"] += 1
-            if cls.steps > self.max_steps:
-                self.max_steps = cls.steps
+    def record(self, tag: str, end: int, cells, first: int):
+        """Count the plain verdict (tag, end) on the machine whose tuple of
+        cells is `cells`, kept bare if it is a champion or undecided
+        (enumerate_and_classify builds their MachineTables at the end).
+        The decider pass ran from step `first` (1 from the blank tape, the
+        fork's step for a resumed tree-normal-form child) to step `end`,
+        where it stopped: "halts" at the halting step, "cycler" or
+        "translated-cycler" at the certificate's t2, or else the budget,
+        where the closure search ran and gave "escape" or, failing,
+        "undecided"."""
+        self.counts[tag] += 1
+        self.decider_pass_runs += 1
+        self.decider_pass_steps += end - first + 1
+        if tag == "halts":
+            if end > self.max_steps:
+                self.max_steps = end
                 self.champions = [cells]
-            elif cls.steps == self.max_steps:
+            elif end == self.max_steps:
                 self.champions.append(cells)
-        elif cls.status == "nonhalt":
-            self.counts[cls.decider] += 1
-        else:
-            self.counts["undecided"] += 1
+        elif tag == "escape":
+            self.closure_searches += 1
+            self.closure_decided += 1
+        elif tag == "undecided":
+            self.closure_searches += 1
             self.undecided.append(cells)
 
     def to_dict(self) -> dict:
@@ -843,28 +830,32 @@ def _decide(cells, budget: int, saved: _SavedRun,
             summary: EnumerationSummary):
     """The decider pass on an enumerated tuple of cells from `saved`,
     then the regular-closure search on its MachineTable if the run
-    outlasts the budget.  Records the verdict, the pass's steps and the
-    seconds the pass and the search took; returns the verdict and, for a
-    halt, the fork."""
+    outlasts the budget.  Records the verdict's tag and end step and the
+    seconds the pass and the search took; returns the pass's plain
+    verdict and, for a halt, the fork."""
     started = time.perf_counter()
     verdict, fork = _run_deciders(cells, budget, saved)
     ran = searched = time.perf_counter()
     if verdict is None:
-        verdict = _closure_verdict(_space_table(summary.n, summary.k, cells))
+        closure = decide_regular_closure(
+            _space_table(summary.n, summary.k, cells))
         searched = time.perf_counter()
+        tag, end = ("undecided" if closure is None else "escape"), budget
+    else:
+        tag, end = verdict[0], verdict[1 if verdict[0] == "halts" else 2]
     summary.decider_pass_seconds += ran - started
     summary.closure_seconds += searched - ran
-    summary.record(verdict, cells, saved.t)
+    summary.record(tag, end, cells, saved.t)
     return verdict, fork
 
 
-def _escapes_into(cells, q: int, sym: int, targets) -> dict:
-    """Per target state q2, the escape verdict on every table that is
-    `cells` with its Halt cell (q, sym) replaced by a transition into q2:
+def _escapes_into(cells, q: int, sym: int, targets) -> list:
+    """The target states q2 such that every table that is `cells` with
+    its Halt cell (q, sym) replaced by a transition into q2 escapes:
     whatever it writes and wherever it moves, the state graph is the
     parent's plus q -> q2."""
-    return {q2: _escape_verdict(replace_cell(cells, q, sym, (0, 1, q2)), 0)
-            for q2 in targets}
+    return [q2 for q2 in targets
+            if _escape(replace_cell(cells, q, sym, (0, 1, q2)), 0)]
 
 
 def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
@@ -891,15 +882,17 @@ def _tnf_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
         # run reached the cell, so its state and symbol are already at
         # most the tops.
         q, sym = fork.cell
-        escapes = _escapes_into(cells, q, sym,
-                                range(min(top_state + 1, n - 1) + 1))
-        for tr in branch_options(verdict.steps == 1, top_state, top_symbol):
-            escape = escapes[tr[2]]
-            if escape is None:
+        targets = range(min(top_state + 1, n - 1) + 1)
+        escaping = _escapes_into(cells, q, sym, targets)
+        options = branch_options(verdict[1] == 1, top_state, top_symbol)
+        # each target takes an equal share of the options; the branches
+        # into an escaping one are counted, never built or recorded
+        summary.counts["escape"] += (len(options) // len(targets)
+                                     * len(escaping))
+        for tr in options:
+            if tr[2] not in escaping:
                 recurse(replace_cell(cells, q, sym, tr), fork,
                         max(top_state, tr[2]), max(top_symbol, tr[0]))
-            else:
-                summary.record(escape)  # an escape keeps no table
 
     # the root halts on every cell, so its state graph cannot escape
     recurse(((None,) * k,) * n, _SavedRun.start(0, 0), 0, 0)
@@ -915,9 +908,8 @@ def _raw_enumerate(n: int, k: int, budget: int, summary: EnumerationSummary):
     # the inner product's (2nk+1)^k rows are built once and shared
     rows = itertools.product(options, repeat=k)
     for cells in itertools.product(rows, repeat=n):
-        escape = _escape_verdict(cells, 0)
-        if escape is not None:
-            summary.record(escape)
+        if _escape(cells, 0):
+            summary.counts["escape"] += 1  # no pass ran, no table is kept
         else:
             _decide(cells, budget, start, summary)
 

@@ -325,6 +325,45 @@ def test_enumerate_undecided_written_not_dropped(capsys, tmp_path):
         machines.parse_machine(block)
 
 
+def test_enumerate_undecided_out_is_written_when_none_remain(capsys,
+                                                            tmp_path):
+    """A confirmed space still writes the file, empty, so that a file
+    from an earlier run never stays stale, and the JSON names it."""
+    out_path = tmp_path / "undecided.tm"
+    out_path.write_text("stale\n")
+    code, out, _ = run_cli(capsys, "--format", "json", "enumerate", "-n",
+                           "2", "-k", "2", "--budget", "100",
+                           "--undecided-out", str(out_path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["confirmed"] is True
+    assert payload["undecided_path"] == str(out_path)
+    assert out_path.read_text() == ""
+    code, out, _ = run_cli(capsys, "enumerate", "-n", "2", "-k", "2",
+                           "--budget", "100", "--undecided-out",
+                           str(out_path))
+    assert code == 0
+    assert f"0 undecided machines written to {out_path}" in out
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_enumerate_undecided_out_bad_path_fails_before_enumerating(
+        capsys, monkeypatch, tmp_path, where):
+    """The file is opened before the enumeration runs, so a path that
+    cannot be written exits 2 at once, with no output."""
+    path = tmp_path if where == "directory" else tmp_path / "no" / "u.tm"
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before opening the file")
+
+    monkeypatch.setattr(search, "enumerate_and_classify", never)
+    code, out, err = run_cli(capsys, "--format", "json", "enumerate", "-n",
+                             "2", "-k", "3", "--budget", "100",
+                             "--undecided-out", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_enumerate_raw_flag(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "enumerate",
                            "-n", "1", "-k", "2", "--budget", "10", "--raw")

@@ -1,6 +1,7 @@
 """Checkpoint schedule, non-halt deciders, certificates, enumeration."""
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -630,7 +631,8 @@ def test_regular_closure_decider():
 
 
 def _fresh_pass(m, budget):
-    """The decider pass on `m` from the blank tape."""
+    """The decider pass on `m` from the blank tape: its plain verdict and
+    its fork."""
     return search._run_deciders(m.table, budget,
                                 search._SavedRun.start(m.init, m.blank))
 
@@ -657,7 +659,9 @@ def test_decider_pass_raises_a_type_error_off_the_halt_cell():
     cells = (((1, 1, 1), (1, -1, 0)), ((1, -1, 0), None))
     verdict, fork = search._run_deciders(cells, 100,
                                          search._SavedRun.start(0, 0))
-    assert verdict == search.Classification("halts", steps=5)
+    assert verdict == ("halts", 5)
+    assert search._classified(verdict) == search.Classification("halts",
+                                                                steps=5)
     assert fork.cell == (1, 1)
 
 
@@ -860,17 +864,68 @@ def test_random_sample_certificates_all_revalidate():
 
 def test_raw_enumeration_agrees_with_classify():
     """Both entry points run the same decider pipeline, so tallying
-    classify over the raw (2,2) space reproduces the enumerator's counts."""
-    tally = dict.fromkeys(("halts", "escape", "cycler", "translated-cycler",
-                           "undecided"), 0)
-    for cells in itertools.product(_options(2, 2), repeat=4):
-        m = _table(2, 2, cells)
-        out = classify(m, 100)
-        _assert_halts_like_tm_run(m, out, 100)
-        tally[out.decider or out.status] += 1
-    assert tally == {"halts": 1165, "escape": 4368, "cycler": 44,
-                     "translated-cycler": 984, "undecided": 0}
-    assert enumerate_and_classify(2, 2, 100, reduced=False).counts == tally
+    classify over the raw (2,2) space reproduces the enumerator's counts,
+    which count plain verdicts, at budgets 100 and 1000."""
+    for budget in (100, 1000):
+        tally = dict.fromkeys(("halts", "escape", "cycler",
+                               "translated-cycler", "undecided"), 0)
+        for cells in itertools.product(_options(2, 2), repeat=4):
+            m = _table(2, 2, cells)
+            out = classify(m, budget)
+            _assert_halts_like_tm_run(m, out, budget)
+            tally[out.decider or out.status] += 1
+        if budget == 100:
+            assert tally == {"halts": 1165, "escape": 4368, "cycler": 44,
+                             "translated-cycler": 984, "undecided": 0}
+        summary = enumerate_and_classify(2, 2, budget, reduced=False)
+        assert summary.counts == tally
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (2, 3), (2, 4)])
+def test_decider_pass_verdicts_build_classify_results(n, k):
+    """On seeded random complete tables, with a random initial state,
+    blank and budget, the Classification that search._classified builds
+    from the decider pass's plain verdict is classify's result wherever
+    the state graph does not escape.  Where it escapes, the pass gives no
+    halt; where the pass reaches the budget, classify's result is the
+    closure search's.  A non-halt verdict's tag names its certificate's
+    class and its fields are the certificate's; every non-halt
+    certificate revalidates, and every halt's step count is tm.run's."""
+    rng = random.Random(f"plain verdicts {n}x{k}")
+    options = _options(n, k)
+    seen = collections.Counter()
+    for _ in range(300):
+        cells = [rng.choice(options) for _ in range(n * k)]
+        if rng.random() < 0.5:  # else most tables escape
+            cells[rng.randrange(n * k)] = HALT
+        m = _table(n, k, cells)
+        m = search.MachineTable(m.name, m.symbols, rng.randrange(k),
+                                m.states, rng.randrange(n), m.table)
+        budget = rng.randrange(400)
+        verdict, fork = search._run_deciders(
+            m.table, budget, search._SavedRun.start(m.init, m.blank))
+        built, expected = search._classified(verdict), classify(m, budget)
+        if decide_escape(m) is not None:
+            assert isinstance(expected.certificate, EscapeCertificate)
+            assert fork is None and (built is None or built.steps is None)
+        elif built is None:
+            assert expected.status == "undecided" or isinstance(
+                expected.certificate, RegularClosureCertificate)
+        else:
+            assert built == expected, machines.serialize_machine(m)
+        if built is not None and built.status == "nonhalt":
+            kind = {"cycler": CyclerCertificate,
+                    "translated-cycler": TranslatedCyclerCertificate}
+            assert type(built.certificate) is kind[verdict[0]]
+            assert built.decider == verdict[0]
+            assert dataclasses.astuple(built.certificate) == verdict[1:]
+        for out in (built, expected):
+            if out is not None and out.status == "nonhalt":
+                assert revalidate_certificate(m, out.certificate)
+        _assert_halts_like_tm_run(m, expected, budget)
+        seen[expected.decider or expected.status] += 1
+    assert seen["halts"] and seen["escape"]
+    assert seen["cycler"] + seen["translated-cycler"]
 
 
 def test_classify_lines_are_pinned():
@@ -979,9 +1034,9 @@ def test_enumeration_counters_match_the_calls(monkeypatch, n, k, budget,
     def counted_run(cells, budget, saved):
         verdict, fork = run_deciders(cells, budget, saved)
         calls["runs"] += 1
-        end = (budget if verdict is None else
-               verdict.steps if verdict.status == "halts" else
-               verdict.certificate.t2)
+        cls = search._classified(verdict)
+        end = (budget if cls is None else
+               cls.steps if cls.status == "halts" else cls.certificate.t2)
         calls["steps"] += end - saved.t + 1
         return verdict, fork
 
@@ -1018,37 +1073,40 @@ def test_decider_pass_steps_are_pinned(n, k, budget, reduced, steps):
 def test_escapes_per_target_state_match_each_branch(monkeypatch, n, k,
                                                     budget):
     """At every branch point of the tree the escape check runs once per
-    target state on the parent's cells; its verdict equals decide_escape
-    on each branch into that state built in full, whatever the branch
-    writes and wherever it moves, and each certificate revalidates on
-    every such branch."""
+    target state on the parent's cells and returns the targets whose
+    branches escape.  decide_escape on each branch built in full,
+    whatever it writes and wherever it moves, gives a certificate exactly
+    for the branches into those targets, the same one for every branch
+    into a target, and each certificate revalidates on its branch."""
     branch_points = []
     escapes_into = search._escapes_into
 
     def kept(cells, q, sym, targets):
-        escapes = escapes_into(cells, q, sym, targets)
-        branch_points.append((cells, q, sym, escapes))
-        return escapes
+        escaping = escapes_into(cells, q, sym, targets)
+        branch_points.append((cells, q, sym, targets, escaping))
+        return escaping
 
     monkeypatch.setattr(search, "_escapes_into", kept)
     summary = enumerate_and_classify(n, k, budget)
     # every halt is on a cell not chosen yet, so every halting node branches
     assert len(branch_points) == summary.counts["halts"]
     escaped = 0
-    for cells, q, sym, escapes in branch_points:
+    for cells, q, sym, targets, escaping in branch_points:
         m = search._space_table(n, k, cells)
         assert m.table[q][sym] is HALT
-        for q2, verdict in escapes.items():
-            cert = verdict and verdict.certificate
+        assert set(escaping) <= set(targets)
+        for q2 in targets:
+            certs = set()
             for w in range(k):
                 for move in (L, R):
                     branch = m.with_cell(q, sym, Transition(w, move, q2))
-                    assert decide_escape(branch) == cert
+                    cert = decide_escape(branch)
+                    assert (cert is not None) == (q2 in escaping)
                     if cert is not None:
-                        assert (verdict.status, verdict.decider) == (
-                            "nonhalt", "escape")
                         assert revalidate_certificate(branch, cert)
-            escaped += cert is not None
+                    certs.add(cert)
+            assert len(certs) == 1
+            escaped += q2 in escaping
     assert escaped > 0
 
 
@@ -1059,16 +1117,24 @@ def test_resumed_children_match_fresh_runs(monkeypatch, n, k, budget):
     same verdict (status, steps, decider and certificate) and the same
     fork, halting cell included.  Run again after the enumeration, each
     node's children in reverse order, from the forks they shared, they
-    give the same verdicts, so no child changed its fork.  Every verdict
-    the summary records on a table revalidates on that table."""
+    give the same verdicts, so no child changed its fork.  Every
+    certificate of a pass's verdict (built by search._classified) and of
+    a closure search revalidates on its table."""
     run_deciders = search._run_deciders
-    record = search.EnumerationSummary.record
+    closure = search.decide_regular_closure
     children = collections.defaultdict(list)  # id(fork) -> runs
     forks = {}
     checked = collections.Counter()
 
+    def revalidated(m, cert):
+        if cert is not None:
+            assert revalidate_certificate(m, cert)
+            checked["certificates"] += 1
+
     def compared(cells, budget, saved):
         verdict, fork = run_deciders(cells, budget, saved)
+        cls = search._classified(verdict)
+        revalidated(search._space_table(n, k, cells), cls and cls.certificate)
         if saved.t > 1:
             fresh = run_deciders(cells, budget, search._SavedRun.start(0, 0))
             assert (verdict, fork) == fresh
@@ -1078,15 +1144,13 @@ def test_resumed_children_match_fresh_runs(monkeypatch, n, k, budget):
             checked["resumed"] += 1
         return verdict, fork
 
-    def revalidated(summary, cls, cells=None, first=None):
-        if cls.certificate is not None and cells is not None:
-            assert revalidate_certificate(search._space_table(n, k, cells),
-                                          cls.certificate)
-            checked["certificates"] += 1
-        return record(summary, cls, cells, first)
+    def searched(m):
+        cert = closure(m)
+        revalidated(m, cert)
+        return cert
 
     monkeypatch.setattr(search, "_run_deciders", compared)
-    monkeypatch.setattr(search.EnumerationSummary, "record", revalidated)
+    monkeypatch.setattr(search, "decide_regular_closure", searched)
     enumerate_and_classify(n, k, budget)
     assert checked["resumed"] > 0 and checked["certificates"] > 0
     for key, runs in children.items():

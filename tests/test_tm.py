@@ -654,31 +654,33 @@ _WIDE_BOUNCER = machines.parse_compact("0RB1RD_1RC---_1LA1RC_1LB1LD")
 @settings(max_examples=300, deadline=None)
 def test_decider_pass_verdict_agrees_with_tm_step(m, blank, init, budget):
     """search._run_deciders steps the table's cells on a list of its own
-    and returns plain values.  A halt at step t comes with the run saved
-    before step t, whose cell is the (state, symbol) tm.step halts on at
-    step t; (None, None) means tm.step is still running at the budget; a
-    cycler verdict comes only where tm.step does not halt by the
-    certificate's t2, which is at most the budget."""
+    and returns plain values, a verdict tuple that search._classified
+    turns into a Classification and a fork.  A halt at step t comes with
+    the run saved before step t, whose cell is the (state, symbol)
+    tm.step halts on at step t; (None, None) means tm.step is still
+    running at the budget; a cycler verdict comes only where tm.step does
+    not halt by the certificate's t2, which is at most the budget."""
     m = _relabelled(m, blank, init)
     verdict, fork = search._run_deciders(
         m.table, budget, search._SavedRun.start(m.init, m.blank))
+    cls = search._classified(verdict)
     cell = fork and fork.cell
     c = tm.initial_configuration(m)
-    if verdict is None:
-        assert cell is None
+    if cls is None:
+        assert verdict is None and cell is None
         _step_to(m, c, budget)
         assert c.step_count == budget and not c.halted
-    elif verdict.status == "halts":
-        _step_to(m, c, verdict.steps - 1)
+    elif cls.status == "halts":
+        _step_to(m, c, cls.steps - 1)
         assert not c.halted and cell == (c.state, c.read())
-        assert (fork.t, fork.head) == (verdict.steps, c.head)
+        assert (fork.t, fork.head) == (cls.steps, c.head)
         tm.step(m, c)
-        assert c.halted and c.step_count == verdict.steps <= budget
+        assert c.halted and c.step_count == cls.steps <= budget
     else:
-        assert verdict.status == "nonhalt" and cell is None
-        _step_to(m, c, verdict.certificate.t2)
+        assert cls.status == "nonhalt" and cell is None
+        _step_to(m, c, cls.certificate.t2)
         assert not c.halted
-        assert c.step_count == verdict.certificate.t2 <= budget
+        assert c.step_count == cls.certificate.t2 <= budget
 
 
 def test_machine_table_validation_rejects_bad_indices():
