@@ -1,8 +1,8 @@
 """Running Turing machines exactly: the built-in tables and the champion.
 
 Demonstrates loading built-in machines, bounded runs and how each run's
-compression ratio picks its stepper, checkpoint traces, and the text
-format round-trip.
+compression ratio picks its stepper, checkpoint traces on the same
+stepper, and the text format round-trip.
 """
 
 import time
@@ -11,8 +11,9 @@ from bblab import machines, search, tm
 
 
 def stepper(final):
-    """Where a run went: tm.run picks its stepper once, after its first
-    probe on the pass stepper."""
+    """Where a run went: tm.run and tm.run_trace pick their stepper once,
+    after the first probe to their last step count on the pass
+    stepper."""
     return ("handed to the flat stepper after its first probe"
             if final.handoffs else "kept on the pass stepper throughout")
 

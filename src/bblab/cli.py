@@ -77,12 +77,17 @@ def _step_list(spec: str) -> list[int]:
 
 def cmd_run(args) -> int:
     m = _load_machine(args)
-    started = time.perf_counter()
     lines = []
     payload = {"command": "run", "machine": m.name, "budget": args.budget}
+    started = time.perf_counter()
+    # one run: the checkpoints' snapshots and then the budget's
+    snaps = (tm.run_trace(m, args.checkpoints + [args.budget])
+             if args.checkpoints else [tm.run(m, args.budget)])
+    run_seconds = time.perf_counter() - started
+    final = snaps[-1]
     if args.checkpoints:
         payload["checkpoints"] = []
-        for snap in tm.run_trace(m, args.checkpoints):
+        for snap in snaps[:len(args.checkpoints)]:
             window = tm.window_str(m, snap, snap.tape.lo, snap.tape.hi)
             payload["checkpoints"].append({
                 "step": snap.step_count, "state": m.states[snap.state],
@@ -90,9 +95,6 @@ def cmd_run(args) -> int:
             lines.append(f"step {snap.step_count}: "
                          f"state {m.states[snap.state]}, head {snap.head}, "
                          f"tape [{snap.tape.lo}..{snap.tape.hi}] = {window}")
-    run_started = time.perf_counter()
-    final = tm.run(m, args.budget)
-    run_seconds = time.perf_counter() - run_started
     payload["outcome"] = "halted" if final.halted else "running"
     payload["steps"] = final.step_count
     if final.halted:

@@ -26,15 +26,15 @@ so, the run of the key's own self-loop symbols still is, as a busy
 beaver's long runs of equal symbols are.  `pass_ends` finds where the
 passes end and how they are crossed, for it and for the lockstep check
 in `simcheck`.
-`run` starts on a PassRun, so the bb5 champion halts and the
-power-of-two machine doubles its numbers in a fraction of a second (a
-table of more than 256 symbols runs on a FlatRun throughout).
-Where passes are short, a PassRun step costs more than a FlatRun step
-for no more progress, so a run whose first few hundred steps take more
-than half as many moves starts over in a FlatRun and runs there to the
-end.  It returns the final configuration, whose `halted` and
-`step_count` say how the run ended and whose `macro_steps`,
-`compression` and `handoffs` say how it went.
+`run` and `run_trace` share one driver, which picks the stepper once,
+from the last step count asked for.  A run starts on a PassRun, so the
+bb5 champion halts and the power-of-two machine doubles its numbers in
+a fraction of a second (on a FlatRun past 256 symbols).  Where passes
+are short, a PassRun step costs more than a FlatRun step for no more
+progress, so a run whose first few hundred steps take more than half as
+many moves starts over in a FlatRun.  `run` returns the configuration at
+its budget and `run_trace` one at each checkpoint; their `macro_steps`,
+`compression` and `handoffs` say how the run went.
 All of them give exactly the configurations `step` gives; `step` stays
 the independent reference that certificate revalidation runs on.
 """
@@ -236,20 +236,11 @@ def step(m: MachineTable, c: Configuration) -> Configuration:
     return c
 
 
-def _tape(blank: int, extent: list[int], lo: int) -> Tape:
-    """Tape holding `extent` from cell `lo` on; the extent covers exactly
-    the visited cells, cell 0 among them."""
-    tape = Tape(blank)
-    tape.cells = dict(enumerate(extent, lo))
-    tape.lo, tape.hi = lo, lo + len(extent) - 1
-    return tape
-
-
 class RunConfiguration(Configuration):
-    """The final configuration of `run`, with how the run went:
-    `macro_steps` counts its `PassRun` moves, one per single step and one
-    per bulk pass, and the `FlatRun` steps past them, one each, and
-    `handoffs` is 1 if it moved to `FlatRun`, else 0."""
+    """A configuration that `run` or `run_trace` reached, with how the run
+    went: `macro_steps` counts its `PassRun` moves, one per single step
+    and one per bulk pass, and the `FlatRun` steps past them, one each,
+    and `handoffs` is 1 if it had moved to `FlatRun`, else 0."""
 
     __slots__ = ("macro_steps", "handoffs")
 
@@ -265,64 +256,80 @@ class RunConfiguration(Configuration):
         return self.step_count / self.macro_steps if self.macro_steps else 0.0
 
 
-# How `run` picks its stepper: once, from the moves its first
-# _RATIO * _PROBE steps take on a PassRun.  Measured on a 2-vCPU Xeon,
-# Python 3.11.7, a PassRun move that crosses no pass costs about three
-# FlatRun steps (142-146 against 46-48 ns on m152, whose first probe
-# takes 512 moves).  The bb5 champion's first probe takes 183 moves and
-# m54's 162; both stay on the PassRun, which takes the champion to its
-# halt in 0.016-0.017 s and m54 to s_700 in 0.005 s, against 0.012-0.014
-# s on FlatRun.
+# How `_snapshots` picks its stepper: once, from the moves the first
+# _RATIO * _PROBE steps to its last step count take on a PassRun.
+# Measured on a 2-vCPU Xeon, Python 3.11.7, a PassRun move that crosses
+# no pass costs about three FlatRun steps (142-146 against 46-48 ns on
+# m152, whose first probe takes 512 moves).  The bb5 champion's first
+# probe takes 183 moves and m54's 162; both stay on the PassRun, which
+# takes the champion to its halt in 0.016-0.017 s and m54 to s_700 in
+# 0.005 s, against 0.012-0.014 s on FlatRun.
 _PROBE = 256
 _RATIO = 2
 
 
-def _final(m: MachineTable, r, moves: int, handoffs: int) -> RunConfiguration:
-    """The RunConfiguration a FlatRun or PassRun `r` of `m` stands at."""
-    first, extent = r.visited()
-    return RunConfiguration(r.state, r.head, _tape(m.blank, extent, first),
-                            r.steps, r.halted, moves, handoffs)
+def _snapshots(m: MachineTable, targets: list[int]) -> list[RunConfiguration]:
+    """The run of `m` from the blank tape at each of the sorted step
+    counts `targets`, up to the first at which it has halted.
+
+    The run starts on a PassRun, which crosses sweeps, carry passes and
+    runs of self-loop symbols in one move each.  Its stepper is picked
+    from the last step count alone: if the first _RATIO * _PROBE steps,
+    run unbroken, take more than _PROBE moves and the machine has neither
+    halted nor reached the last count by then, a FlatRun from the blank
+    tape re-runs those few steps and takes the run on; otherwise it stays
+    on the PassRun.  A table of more than 256 symbols, which PassRun
+    cannot hold, runs on a FlatRun throughout.
+    """
+    budget = targets[-1] if targets else 0
+    probe, handoff = min(budget, _RATIO * _PROBE), False
+    if m.n_symbols > 256:
+        r = FlatRun(m)
+    else:
+        r = PassRun(m)
+        # a target inside the probe would cut a pass into more moves
+        first = r if not targets or targets[0] >= probe else PassRun(m)
+        first.advance(probe)
+        handoff = first.moves > _PROBE and not first.halted and probe < budget
+    offset = handoffs = 0  # moves less steps on the PassRun before a hand-off
+    out = []
+    for target in targets:
+        r.advance(min(target, probe))  # stops where run's probe stops
+        if handoff and target > probe:
+            # FlatRun re-runs the probe's steps in well under a millisecond
+            offset, handoffs, handoff = r.moves - r.steps, 1, False
+            r = FlatRun(m)
+        r.advance(target)
+        lo, extent = r.visited()
+        tape = Tape(m.blank)
+        tape.cells, tape.lo = dict(enumerate(extent, lo)), lo
+        tape.hi = lo + len(extent) - 1
+        out.append(RunConfiguration(
+            r.state, r.head, tape, r.steps, r.halted,
+            r.moves if type(r) is PassRun else offset + r.steps, handoffs))
+        if r.halted:
+            break
+    return out
 
 
 def run(m: MachineTable, budget: int) -> RunConfiguration:
-    """Run from the initial configuration for up to `budget` executed
-    transitions and return the final configuration.  Deterministic: equal
-    budgets give equal results.
-
-    The run starts on a PassRun, which crosses sweeps, carry passes and
-    runs of self-loop symbols in one move each.  If its first
-    _RATIO * _PROBE steps take more than _PROBE moves and it has neither
-    halted nor used its budget, a FlatRun from the blank tape re-runs
-    those few steps and runs the rest of the budget; otherwise the run
-    stays on the PassRun to the end.  A table of more than 256 symbols,
-    which PassRun cannot hold, runs on a FlatRun from the start.
-    """
+    """The configuration after up to `budget` executed transitions from
+    the initial one, on the stepper `_snapshots` picks.  Deterministic:
+    equal budgets give equal results."""
     if budget < 0:
         raise ValueError("budget must be a natural number")
-    moves = steps = handoffs = 0  # on the PassRun before a hand-off
-    if m.n_symbols <= 256:
-        r = PassRun(m)
-        r.advance(min(budget, _RATIO * _PROBE))
-        if r.moves <= _PROBE or r.halted or r.steps == budget:
-            r.advance(budget)
-            return _final(m, r, r.moves, 0)
-        # FlatRun re-runs the _RATIO * _PROBE steps so far in well under a
-        # millisecond
-        moves, steps, handoffs = r.moves, r.steps, 1
-    flat = FlatRun(m)
-    flat.advance(budget)
-    return _final(m, flat, moves + flat.steps - steps, handoffs)
+    return _snapshots(m, [budget])[0]
 
 
 class FlatRun:
     """A run on one flat list of cells, for callers that stop at many step
-    counts and read the tape in between: `run_trace`, `run` after a poor
-    probe on a PassRun, and in `search` the closure search's halting
-    probe; and for `run` and the checkpoint verifier on tables of more
-    than 256 symbols, which `PassRun` cannot hold.  It starts from the
-    blank tape.  Callers drive it with `advance()` and read it through
-    `state`, `steps`, `halted`, `head` and `visited()`; the list layout
-    is private to this class.
+    counts and read the tape in between: `run` and `run_trace` after a
+    poor probe on a PassRun, and in `search` the closure search's halting
+    probe; and for `run`, `run_trace` and the checkpoint verifier on
+    tables of more than 256 symbols, which `PassRun` cannot hold.  It
+    starts from the blank tape.  Callers drive it with `advance()` and
+    read it through `state`, `steps`, `halted`, `head` and `visited()`;
+    the list layout is private to this class.
 
     `_tape[i]` holds cell i - `_origin`, and the head is at `_tape[_pos]`.
     Cells never visited hold `_sentinel`, one past the last symbol index,
@@ -397,13 +404,6 @@ class FlatRun:
         if symbols[p - lo] == sentinel:
             symbols[p - lo] = self._blank
         return lo - self._origin, symbols
-
-    def configuration(self) -> Configuration:
-        """A Configuration copy of the run as it stands."""
-        first, symbols = self.visited()
-        return Configuration(self.state, self.head,
-                             _tape(self._blank, symbols, first), self.steps,
-                             self.halted)
 
 
 _TOP_BIT = bytes.maketrans(b"01", b"\x00\x80")  # a key bit to the top bit
@@ -632,25 +632,22 @@ class PassRun:
         return self._lo - self._origin, self._tape[self._lo:self._hi + 1]
 
 
-def run_trace(m: MachineTable, checkpoints: list[int]) -> list[Configuration]:
+def run_trace(m: MachineTable,
+              checkpoints: list[int]) -> list[RunConfiguration]:
     """Snapshots of the configuration at each requested step count.
 
     `checkpoints` must be sorted ascending.  Execution stops early if the
     machine halts; the halting configuration is then the last snapshot.
+    The run picks its stepper as `run` to the last checkpoint does, so
+    the last snapshot is `run`'s configuration; its `macro_steps` counts
+    up to two more moves wherever a checkpoint cuts a pass.
     """
     checkpoints = list(checkpoints)
     if checkpoints != sorted(checkpoints):
         raise ValueError("checkpoints must be sorted ascending")
     if min(checkpoints, default=0) < 0:
         raise ValueError("each checkpoint must be a natural number")
-    r = FlatRun(m)
-    out = []
-    for target in checkpoints:
-        r.advance(target)
-        out.append(r.configuration())
-        if r.halted:
-            break
-    return out
+    return _snapshots(m, checkpoints)
 
 
 def tape_window(c: Configuration, lo: int, hi: int) -> tuple[int, ...]:

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, text output, JSON output."""
 
+import hashlib
 import json
 import re
 
 import pytest
 
-from bblab import cli, machines, search, ternary
+from bblab import cli, machines, search, ternary, tm
 from bblab.tm import R, Transition
 
 
@@ -94,6 +95,57 @@ def test_run_json_is_well_formed(capsys):
     assert payload["checkpoints"][0]["step"] == 333
     assert payload["checkpoints"][0]["state"] == "rewind"
     assert isinstance(payload["elapsed_seconds"], float)
+
+
+# BB(2)'s champion, which halts at step 6, before checkpoint 9 below
+_BB2 = """symbols: 0 1
+blank: 0
+states: A B
+init: A
+A 0 -> 1 R B
+A 1 -> 1 L B
+B 0 -> 1 L A
+B 1 -> halt
+"""
+
+
+@pytest.mark.parametrize("machine, budget, checkpoints, window, entries", [
+    (("--builtin", "m54"), 2000, "16,333", "-2:8",
+     "ac21be6eeae35e3a81d493deedb0427b607cfd4adfb1c1fc0dea705170678e91"),
+    (("--builtin", "bb5-champion"), 100_000_000, "1000000,47176869", "-5:5",
+     "7667bb1b86e991b07a346fa7e7019d709099736bf94a4389212ca9d78e72ee2d"),
+    (("--file", "bb2.tm"), 20, "2,5,9", "-2:2",
+     "4e7344382efa513de0a7169cd5b7193c9a66e2707c7cd3f67a41e67413abd5ad"),
+], ids=["m54", "bb5-champion", "bb2-halts-before-its-last-checkpoint"])
+def test_run_with_checkpoints_runs_once_and_ends_as_run_does(
+        capsys, monkeypatch, tmp_path, machine, budget, checkpoints, window,
+        entries):
+    """`run --checkpoints C --budget B` makes one run, which ends as `run
+    --budget B` does: the same outcome, steps, state, head, window and
+    hand-offs.  Its checkpoint entries are pinned by the sha256 of their
+    JSON as a trace on the flat-list stepper printed them."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bb2.tm").write_text(_BB2)
+    calls = []
+    for name in ("run", "run_trace"):
+        def counted(*args, _f=getattr(tm, name)):
+            calls.append(_f.__name__)
+            return _f(*args)
+        monkeypatch.setattr(tm, name, counted)
+    argv = ["--format", "json", "run", *machine, "--budget", str(budget),
+            f"--show-window={window}"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, calls) == (0, ["run"])
+    alone = json.loads(out)
+    calls.clear()
+    code, out, _ = run_cli(capsys, *argv, "--checkpoints", checkpoints)
+    assert (code, calls) == (0, ["run_trace"])
+    traced = json.loads(out)
+    keys = ("outcome", "steps", "state", "head", "window")
+    assert [traced[k] for k in keys] == [alone[k] for k in keys]
+    assert traced["stats"]["handoffs"] == alone["stats"]["handoffs"] == 0
+    digest = hashlib.sha256(json.dumps(traced["checkpoints"]).encode())
+    assert digest.hexdigest() == entries
 
 
 def test_run_machine_from_file(capsys, tmp_path):

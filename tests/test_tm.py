@@ -204,11 +204,12 @@ def test_champion_hand_offs_agree_with_single_steps():
 
 def test_champion_ratio_one_phases_agree_with_flat_run():
     """Budgets inside the champion's later phases of 1.0 steps per macro
-    step, against the flat-list stepper."""
+    step, against a FlatRun advanced through them."""
     m = machines.builtin_bb5_champion()
-    budgets = [280_700, 785_500, 2_191_000, 6_100_000]
-    for budget, snap in zip(budgets, tm.run_trace(m, budgets)):
-        _assert_same_config(tm.run(m, budget), snap)
+    ref = tm.FlatRun(m)
+    for budget in (280_700, 785_500, 2_191_000, 6_100_000):
+        ref.advance(budget)
+        _assert_run_is_config(ref, tm.run(m, budget))
 
 
 def test_champion_halts_on_the_same_tape():
@@ -222,17 +223,54 @@ def test_champion_halts_on_the_same_tape():
     assert final.compression > 100
 
 
-def test_m54_checkpoints_agree_with_run_trace():
-    """m54 at s_n for n in {0, 1, 8, 100, 700}: the run stays on its
-    PassRun, which crosses the rewinds and doublings in bulk, over 50
-    steps a move by s_700."""
+def test_m54_checkpoints_agree_with_flat_run():
+    """m54 at s_n for n in {0, 1, 8, 100, 700}, against a FlatRun advanced
+    through them: the run stays on its PassRun, which crosses the rewinds
+    and doublings in bulk, over 50 steps a move by s_700."""
     m = machines.builtin_m54()
-    budgets = [search.checkpoint_steps(n) for n in (0, 1, 8, 100, 700)]
-    for budget, snap in zip(budgets, tm.run_trace(m, budgets)):
+    ref = tm.FlatRun(m)
+    for n in (0, 1, 8, 100, 700):
+        budget = search.checkpoint_steps(n)
+        ref.advance(budget)
         final = tm.run(m, budget)
-        _assert_same_config(final, snap)
+        _assert_run_is_config(ref, final)
         assert final.macro_steps <= budget and final.handoffs == 0
     assert final.compression > 50
+
+
+def test_champion_trace_stays_on_the_pass_stepper_to_its_halt():
+    """A trace runs on the stepper that run picks: the champion traced to
+    10^8 steps stays on its PassRun throughout and halts as run does."""
+    snaps = tm.run_trace(machines.builtin_bb5_champion(),
+                         [10 ** 6, 47_176_869, 10 ** 8])
+    assert [s.handoffs for s in snaps] == [0, 0, 0]
+    assert [(s.step_count, s.halted) for s in snaps] == [
+        (10 ** 6, False), (47_176_869, False), (47_176_870, True)]
+    assert snaps[-1].compression > 100
+
+
+def test_trace_picks_its_stepper_from_its_last_checkpoint():
+    """_ZIGZAG traced across its hand-off at step _RATIO * _PROBE = 512
+    matches tm.step and ends as run to its last checkpoint ends; traced
+    to 512 it stays on the PassRun, as run to 512 does.  A checkpoint at
+    every probe step cuts the champion's and m54's passes into one move a
+    step, yet their traces pick the PassRun, as run does."""
+    probe = tm._RATIO * tm._PROBE
+    for checkpoints in ([probe - 1, probe, probe + 1, 3000], [probe, 3000]):
+        snaps = tm.run_trace(_ZIGZAG, checkpoints)
+        c = tm.initial_configuration(_ZIGZAG)
+        for target, snap in zip(checkpoints, snaps, strict=True):
+            _assert_same_config(snap, _step_to(_ZIGZAG, c, target))
+        final = tm.run(_ZIGZAG, 3000)
+        assert (snaps[-1].macro_steps, snaps[-1].handoffs) == (
+            final.macro_steps, final.handoffs) == (3000, 1)
+    snaps = tm.run_trace(_ZIGZAG, [300, probe])
+    assert [s.handoffs for s in snaps] == [0, 0]
+    assert tm.run(_ZIGZAG, probe).handoffs == 0
+    for m in (machines.builtin_bb5_champion(), machines.builtin_m54()):
+        snaps = tm.run_trace(m, list(range(1, probe + 1)) + [10 ** 5])
+        assert snaps[probe - 1].macro_steps == probe
+        assert snaps[-1].handoffs == tm.run(m, 10 ** 5).handoffs == 0
 
 
 @st.composite
@@ -291,12 +329,12 @@ _ZIGZAG = machines.parse_machine(
 @example(_BOUNCER, 200, list(range(1, 201)))
 @settings(max_examples=300, deadline=None)
 def test_run_matches_single_steps(m, budget, checkpoints):
-    """run (on a PassRun, then FlatRun if its first probe compresses poorly)
-    at `budget`, and run_trace (the flat-list stepper) at sorted
-    `checkpoints`, against single steps.  Consecutive checkpoints 1, 2, 3,
-    ... advance the flat-list stepper one step at a time.  The _ZIGZAG
-    budgets end one step before, at and one step after its hand-off, and
-    far into FlatRun."""
+    """run at `budget`, and run_trace at sorted `checkpoints` (each on a
+    PassRun, then FlatRun if the first probe to its last step count
+    compresses poorly), against single steps.  Consecutive checkpoints 1,
+    2, 3, ... advance the run one step at a time.  The _ZIGZAG budgets end
+    one step before, at and one step after its hand-off, and far into
+    FlatRun."""
     _assert_same_run(tm.run(m, budget),
                      _step_to(m, tm.initial_configuration(m), budget))
     checkpoints.sort()
@@ -337,15 +375,14 @@ def test_flat_run_matches_single_steps(m, stops):
     """FlatRun advanced to sorted targets against single steps.  Each
     (target, extra) stop advances to `target` and then one step at a time
     `extra` more times.  At every target the
-    state, steps, halted flag, head, visited cells and configuration
-    agree with tm.step's."""
+    state, steps, halted flag, head and visited cells agree with
+    tm.step's."""
     targets = sorted(t + i for t, extra in stops for i in range(extra + 1))
     run = tm.FlatRun(m)
     c = tm.initial_configuration(m)
     for target in targets:
         run.advance(target)
         _assert_run_is_config(run, _step_to(m, c, target))
-        _assert_same_config(run.configuration(), c)
 
 
 def _random_pass_table(rng):
