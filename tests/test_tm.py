@@ -256,12 +256,12 @@ def test_trace_picks_its_stepper_from_its_last_checkpoint():
     every probe step cuts the champion's and m54's passes into one move a
     step, yet their traces pick the PassRun, as run does."""
     probe = tm._RATIO * tm._PROBE
+    final = tm.run(_ZIGZAG, 3000)
     for checkpoints in ([probe - 1, probe, probe + 1, 3000], [probe, 3000]):
         snaps = tm.run_trace(_ZIGZAG, checkpoints)
         c = tm.initial_configuration(_ZIGZAG)
         for target, snap in zip(checkpoints, snaps, strict=True):
             _assert_same_config(snap, _step_to(_ZIGZAG, c, target))
-        final = tm.run(_ZIGZAG, 3000)
         assert (snaps[-1].macro_steps, snaps[-1].handoffs) == (
             final.macro_steps, final.handoffs) == (3000, 1)
     snaps = tm.run_trace(_ZIGZAG, [300, probe])
